@@ -17,7 +17,7 @@ from scipy import stats
 from .growth import GrowthParams, TreeRecord, grow
 from .limits import DegreePMF, exponents
 from .rng import CounterRng
-from .treeops import FringeHistogram, degree_counts
+from .treeops import FringeHistogram
 
 SPECTRUM_SIZE_CAP = 2048
 
@@ -28,38 +28,27 @@ def tail_ccdf(source: Union[DegreePMF, Sequence[int], TreeRecord]) -> list[tuple
     Count-backed sources (trees, raw degree samples) use exact integer
     arithmetic, so P(>=1) is exactly 1.
     """
-    counts: Optional[dict[int, int]] = None
     if isinstance(source, DegreePMF):
         pmf = source.p
-    elif isinstance(source, TreeRecord):
-        counts = degree_counts(source)
-    else:
-        degrees = list(source)
-        if not degrees:
-            raise ValueError("empty degree sample")
-        counts = {}
-        for d in degrees:
-            counts[d] = counts.get(d, 0) + 1
-    if counts is not None:
-        ks = sorted(counts)
-        if ks[0] < 1:
+        ks = sorted(pmf)
+        if not ks or ks[0] < 1:
             raise ValueError("degrees must be >= 1")
-        total = sum(counts.values())
         out = []
-        tail = total
+        tail = math.fsum(pmf.values())
         for k in range(1, ks[-1] + 1):
-            out.append((k, tail / total))
-            tail -= counts.get(k, 0)
+            out.append((k, tail))
+            tail -= pmf.get(k, 0.0)
         return out
-    ks = sorted(pmf)
-    if not ks or ks[0] < 1:
+    degrees = np.asarray(source.degree if isinstance(source, TreeRecord) else source, dtype=np.int64)
+    if degrees.size == 0:
+        raise ValueError("empty degree sample")
+    if degrees.min() < 1:
         raise ValueError("degrees must be >= 1")
-    out = []
-    tail = math.fsum(pmf.values())
-    for k in range(1, ks[-1] + 1):
-        out.append((k, tail))
-        tail -= pmf.get(k, 0.0)
-    return out
+    counts = np.bincount(degrees)
+    total = degrees.size
+    # vertices of degree >= k, for k = 1..max
+    tails = total - np.concatenate(([0], np.cumsum(counts[1:-1])))
+    return [(k, tail / total) for k, tail in enumerate(tails.tolist(), start=1)]
 
 
 @dataclass
@@ -290,9 +279,8 @@ def adjacency_spectrum(tree: TreeRecord, atom_tol: float = 1e-8) -> SpectrumResu
         raise ValueError(f"tree size {n} exceeds dense-spectrum cap {SPECTRUM_SIZE_CAP}")
     size = n + 1
     a = np.zeros((size, size))
-    for m in range(1, n + 1):
-        p = tree.parent[m]
-        a[m, p] = a[p, m] = 1.0
+    child = np.arange(1, size)
+    a[np.r_[child, tree.parent[1:]], np.r_[tree.parent[1:], child]] = 1.0
     eig = np.linalg.eigvalsh(a)
     atoms: dict[float, int] = {}
     i = 0

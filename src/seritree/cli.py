@@ -17,7 +17,9 @@ import json
 import math
 import os
 import sys
+from functools import partial
 from pathlib import Path
+from typing import Optional
 
 from . import __version__, analysis, growth, limits, serialize, treeops
 from .rng import CounterRng
@@ -34,54 +36,75 @@ class CliError(Exception):
         self.code = code
 
 
-def _workers_from_env(flag_value):
+def _validate(args) -> None:
+    """Range checks that argparse's type checks leave to the commands."""
+    if not hasattr(args, "delta"):
+        return
+    if not args.delta > -1:
+        raise CliError(f"--delta must be > -1, got {args.delta}")
+    if not 0 <= args.seed < 1 << 64:
+        raise CliError("--seed must fit in 64 unsigned bits")
+    for flag in ("n", "reps", "seeds"):
+        if getattr(args, flag, 1) < 1:
+            raise CliError(f"--{flag} must be >= 1, got {getattr(args, flag)}")
+
+
+def _workers(flag_value: int) -> int:
     if flag_value:
         return flag_value
     env = os.environ.get("SERI_THREADS", "")
     try:
         return max(1, int(env)) if env else 1
     except ValueError:
-        return 1
+        raise CliError(f"SERI_THREADS must be an integer, got {env!r}") from None
 
 
-def _out_dir(raw: str) -> Path:
-    path = Path(raw)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+def _convention(args) -> str:
+    return args.convention.replace("-", "_")
 
 
-def _convention(raw: str) -> str:
-    return raw.replace("-", "_")
-
-
-def _write_report(out: Path, payload: dict) -> None:
-    (out / "report.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def cmd_grow(args) -> int:
-    conv = _convention(args.convention)
+def _grow(args, checkpoints=()) -> tuple[growth.TreeRecord, list]:
     try:
         params = growth.GrowthParams(
-            delta=args.delta, n_final=args.n, seed=args.seed,
-            sampler=args.sampler, convention=conv,
+            delta=args.delta, n_final=args.n, seed=args.seed, convention=_convention(args)
         )
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-    checkpoints = _parse_checkpoints(args.checkpoints, args.n)
-    out = _out_dir(args.out)
-    tree, snaps = growth.grow(params, checkpoints=checkpoints, track_vertices=(0, 1))
-    if args.format == "csv":
-        serialize.write_tree_csv(tree, out / "tree.csv")
-    else:
-        serialize.write_tree_binary(tree, out / "tree.bin")
-    if snaps:
-        serialize.write_checkpoints_csv(snaps, out / "checkpoints.csv")
-        serialize.write_tracked_csv(snaps, out / "tracked.csv")
+    return growth.grow(params, checkpoints=checkpoints, track_vertices=(0, 1))
+
+
+def _finish(args, report: Optional[dict] = None, files: Optional[dict] = None, reps=None) -> int:
+    """Write a run's files, report.json and manifest.json; return the exit code.
+
+    The out dir is made only here, once every input has passed and every
+    result exists, so a rejected run leaves nothing behind.  `files` maps
+    file names to writers that take the path.
+    """
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, write in (files or {}).items():
+        write(out / name)
+    if report is not None:
+        report = {"command": args.command, **report}
+        (out / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     serialize.RunManifest(
-        command="grow", delta=args.delta, seed=args.seed, convention=conv,
-        n=args.n, sampler=args.sampler,
+        command=args.command, delta=args.delta, seed=args.seed, convention=_convention(args),
+        n=getattr(args, "n", None), reps=getattr(args, "reps", None) if reps is None else reps,
     ).write(out / "manifest.json")
-    return EXIT_OK
+    return EXIT_OK if report is None or report["pass"] else EXIT_CHECK_FAILED
+
+
+def cmd_grow(args) -> int:
+    checkpoints = _parse_checkpoints(args.checkpoints, args.n)
+    tree, snaps = _grow(args, checkpoints)
+    if args.format == "csv":
+        files = {"tree.csv": partial(serialize.write_tree_csv, tree)}
+    else:
+        files = {"tree.bin": partial(serialize.write_tree_binary, tree)}
+    if snaps:
+        files["checkpoints.csv"] = partial(serialize.write_checkpoints_csv, snaps)
+        files["tracked.csv"] = partial(serialize.write_tracked_csv, snaps)
+    return _finish(args, files=files)
 
 
 def _parse_checkpoints(raw: str, n_final: int):
@@ -97,53 +120,34 @@ def _parse_checkpoints(raw: str, n_final: int):
 
 
 def cmd_limit_pmf(args) -> int:
-    conv = _convention(args.convention)
-    if not args.delta > -1:
-        raise CliError("delta must be > -1")
-    out = _out_dir(args.out)
-    rng = CounterRng(args.seed)
-    pmf = limits.limit_degree_pmf(args.delta, args.reps, rng)
+    pmf = limits.limit_degree_pmf(args.delta, args.reps, CounterRng(args.seed))
     target = limits.p1_quadrature(args.delta)
     estimate = pmf.p.get(1, 0.0)
     stderr = pmf.stderr.get(1, 0.0)
     tolerance = args.tolerance if args.tolerance is not None else 3.0 * stderr
-    passed = abs(estimate - target) <= tolerance
-    serialize.write_pmf_csv(pmf, out / "pmf.csv")
-    _write_report(out, {
-        "command": "limit-pmf",
+    return _finish(args, {
         "p1_estimate": estimate,
         "stderr": stderr,
         "target": target,
         "tolerance": tolerance,
-        "pass": passed,
-    })
-    serialize.RunManifest(
-        command="limit-pmf", delta=args.delta, seed=args.seed, convention=conv,
-        reps=args.reps,
-    ).write(out / "manifest.json")
-    return EXIT_OK if passed else EXIT_CHECK_FAILED
+        "pass": abs(estimate - target) <= tolerance,
+    }, {"pmf.csv": partial(serialize.write_pmf_csv, pmf)})
 
 
 def cmd_tail(args) -> int:
-    conv = _convention(args.convention)
+    tree, _ = _grow(args)
     try:
-        params = growth.GrowthParams(delta=args.delta, n_final=args.n, seed=args.seed, convention=conv)
+        fits = analysis.tail_window_sensitivity(analysis.tail_ccdf(tree), n_samples=tree.n + 1)
     except ValueError as exc:
-        raise CliError(str(exc)) from exc
-    out = _out_dir(args.out)
-    tree, _ = growth.grow(params)
-    ccdf = analysis.tail_ccdf(tree)
-    fits = analysis.tail_window_sensitivity(ccdf, n_samples=tree.n + 1)
+        raise CliError(f"--n {args.n} is too small for a tail fit: {exc}") from exc
     fit = fits[0]
     target = -limits.exponents(args.delta).phi
-    passed = abs(fit.slope - target) <= args.tolerance
-    _write_report(out, {
-        "command": "tail",
+    return _finish(args, {
         "slope": fit.slope,
         "stderr": 0.0,
         "target": target,
         "tolerance": args.tolerance,
-        "pass": passed,
+        "pass": abs(fit.slope - target) <= args.tolerance,
         "window": [fit.k_min, fit.k_max],
         "r_squared": fit.r_squared,
         "sensitivity": [
@@ -151,112 +155,75 @@ def cmd_tail(args) -> int:
             for f in fits
         ],
     })
-    serialize.RunManifest(
-        command="tail", delta=args.delta, seed=args.seed, convention=conv, n=args.n,
-    ).write(out / "manifest.json")
-    return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
 def cmd_growth_fit(args) -> int:
-    conv = _convention(args.convention)
-    if not args.delta > -1:
-        raise CliError("delta must be > -1")
-    out = _out_dir(args.out)
     checkpoints = _parse_checkpoints(args.checkpoints, args.n) or (
         args.n // 1000, args.n // 100, args.n // 10, args.n,
     )
-    workers = _workers_from_env(args.workers)
+    workers = _workers(args.workers)
     try:
         fit = analysis.fit_degree_growth(
             args.delta, args.vertex, checkpoints, args.seeds,
-            master_seed=args.seed, convention=conv, workers=workers,
+            master_seed=args.seed, convention=_convention(args), workers=workers,
         )
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     target = limits.exponents(args.delta).lam
-    passed = abs(fit.slope - target) <= args.tolerance
-    _write_report(out, {
-        "command": "growth",
+    return _finish(args, {
         "slope": fit.slope,
         "stderr": fit.stderr,
         "target": target,
         "tolerance": args.tolerance,
-        "pass": passed,
+        "pass": abs(fit.slope - target) <= args.tolerance,
         "vertex": fit.vertex,
         "checkpoints": fit.checkpoints,
         "per_seed_slopes": fit.per_seed_slopes,
-    })
-    serialize.RunManifest(
-        command="growth", delta=args.delta, seed=args.seed, convention=conv, n=args.n,
-        reps=args.seeds,
-    ).write(out / "manifest.json")
-    return EXIT_OK if passed else EXIT_CHECK_FAILED
+    }, reps=args.seeds)
 
 
 def cmd_fringe_compare(args) -> int:
-    conv = _convention(args.convention)
-    try:
-        params = growth.GrowthParams(delta=args.delta, n_final=args.n, seed=args.seed, convention=conv)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-    out = _out_dir(args.out)
-    tree, _ = growth.grow(params)
+    tree, _ = _grow(args)
     empirical = treeops.empirical_fringe_distribution(tree, truncation=args.max_size)
     rng = CounterRng(args.seed).spawn(1)
     counts: dict[str, int] = {}
     other = 0
-    try:
-        for _ in range(args.reps):
-            key = treeops.bp_fringe_sample(args.delta, rng)
-            if treeops.key_size(key) > args.max_size:
-                other += 1
-            else:
-                counts[key] = counts.get(key, 0) + 1
-    except limits.NodeCapExceeded as exc:
-        raise CliError(str(exc), code=EXIT_RESOURCE_CAP) from exc
+    for _ in range(args.reps):
+        key = treeops.bp_fringe_sample(args.delta, rng)
+        if treeops.key_size(key) > args.max_size:
+            other += 1
+        else:
+            counts[key] = counts.get(key, 0) + 1
     simulated = treeops.FringeHistogram(
         counts=counts, other=other, total=args.reps, truncation=args.max_size,
     )
     tv, chi2, p_value = analysis.compare_distributions(empirical, simulated)
-    passed = tv <= args.tolerance
-    serialize.write_histogram_csv(empirical, out / "fringe_empirical.csv")
-    serialize.write_histogram_csv(simulated, out / "fringe_bp.csv")
-    _write_report(out, {
-        "command": "fringe-compare",
+    return _finish(args, {
         "tv_distance": tv,
         "chi_square": chi2,
         "p_value": p_value,
         "stderr": 0.0,
         "target": 0.0,
         "tolerance": args.tolerance,
-        "pass": passed,
+        "pass": tv <= args.tolerance,
+    }, {
+        "fringe_empirical.csv": partial(serialize.write_histogram_csv, empirical),
+        "fringe_bp.csv": partial(serialize.write_histogram_csv, simulated),
     })
-    serialize.RunManifest(
-        command="fringe-compare", delta=args.delta, seed=args.seed, convention=conv,
-        n=args.n, reps=args.reps,
-    ).write(out / "manifest.json")
-    return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
 def cmd_spectrum(args) -> int:
-    conv = _convention(args.convention)
-    try:
-        params = growth.GrowthParams(delta=args.delta, n_final=args.n, seed=args.seed, convention=conv)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-    out = _out_dir(args.out)
-    tree, _ = growth.grow(params)
-    try:
-        spec = analysis.adjacency_spectrum(tree)
-    except ValueError as exc:
-        raise CliError(str(exc), code=EXIT_RESOURCE_CAP) from exc
+    if args.n > analysis.SPECTRUM_SIZE_CAP:
+        raise CliError(
+            f"tree size {args.n} exceeds dense-spectrum cap {analysis.SPECTRUM_SIZE_CAP}",
+            code=EXIT_RESOURCE_CAP,
+        )
+    tree, _ = _grow(args)
+    spec = analysis.adjacency_spectrum(tree)
     eig = spec.eigenvalues
     trace = float(eig.sum())
     sumsq_err = abs(float((eig**2).sum()) - 2.0 * tree.n)
-    passed = abs(trace) <= args.tolerance and sumsq_err <= args.tolerance
-    serialize.write_spectrum_csv(eig, out / "spectrum.csv")
-    _write_report(out, {
-        "command": "spectrum",
+    return _finish(args, {
         "n_eigenvalues": int(eig.size),
         "trace": trace,
         "sum_squares_error": sumsq_err,
@@ -264,59 +231,35 @@ def cmd_spectrum(args) -> int:
         "stderr": 0.0,
         "target": 0.0,
         "tolerance": args.tolerance,
-        "pass": passed,
-    })
-    serialize.RunManifest(
-        command="spectrum", delta=args.delta, seed=args.seed, convention=conv, n=args.n,
-    ).write(out / "manifest.json")
-    return EXIT_OK if passed else EXIT_CHECK_FAILED
+        "pass": abs(trace) <= args.tolerance and sumsq_err <= args.tolerance,
+    }, {"spectrum.csv": partial(serialize.write_spectrum_csv, eig)})
 
 
 def cmd_localcheck(args) -> int:
-    conv = _convention(args.convention)
-    if not args.delta > -1:
-        raise CliError("delta must be > -1")
-    out = _out_dir(args.out)
+    # discrete-to-limit spot check on a fixed two-vertex neighborhood
+    two = limits.MarkedTree(parents=(None, 0), marks=(0.35, 0.7))
+    n = args.n
+    try:
+        logp = limits.marked_neighborhood_log_prob(n, two.with_times(n), args.delta, _convention(args))
+    except ValueError as exc:
+        raise CliError(f"--n {n} is too small for the discrete check: {exc}") from exc
+    dens = limits.limit_neighborhood_density(two, args.delta)
+    rel_gap = abs(n ** two.size * math.exp(logp) / n - dens) / dens
     rng = CounterRng(args.seed)
     worst = 0.0
     for _ in range(args.reps):
-        tree = _random_marked_tree(rng, max_vertices=5)
+        tree = limits.random_marked_tree(rng, max_vertices=5)
         d1 = limits.limit_neighborhood_density(tree, args.delta, form="discrete_limit")
         d2 = limits.limit_neighborhood_density(tree, args.delta, form="hazard_product")
         worst = max(worst, abs(d1 - d2) / max(1.0, abs(d1)))
-    # discrete-to-limit spot check on a fixed two-vertex neighborhood
-    two = limits.MarkedTree(parents=(None, 0), marks=(0.35, 0.7))
-    dens = limits.limit_neighborhood_density(two, args.delta)
-    n = args.n
-    logp = limits.marked_neighborhood_log_prob(n, two.with_times(n), args.delta, conv)
-    scaled = n ** two.size * math.exp(logp) / n
-    rel_gap = abs(scaled - dens) / dens
-    passed = worst <= args.tolerance and rel_gap <= 0.05
-    _write_report(out, {
-        "command": "localcheck",
+    return _finish(args, {
         "max_form_gap": worst,
         "discrete_limit_rel_gap": rel_gap,
         "stderr": 0.0,
         "target": 0.0,
         "tolerance": args.tolerance,
-        "pass": passed,
+        "pass": worst <= args.tolerance and rel_gap <= 0.05,
     })
-    serialize.RunManifest(
-        command="localcheck", delta=args.delta, seed=args.seed, convention=conv,
-        n=args.n, reps=args.reps,
-    ).write(out / "manifest.json")
-    return EXIT_OK if passed else EXIT_CHECK_FAILED
-
-
-def _random_marked_tree(rng: CounterRng, max_vertices: int) -> limits.MarkedTree:
-    size = 1 + rng.randbelow(max_vertices)
-    parents = [None] + [rng.randbelow(i) for i in range(1, size)]
-    marks = sorted(rng.random() for _ in range(size))
-    marks = [max(m, 1e-6) for m in marks]
-    for i in range(1, size):
-        if marks[i] <= marks[i - 1]:
-            marks[i] = marks[i - 1] + 1e-9
-    return limits.MarkedTree(parents=tuple(parents), marks=tuple(marks))
 
 
 def cmd_selftest(args) -> int:
@@ -349,7 +292,7 @@ def cmd_selftest(args) -> int:
         rng = CounterRng(20240)
         worst = 0.0
         for _ in range(200):
-            tree = _random_marked_tree(rng, max_vertices=5)
+            tree = limits.random_marked_tree(rng, max_vertices=5)
             d1 = limits.limit_neighborhood_density(tree, 0.0, form="discrete_limit")
             d2 = limits.limit_neighborhood_density(tree, 0.0, form="hazard_product")
             worst = max(worst, abs(d1 - d2) / max(1.0, abs(d1)))
@@ -402,7 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("grow", help="grow one tree and write it out")
     add_common(p, needs_n=True)
-    p.add_argument("--sampler", choices=["fast", "naive"], default="fast")
     p.add_argument("--checkpoints", default="", help="comma-separated checkpoint times")
     p.add_argument("--format", choices=["csv", "bin"], default="csv")
     p.set_defaults(func=cmd_grow)
@@ -454,6 +396,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _validate(args)
         code = args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

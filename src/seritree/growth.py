@@ -10,8 +10,8 @@ i.e. the cumulative sum over all past times of the vertex's affine degree.
 The weight admits an exact event decomposition: every edge born at time t
 contributes (n+1-t) to each endpoint, and the delta term of vertex i is an
 arithmetic function of its birth time.  That decomposition is what makes an
-O(1)-per-step sampler possible (`sample_target_fast`) next to the O(n)
-reference sampler (`sample_target_naive`).
+O(1)-per-step sampler possible (`sample_target_fast`, the one `grow` uses);
+the O(n) reference sampler (`sample_target_naive`) is kept as an oracle.
 
 Two normalization conventions are supported:
 
@@ -33,10 +33,11 @@ from fractions import Fraction
 from math import isqrt
 from typing import Iterator, Optional, Sequence
 
+import numpy as np
+
 from .rng import CounterRng
 
 CONVENTIONS = ("exact", "paper_total")
-SAMPLERS = ("fast", "naive")
 
 
 @dataclass(frozen=True)
@@ -46,7 +47,6 @@ class GrowthParams:
     delta: float
     n_final: int
     seed: int = 0
-    sampler: str = "fast"
     convention: str = "exact"
 
     def __post_init__(self):
@@ -54,8 +54,6 @@ class GrowthParams:
             raise ValueError(f"delta must be > -1, got {self.delta}")
         if self.n_final < 1:
             raise ValueError(f"n_final must be >= 1, got {self.n_final}")
-        if self.sampler not in SAMPLERS:
-            raise ValueError(f"sampler must be one of {SAMPLERS}")
         if self.convention not in CONVENTIONS:
             raise ValueError(f"convention must be one of {CONVENTIONS}")
         # under the literal weights v0 starts at theta(v0,1) = 1 + 2*delta and
@@ -77,78 +75,69 @@ class WeightView:
     delta_part: float
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class TreeRecord:
-    """A grown tree: parent pointers plus incremental weight bookkeeping.
+    """A grown tree: one int64 parent array and what it determines.
 
-    Vertex m (m >= 1) is born at time m and carries edge m = (m, parent[m]).
-    `degree[i]` and `edge_time_sum[i]` (sum of birth times of edges incident
-    to i) are maintained so every vertex weight is O(1) to evaluate:
+    Vertex m (m >= 1) is born at time m and carries edge m = (m, parent[m]);
+    parent[0] = -1 marks the root v0.  `degree[i]` and `edge_time_sum[i]`
+    (sum of birth times of edges incident to i) are derived once from the
+    parents, so every vertex weight is O(1) to evaluate:
     degree part = (n+1)*degree[i] - edge_time_sum[i].
     """
 
-    parent: list[int]
-    degree: list[int]
-    edge_time_sum: list[int]
+    parent: np.ndarray
+    degree: np.ndarray
+    edge_time_sum: np.ndarray
     delta: float | Fraction = 0.0
-    params: Optional[GrowthParams] = None
-
-    @classmethod
-    def initial(cls, delta: float | Fraction = 0.0) -> "TreeRecord":
-        """The forced first step: the single edge {v0, v1}."""
-        return cls(parent=[-1, 0], degree=[1, 1], edge_time_sum=[1, 1], delta=delta)
 
     @classmethod
     def from_parents(cls, parents: Sequence[int], delta: float | Fraction = 0.0) -> "TreeRecord":
-        """Rebuild a record from the parent choices of vertices 1..n."""
-        if len(parents) < 1 or parents[0] != 0:
+        """Build the record from the parent choices of vertices 1..n."""
+        chosen = np.asarray(parents, dtype=np.int64)
+        if chosen.ndim != 1 or chosen.size < 1 or chosen[0] != 0:
             raise ValueError("history must start with parent[1] = 0")
-        tree = cls.initial(delta)
-        for m, p in enumerate(parents[1:], start=2):
-            if not 0 <= p < m:
-                raise ValueError(f"parent of vertex {m} must be < {m}")
-            tree.add_vertex(p)
-        return tree
+        born = np.arange(1, chosen.size + 1)
+        bad = np.flatnonzero((chosen < 0) | (chosen >= born))
+        if bad.size:
+            m = int(bad[0]) + 1
+            raise ValueError(f"parent of vertex {m} must be < {m}")
+        degree = np.bincount(chosen, minlength=chosen.size + 1)
+        degree[1:] += 1
+        edge_time_sum = np.zeros(chosen.size + 1, dtype=np.int64)
+        np.add.at(edge_time_sum, chosen, born)
+        edge_time_sum[1:] += born
+        parent = np.concatenate(([-1], chosen))
+        for a in (parent, degree, edge_time_sum):
+            a.flags.writeable = False
+        return cls(parent=parent, degree=degree, edge_time_sum=edge_time_sum, delta=delta)
 
     @property
     def n(self) -> int:
         return len(self.parent) - 1
 
-    def edge(self, m: int) -> tuple[int, int]:
-        """Endpoints (m, parent[m]) of the edge created at time m."""
-        if not 1 <= m <= self.n:
-            raise IndexError(f"edge time {m} out of range 1..{self.n}")
-        return (m, self.parent[m])
-
-    @property
-    def edge_log(self) -> list[tuple[int, int]]:
-        return [(m, self.parent[m]) for m in range(1, self.n + 1)]
-
-    def add_vertex(self, target: int) -> int:
-        """Attach a new vertex to `target`; returns the new vertex index."""
-        m = self.n + 1
-        if not 0 <= target < m:
-            raise ValueError(f"attach target {target} out of range")
-        self.parent.append(target)
-        self.degree.append(1)
-        self.degree[target] += 1
-        self.edge_time_sum.append(m)
-        self.edge_time_sum[target] += m
-        return m
-
     def check_invariants(self) -> None:
         n = self.n
         if n < 1:
             raise AssertionError("tree must contain at least one edge")
-        if self.parent[1] != 0:
-            raise AssertionError("parent[1] must be 0")
-        for m in range(1, n + 1):
-            if not 0 <= self.parent[m] < m:
-                raise AssertionError(f"parent[{m}] = {self.parent[m]} violates parent[m] < m")
-        if sum(self.degree) != 2 * n:
+        if self.parent[0] != -1 or self.parent[1] != 0:
+            raise AssertionError("parent[0] must be -1 and parent[1] must be 0")
+        chosen = self.parent[1:]
+        bad = np.flatnonzero((chosen < 0) | (chosen > np.arange(n)))
+        if bad.size:
+            m = int(bad[0]) + 1
+            raise AssertionError(f"parent[{m}] = {chosen[bad[0]]} violates parent[m] < m")
+        if int(self.degree.sum()) != 2 * n:
             raise AssertionError("degree sum must equal 2n")
-        if min(self.degree) < 1:
+        if self.degree.min() < 1:
             raise AssertionError("all degrees must be >= 1")
+
+
+def value_counts(values: np.ndarray) -> dict[int, int]:
+    """How often each nonnegative integer occurs, as a dict sorted by value."""
+    counts = np.bincount(values)
+    seen = np.flatnonzero(counts)
+    return dict(zip(seen.tolist(), counts[seen].tolist()))
 
 
 def _delta_part(delta, birth: int, n: int, convention: str):
@@ -164,9 +153,7 @@ def _replay_weight(tree: TreeRecord, i: int, convention: str):
     """Literal double sum over times m = i..n of (deg(v_i, m) + delta)."""
     n = tree.n
     delta = tree.delta
-    times = sorted(
-        ([i] if i >= 1 else []) + [m for m in range(1, n + 1) if tree.parent[m] == i]
-    )
+    times = ([i] if i >= 1 else []) + np.flatnonzero(tree.parent == i).tolist()
     total = 0 * delta
     deg = 0
     t_idx = 0
@@ -185,24 +172,24 @@ def vertex_weight(tree: TreeRecord, i: int, convention: str = "exact") -> Weight
 
     (a) by replaying the degree history and summing deg + delta over time,
     (b) by the event identity sum_{e at i} (n+1 - t_e) + delta part.
-    The two are asserted equal (exactly in rational mode, else to 1e-12
-    relative) before the event-identity view is returned.
+    The two must agree (exactly in rational mode, else to 1e-12 relative)
+    before the event-identity view is returned.
     """
     n = tree.n
     if n < 1:
         raise ValueError("weights are defined only for n >= 1")
     if not 0 <= i <= n:
         raise IndexError(f"vertex {i} out of range 0..{n}")
-    degree_part = (n + 1) * tree.degree[i] - tree.edge_time_sum[i]
+    degree_part = (n + 1) * int(tree.degree[i]) - int(tree.edge_time_sum[i])
     delta_part = _delta_part(tree.delta, i, n, convention)
     theta = degree_part + delta_part
     replay = _replay_weight(tree, i, convention)
     if isinstance(tree.delta, Fraction) or float(tree.delta) * 2 == int(float(tree.delta) * 2):
-        assert replay == theta, f"weight identity broken at vertex {i}: {replay} != {theta}"
+        agree = replay == theta
     else:
-        assert abs(replay - theta) <= 1e-12 * max(1.0, abs(theta)), (
-            f"weight identity broken at vertex {i}: {replay} != {theta}"
-        )
+        agree = abs(replay - theta) <= 1e-12 * max(1.0, abs(theta))
+    if not agree:
+        raise AssertionError(f"weight identity broken at vertex {i}: {replay} != {theta}")
     return WeightView(vertex=i, theta=theta, degree_part=degree_part, delta_part=delta_part)
 
 
@@ -215,6 +202,18 @@ def total_weight_closed(n: int, delta, convention: str = "exact"):
     raise ValueError(f"unknown convention {convention!r}")
 
 
+def _thetas(tree: TreeRecord, convention: str) -> list:
+    """All vertex weights at time n from the per-vertex bookkeeping.
+
+    Python ints keep Fraction deltas exact (numpy int64 / int64 is a float).
+    """
+    n = tree.n
+    return [
+        (n + 1) * d - t + _delta_part(tree.delta, i, n, convention)
+        for i, (d, t) in enumerate(zip(tree.degree.tolist(), tree.edge_time_sum.tolist()))
+    ]
+
+
 def total_weight(tree: TreeRecord, convention: str = "exact"):
     """Total weight at time n; equals the sum of all vertex weights.
 
@@ -224,30 +223,23 @@ def total_weight(tree: TreeRecord, convention: str = "exact"):
     n = tree.n
     if n < 1:
         raise ValueError("total weight is defined only for n >= 1")
-    delta = tree.delta
-    closed = total_weight_closed(n, delta, convention)
+    closed = total_weight_closed(n, tree.delta, convention)
     # recompute from per-vertex bookkeeping as a cross-check
-    summed = sum(
-        (n + 1) * tree.degree[i] - tree.edge_time_sum[i] + _delta_part(delta, i, n, convention)
-        for i in range(n + 1)
-    )
-    if isinstance(delta, Fraction):
-        assert summed == closed
+    summed = sum(_thetas(tree, convention))
+    if isinstance(tree.delta, Fraction):
+        agree = summed == closed
     else:
-        assert abs(summed - closed) <= 1e-9 * max(1.0, abs(closed))
+        agree = abs(summed - closed) <= 1e-9 * max(1.0, abs(closed))
+    if not agree:
+        raise AssertionError(f"vertex weights sum to {summed}, closed form gives {closed}")
     return closed
 
 
 def attach_probabilities(tree: TreeRecord, convention: str = "exact") -> list:
     """Attachment distribution over vertices 0..n: theta_i / sum theta_j."""
-    n = tree.n
-    if n < 1:
+    if tree.n < 1:
         raise ValueError("attachment probabilities require n >= 1")
-    delta = tree.delta
-    thetas = [
-        (n + 1) * tree.degree[i] - tree.edge_time_sum[i] + _delta_part(delta, i, n, convention)
-        for i in range(n + 1)
-    ]
+    thetas = _thetas(tree, convention)
     if min(thetas) < 0:
         raise ValueError(
             "negative attachment weight; the exact convention requires delta >= -1/2"
@@ -255,10 +247,8 @@ def attach_probabilities(tree: TreeRecord, convention: str = "exact") -> list:
     total = sum(thetas)
     probs = [t / total for t in thetas]
     s = sum(probs)
-    if isinstance(delta, Fraction):
-        assert s == 1
-    else:
-        assert abs(s - 1.0) <= 1e-12
+    if not (s == 1 if isinstance(tree.delta, Fraction) else abs(s - 1.0) <= 1e-12):
+        raise AssertionError(f"attachment probabilities sum to {s}")
     return probs
 
 
@@ -268,8 +258,8 @@ def sample_target_naive(tree: TreeRecord, rng: CounterRng, convention: str = "ex
     if n < 1:
         raise ValueError("sampling requires n >= 1")
     delta = float(tree.delta)
-    degree = tree.degree
-    tsum = tree.edge_time_sum
+    degree = tree.degree.tolist()
+    tsum = tree.edge_time_sum.tolist()
     np1 = n + 1
     if convention == "exact":
         total = n * np1 + delta * np1 * (n + 2) / 2
@@ -394,10 +384,10 @@ def sample_target_fast(tree: TreeRecord, rng: CounterRng, convention: str = "exa
     if n < 1:
         raise ValueError("sampling requires n >= 1")
     delta = tree.delta
-    deg0, tsum0 = tree.degree[0], tree.edge_time_sum[0]
+    deg0, tsum0 = int(tree.degree[0]), int(tree.edge_time_sum[0])
     if _is_half_integer(delta):
-        return _fast_target_int(tree.parent, n, int(2 * delta), convention, rng, deg0, tsum0)
-    return _fast_target_float(tree.parent, n, float(delta), convention, rng, deg0, tsum0)
+        return int(_fast_target_int(tree.parent, n, int(2 * delta), convention, rng, deg0, tsum0))
+    return int(_fast_target_float(tree.parent, n, float(delta), convention, rng, deg0, tsum0))
 
 
 def token_probability_vector(tree: TreeRecord, convention: str = "exact") -> list:
@@ -410,7 +400,7 @@ def token_probability_vector(tree: TreeRecord, convention: str = "exact") -> lis
     """
     n = tree.n
     delta = tree.delta
-    parent = tree.parent
+    parent = tree.parent.tolist()
     zero = 0 * delta
     w = [zero] * (n + 1)
     if delta >= 0:
@@ -434,7 +424,8 @@ def token_probability_vector(tree: TreeRecord, convention: str = "exact") -> lis
             for i in range(n + 1):
                 w[i] += -delta
         theta0 = w[0] + delta * (n + 1)
-        assert 0 <= theta0 <= w[0], "v0 rejection dominance violated"
+        if not 0 <= theta0 <= w[0]:
+            raise AssertionError("v0 rejection dominance violated")
         w[0] = theta0
     total = sum(w)
     return [x / total for x in w]
@@ -455,61 +446,40 @@ def grow(
     rng: Optional[CounterRng] = None,
     track_vertices: Sequence[int] = (),
 ) -> tuple[TreeRecord, list[GrowthSnapshot]]:
-    """Run the attachment dynamics to n_final.
+    """Run the attachment dynamics to n_final with the O(1) token sampler.
 
-    With the fast sampler the total cost is O(n_final) plus checkpoint cost.
     The returned snapshots hold degree counts and the degrees of
-    `track_vertices` at each requested checkpoint time.
+    `track_vertices` at each distinct checkpoint time; they are read off the
+    final parent array, since the degree of v at time n counts only the
+    children born by n.
     """
-    cps = sorted(checkpoints)
+    cps = sorted(set(checkpoints))
     if cps and (cps[0] < 1 or cps[-1] > params.n_final):
         raise ValueError("checkpoints must lie in [1, n_final]")
     if rng is None:
         rng = CounterRng(params.seed)
-    tree = TreeRecord.initial(params.delta)
-    tree.params = params
-    snapshots: list[GrowthSnapshot] = []
-
-    def snap(n_now: int) -> None:
-        counts: dict[int, int] = {}
-        for d in tree.degree:
-            counts[d] = counts.get(d, 0) + 1
-        tracked = {v: tree.degree[v] for v in track_vertices if v <= n_now}
-        snapshots.append(GrowthSnapshot(n=n_now, degree_counts=counts, tracked_degrees=tracked))
-
-    cp_iter = iter(cps)
-    next_cp = next(cp_iter, None)
-    while next_cp == 1:
-        snap(1)
-        next_cp = next(cp_iter, None)
-
-    parent = tree.parent
-    degree = tree.degree
-    tsum = tree.edge_time_sum
     convention = params.convention
-    fast = params.sampler == "fast"
-    half = _is_half_integer(params.delta)
-    d2 = int(2 * params.delta) if half else 0
-    deltaf = float(params.delta)
-
+    if _is_half_integer(params.delta):
+        draw, delta = _fast_target_int, int(2 * params.delta)
+    else:
+        draw, delta = _fast_target_float, float(params.delta)
+    # the samplers read only v0's degree and edge-time sum (negative delta)
+    parent = [-1, 0]
+    deg0 = tsum0 = 1
     for m in range(2, params.n_final + 1):
-        n_cur = m - 1
-        if fast:
-            if half:
-                target = _fast_target_int(parent, n_cur, d2, convention, rng, degree[0], tsum[0])
-            else:
-                target = _fast_target_float(parent, n_cur, deltaf, convention, rng, degree[0], tsum[0])
-        else:
-            target = sample_target_naive(tree, rng, convention)
+        target = draw(parent, m - 1, delta, convention, rng, deg0, tsum0)
+        if target == 0:
+            deg0 += 1
+            tsum0 += m
         parent.append(target)
-        degree.append(1)
-        degree[target] += 1
-        tsum.append(m)
-        tsum[target] += m
-        if m == next_cp:
-            snap(m)
-            while next_cp == m:
-                next_cp = next(cp_iter, None)
+    tree = TreeRecord.from_parents(parent[1:], params.delta)
+
+    snapshots = []
+    for n in cps:
+        degree = np.bincount(tree.parent[1 : n + 1], minlength=n + 1)
+        degree[1:] += 1
+        tracked = {v: int(degree[v]) for v in track_vertices if v <= n}
+        snapshots.append(GrowthSnapshot(n=n, degree_counts=value_counts(degree), tracked_degrees=tracked))
     return tree, snapshots
 
 
@@ -531,10 +501,8 @@ def enumerate_histories(n: int) -> Iterator[tuple[int, ...]]:
 
 def history_probability(parents: Sequence[int], delta, convention: str = "exact"):
     """Exact probability of one attachment history under the growth law."""
-    tree = TreeRecord.initial(delta)
     prob = 1 if isinstance(delta, Fraction) else 1.0
-    for p in parents[1:]:
-        probs = attach_probabilities(tree, convention)
-        prob *= probs[p]
-        tree.add_vertex(p)
+    for n in range(1, len(parents)):
+        probs = attach_probabilities(TreeRecord.from_parents(parents[:n], delta), convention)
+        prob *= probs[parents[n]]
     return prob

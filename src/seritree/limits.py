@@ -78,11 +78,14 @@ def exponents(delta: float) -> ExponentPack:
     eigen_plus = 0.5 * (root - 1.0)
     eigen_minus = -0.5 * (root + 1.0)
     v2 = (eigen_plus - gamma) / gamma
-    assert abs(lam * lam + lam - gamma) <= 1e-12
-    assert abs(eigen_plus - lam) <= 1e-12
-    assert phi < 2.0 + delta
-    assert eigen_minus < 0.0
-    assert -1.0 < v2 < 0.0
+    if not (
+        abs(lam * lam + lam - gamma) <= 1e-12
+        and abs(eigen_plus - lam) <= 1e-12
+        and phi < 2.0 + delta
+        and eigen_minus < 0.0
+        and -1.0 < v2 < 0.0
+    ):
+        raise AssertionError(f"exponent identities fail at delta={delta}")
     return ExponentPack(
         delta=delta, phi=phi, lam=lam, gamma=gamma,
         eigen_plus=eigen_plus, eigen_minus=eigen_minus, v2=v2,
@@ -502,6 +505,22 @@ class MarkedTree:
             raise ValueError("marks required to derive discrete times")
         times = tuple(math.ceil(n * a) for a in self.marks)
         return MarkedTree(parents=self.parents, marks=self.marks, times=times)
+
+
+def random_marked_tree(rng: CounterRng, max_vertices: int) -> MarkedTree:
+    """A random increasing tree of 1..max_vertices vertices with sorted marks.
+
+    Marks are uniform order statistics, floored at 1e-6 and nudged apart
+    where they tie; used to exercise the density identities.
+    """
+    size = 1 + rng.randbelow(max_vertices)
+    parents = [None] + [rng.randbelow(i) for i in range(1, size)]
+    marks = sorted(rng.random() for _ in range(size))
+    marks = [max(m, 1e-6) for m in marks]
+    for i in range(1, size):
+        if marks[i] <= marks[i - 1]:
+            marks[i] = marks[i - 1] + 1e-9
+    return MarkedTree(parents=tuple(parents), marks=tuple(marks))
 
 
 def _neighborhood_weight(tree: MarkedTree, v: int, u: int, delta: float, convention: str) -> float:

@@ -18,6 +18,7 @@ import csv
 import datetime
 import json
 import struct
+from itertools import chain
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional, Sequence, Union
@@ -75,31 +76,31 @@ def write_tree_csv(tree: TreeRecord, path: Union[str, Path]) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["vertex", "parent"])
-        for m in range(1, tree.n + 1):
-            writer.writerow([m, tree.parent[m]])
+        writer.writerows(zip(range(1, tree.n + 1), tree.parent[1:].tolist()))
 
 
 def read_tree_csv(path: Union[str, Path], delta: float = 0.0) -> TreeRecord:
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
+        header = fh.readline().rstrip("\r\n").split(",")
         if header != ["vertex", "parent"]:
             raise ValueError(f"unexpected tree CSV header {header}")
-        parents = []
-        for m, row in enumerate(reader, start=1):
-            if int(row[0]) != m:
-                raise ValueError(f"tree CSV rows must be ordered by vertex; saw {row}")
-            parents.append(int(row[1]))
-    return TreeRecord.from_parents(parents, delta)
+        first = fh.readline()
+        if not first.strip():
+            raise ValueError("tree CSV holds no vertices")
+        rows = np.loadtxt(chain([first], fh), delimiter=",", dtype=np.int64, ndmin=2, usecols=(0, 1))
+    out_of_order = np.flatnonzero(rows[:, 0] != np.arange(1, len(rows) + 1))
+    if out_of_order.size:
+        row = rows[out_of_order[0]].tolist()
+        raise ValueError(f"tree CSV rows must be ordered by vertex; saw {row}")
+    return TreeRecord.from_parents(rows[:, 1], delta)
 
 
 def write_tree_binary(tree: TreeRecord, path: Union[str, Path]) -> None:
     header = TREE_MAGIC + bytes([TREE_BINARY_VERSION]) + b"\x00" * 5
-    assert len(header) == 16
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(struct.pack("<Q", tree.n))
-        fh.write(np.asarray(tree.parent[1:], dtype="<u8").tobytes())
+        fh.write(tree.parent[1:].astype("<u8").tobytes())
 
 
 def read_tree_binary(path: Union[str, Path], delta: float = 0.0) -> TreeRecord:
@@ -111,8 +112,13 @@ def read_tree_binary(path: Union[str, Path], delta: float = 0.0) -> TreeRecord:
     (n,) = struct.unpack("<Q", raw[16:24])
     if len(raw) != 24 + 8 * n:
         raise ValueError("tree binary length does not match the vertex count")
-    parents = np.frombuffer(raw, dtype="<u8", offset=24).astype(int).tolist()
-    return TreeRecord.from_parents(parents, delta)
+    parents = np.frombuffer(raw, dtype="<u8", offset=24)
+    # compare as uint64, before a parent >= 2**63 could wrap to a negative int64
+    bad = np.flatnonzero(parents >= np.arange(1, n + 1, dtype=np.uint64))
+    if bad.size:
+        m = int(bad[0]) + 1
+        raise ValueError(f"tree binary: parent {int(parents[bad[0]])} of vertex {m} is not below {m}")
+    return TreeRecord.from_parents(parents.astype(np.int64), delta)
 
 
 def write_pmf_csv(pmf: DegreePMF, path: Union[str, Path]) -> None:

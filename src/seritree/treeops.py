@@ -7,67 +7,90 @@ isomorphism maps one onto the other.  Keys double as the serialization format
 for fringe histograms.
 
 All functions accept either a grown `TreeRecord` or a `BranchingTree`
-genealogy; both store parents so that every child has a larger index than its
-parent, which lets all subtree quantities be computed in one reverse sweep.
+genealogy.  Both give every child a larger index than its parent, so one
+sweep over decreasing indices builds keys bottom-up, and depths and subtree
+sizes follow from the int64 parent array without a per-vertex loop.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from collections import Counter
+from dataclasses import dataclass
+from typing import Iterable, Optional, Sequence, Union
 
-from .growth import TreeRecord
+import numpy as np
+
+from .growth import TreeRecord, value_counts
 from .limits import BranchingTree, sample_edge_bp, sample_memory_bp
 from .rng import CounterRng
 
 LEAF_KEY = "()"
 OTHER_KEY = "(other)"
 
-TreeLike = Union[TreeRecord, BranchingTree, Sequence[Optional[int]]]
 
+def _parent_array(tree: Union[TreeRecord, BranchingTree]) -> np.ndarray:
+    """Int64 parents with -1 at the root.
 
-def _parents_of(tree: TreeLike) -> list[Optional[int]]:
-    if isinstance(tree, TreeRecord):
-        return [None] + tree.parent[1:]
+    This is the one place where a genealogy's parent list, rooted at None,
+    becomes an array.
+    """
     if isinstance(tree, BranchingTree):
-        return list(tree.parents)
-    parents = list(tree)
-    if not parents or parents[0] is not None:
-        raise ValueError("parents[0] must be None (the root)")
-    return parents
+        return np.array([-1] + tree.parents[1:], dtype=np.int64)
+    return tree.parent
 
 
-def _children_lists(parents: Sequence[Optional[int]]) -> list[list[int]]:
-    children: list[list[int]] = [[] for _ in parents]
-    for v in range(1, len(parents)):
-        p = parents[v]
-        if p is None or not 0 <= p < v:
-            raise ValueError("non-root vertices need a parent with smaller index")
-        children[p].append(v)
-    return children
+def _keys(
+    parent: list[int], vertices: Iterable[int], leaf_children: Optional[Sequence[int]] = None
+) -> dict[int, str]:
+    """Canonical keys of `vertices`, built bottom-up in one sweep.
+
+    `vertices` must come in decreasing order and hold every non-leaf child
+    of each of its members.  Leaf children may be left out and counted in
+    `leaf_children` instead: the leaf key sorts after every other key, since
+    "(" < ")", so they close the sorted child list.
+    """
+    keys: dict[int, str] = {}
+    pending: dict[int, list[str]] = {}
+    for u in vertices:
+        kids = pending.pop(u, None)
+        inner = "".join(sorted(kids)) if kids else ""
+        if leaf_children is not None:
+            inner += LEAF_KEY * leaf_children[u]
+        key = keys[u] = "(" + inner + ")"
+        p = parent[u]
+        if p in pending:
+            pending[p].append(key)
+        else:
+            pending[p] = [key]
+    return keys
 
 
-def _subtree_sizes(children: list[list[int]]) -> list[int]:
-    n = len(children)
-    sizes = [1] * n
-    for v in range(n - 1, -1, -1):
-        for c in children[v]:
-            sizes[v] += sizes[c]
-    return sizes
+def _cut(key: str, child: str) -> str:
+    """`key` with one root child of key `child` removed."""
+    parts = decode_key(key)
+    parts.remove(child)
+    return "(" + "".join(parts) + ")"
 
 
-def _canonical_keys(
-    children: list[list[int]], max_size: Optional[int] = None
-) -> tuple[list[Optional[str]], list[int]]:
-    """Bottom-up canonical keys; vertices above `max_size` get key None."""
-    sizes = _subtree_sizes(children)
-    keys: list[Optional[str]] = [None] * len(children)
-    for v in range(len(children) - 1, -1, -1):
-        if max_size is not None and sizes[v] > max_size:
-            continue
-        kid_keys = [keys[c] for c in children[v]]
-        keys[v] = "(" + "".join(sorted(kid_keys)) + ")"  # type: ignore[arg-type]
-    return keys, sizes
+def _depth_and_size(parent: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Depth of every vertex and size of its descendant subtree.
+
+    Depths come from pointer jumping (each round doubles the hop length);
+    sizes are summed into parents level by level, deepest level first.
+    """
+    depth = (parent >= 0).astype(np.int64)
+    up = np.maximum(parent, 0)
+    while up.any():
+        depth += depth[up]
+        up = up[up]
+    max_depth = int(depth.max())
+    order = np.argsort(depth, kind="stable")
+    bounds = np.searchsorted(depth[order], np.arange(max_depth + 2))
+    size = np.ones(len(parent), dtype=np.int64)
+    for d in range(max_depth, 0, -1):
+        level = order[bounds[d] : bounds[d + 1]]
+        np.add.at(size, parent[level], size[level])
+    return depth, size
 
 
 def key_size(key: str) -> int:
@@ -108,40 +131,32 @@ def reencode_key(key: str) -> str:
     return "(" + "".join(sorted(reencode_key(c) for c in decode_key(key))) + ")"
 
 
-def fringe(tree: TreeLike, v: int) -> str:
+def fringe(tree: Union[TreeRecord, BranchingTree], v: int) -> str:
     """Canonical key of the subtree of all descendants of v, rooted at v."""
-    parents = _parents_of(tree)
-    if not 0 <= v < len(parents):
+    parent = _parent_array(tree).tolist()
+    if not 0 <= v < len(parent):
         raise IndexError(f"vertex {v} not in tree")
-    children = _children_lists(parents)
-    keys, _ = _canonical_keys(children)
-    return keys[v]  # type: ignore[return-value]
+    return _keys(parent, range(len(parent) - 1, v - 1, -1))[v]
 
 
-def extended_fringe(tree: TreeLike, v: int, k: int) -> list[str]:
+def extended_fringe(tree: Union[TreeRecord, BranchingTree], v: int, k: int) -> list[str]:
     """Keys (f_0, ..., f_k) of the fringe decomposition along the root path.
 
     f_0 is the descendant subtree of v; f_i is the subtree hanging off the
     i-th vertex on the path to the root once the branch containing v is
     removed.  Requires depth(v) >= k.
     """
-    parents = _parents_of(tree)
-    if not 0 <= v < len(parents):
+    parent = _parent_array(tree).tolist()
+    if not 0 <= v < len(parent):
         raise IndexError(f"vertex {v} not in tree")
     path = [v]
     while len(path) <= k:
-        p = parents[path[-1]]
-        if p is None:
+        p = parent[path[-1]]
+        if p < 0:
             raise ValueError(f"vertex {v} has depth {len(path) - 1} < k={k}")
         path.append(p)
-    children = _children_lists(parents)
-    keys, _ = _canonical_keys(children)
-    out = [keys[v]]
-    for i in range(1, k + 1):
-        u, skip = path[i], path[i - 1]
-        kid_keys = sorted(keys[c] for c in children[u] if c != skip)
-        out.append("(" + "".join(kid_keys) + ")")
-    return out  # type: ignore[return-value]
+    keys = _keys(parent, range(len(parent) - 1, path[-1] - 1, -1))
+    return [keys[v]] + [_cut(keys[u], keys[w]) for w, u in zip(path, path[1:])]
 
 
 def q_count(s: str, t: str) -> int:
@@ -194,63 +209,57 @@ class FringeHistogram:
 
 
 def empirical_fringe_distribution(
-    tree: TreeLike, k: int = 0, truncation: int = 12
+    tree: Union[TreeRecord, BranchingTree], k: int = 0, truncation: int = 12
 ) -> FringeHistogram:
     """Histogram of (extended) fringe keys over all vertices of the tree.
 
-    For k = 0 this scans every vertex in O(n) total, memoizing canonical keys
-    bottom-up; fringes larger than `truncation` vertices land in the overflow
-    bin.  For k >= 1 the key is the '|'-joined decomposition (f_0|...|f_k);
-    vertices of depth < k are excluded and counted in `excluded_shallow`
-    (their padded decompositions carry o(1) mass).
+    For k = 0 every vertex is binned: leaves and fringes larger than
+    `truncation` vertices (the overflow bin) by counting, the rest by their
+    canonical keys, built once bottom-up.  For k >= 1 the key is the
+    '|'-joined decomposition (f_0|...|f_k); vertices of depth < k are
+    excluded and counted in `excluded_shallow` (their padded decompositions
+    carry o(1) mass).
     """
-    parents = _parents_of(tree)
-    children = _children_lists(parents)
-    keys, sizes = _canonical_keys(children, max_size=truncation)
+    parent = _parent_array(tree)
+    depth, size = _depth_and_size(parent)
+    small = size <= truncation
+    leaf = small & (size == 1)
+    leaf_children = np.bincount(parent[leaf & (parent >= 0)], minlength=len(parent))
+    parent_list = parent.tolist()
+    keys = _keys(parent_list, np.flatnonzero(small & ~leaf)[::-1].tolist(), leaf_children.tolist())
     if k == 0:
-        counts: dict[str, int] = {}
-        other = 0
-        for v in range(len(parents)):
-            if sizes[v] > truncation:
-                other += 1
-            else:
-                key = keys[v]
-                counts[key] = counts.get(key, 0) + 1
+        counts = dict(Counter(keys.values()))
+        if leaf.any():
+            counts[LEAF_KEY] = int(np.count_nonzero(leaf))
         return FringeHistogram(
-            counts=counts, other=other, total=len(parents), truncation=truncation
+            counts=counts, other=int(np.count_nonzero(~small)), total=len(parent), truncation=truncation
         )
-    depth = [0] * len(parents)
-    for v in range(1, len(parents)):
-        depth[v] = depth[parents[v]] + 1
-    counts = {}
-    other = 0
-    scanned = 0
-    excluded = 0
-    for v in range(len(parents)):
-        if depth[v] < k:
-            excluded += 1
-            continue
-        scanned += 1
-        path = [v]
+    scanned = np.flatnonzero(depth >= k)
+    top = scanned
+    for _ in range(k):
+        top = parent[top]
+    inside = scanned[size[top] <= truncation]
+    found = []
+    cuts: dict[tuple[str, str], str] = {}
+    for v in inside.tolist():
+        w, key_w = v, keys.get(v, LEAF_KEY)
+        parts = [key_w]
         for _ in range(k):
-            path.append(parents[path[-1]])
-        total_size = sizes[path[-1]]
-        if total_size > truncation:
-            other += 1
-            continue
-        parts = [keys[v]]
-        for i in range(1, k + 1):
-            u, skip = path[i], path[i - 1]
-            parts.append("(" + "".join(sorted(keys[c] for c in children[u] if c != skip)) + ")")
-        key = "|".join(parts)  # type: ignore[arg-type]
-        counts[key] = counts.get(key, 0) + 1
+            u = parent_list[w]
+            key_u = keys[u]
+            cut = cuts.get((key_u, key_w))
+            if cut is None:
+                cut = cuts[key_u, key_w] = _cut(key_u, key_w)
+            parts.append(cut)
+            w, key_w = u, key_u
+        found.append("|".join(parts))
     return FringeHistogram(
-        counts=counts,
-        other=other,
-        total=scanned,
+        counts=dict(Counter(found)),
+        other=len(scanned) - len(inside),
+        total=len(scanned),
         truncation=truncation,
         k=k,
-        excluded_shallow=excluded,
+        excluded_shallow=len(parent) - len(scanned),
     )
 
 
@@ -279,7 +288,4 @@ def bp_fringe_sample(
 
 def degree_counts(tree: TreeRecord) -> dict[int, int]:
     """Empirical degree counts N_k: how many vertices have degree exactly k."""
-    counts: dict[int, int] = {}
-    for d in tree.degree:
-        counts[d] = counts.get(d, 0) + 1
-    return dict(sorted(counts.items()))
+    return value_counts(tree.degree)

@@ -37,6 +37,7 @@ from seritree.limits import (
     marked_neighborhood_log_prob,
     mc_zeta_hat,
     p1_quadrature,
+    random_marked_tree,
     sample_arrivals,
     sample_edge_bp,
     yule_marked_ensemble,
@@ -217,21 +218,11 @@ def test_criterion_08_fringe_convergence():
     )
 
 
-def _random_marked_tree(rng, max_vertices=5):
-    size = 1 + rng.randbelow(max_vertices)
-    parents = [None] + [rng.randbelow(i) for i in range(1, size)]
-    marks = sorted(1e-6 + (1 - 1e-6) * rng.random() for _ in range(size))
-    for i in range(1, size):
-        if marks[i] <= marks[i - 1]:
-            marks[i] = marks[i - 1] * (1 + 1e-9)
-    return MarkedTree(parents=tuple(parents), marks=tuple(marks))
-
-
 def test_criterion_09_local_limit_density():
     rng = CounterRng(12)
     worst = 0.0
     for _ in range(1000):
-        tree = _random_marked_tree(rng)
+        tree = random_marked_tree(rng, max_vertices=5)
         d1 = limit_neighborhood_density(tree, 0.0, form="discrete_limit")
         d2 = limit_neighborhood_density(tree, 0.0, form="hazard_product")
         worst = max(worst, abs(d1 - d2) / max(1.0, abs(d1)))

@@ -155,9 +155,6 @@ def test_spectrum_zero_atom_and_cap():
     spec = adjacency_spectrum(star)
     assert atom_mass_at_zero(spec) == 0.5
     assert 0.0 in [round(v, 9) for v in spec.atom_masses]
-    big = TreeRecord.initial(0.0)
-    big.parent = [-1] + [0] * 3000  # fake size beyond the cap
-    big.degree = [3000] + [1] * 3000
-    big.edge_time_sum = [0] * 3001
+    big = TreeRecord.from_parents([0] * 3000, 0.0)  # a star beyond the size cap
     with pytest.raises(ValueError):
         adjacency_spectrum(big)

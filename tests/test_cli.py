@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import seritree.growth
 import seritree.limits
 from seritree.cli import main
 
@@ -144,3 +145,28 @@ def test_missing_required_flag_exits_2():
     with pytest.raises(SystemExit) as exc:
         run_cli(["grow", "--n", "10", "--seed", "1"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv,threads,code", [
+    (["limit-pmf", "--delta", "0", "--seed", "1", "--reps", "0"], None, 2),
+    (["fringe-compare", "--delta", "0", "--seed", "1", "--n", "100", "--reps", "0"], None, 2),
+    (["tail", "--delta", "0", "--seed", "1", "--n", "20"], None, 2),
+    (["localcheck", "--delta", "0", "--seed", "1", "--n", "0"], None, 2),
+    (["growth", "--delta", "0", "--seed", "1", "--n", "20000", "--seeds", "2"], "abc", 2),
+    (["spectrum", "--delta", "0", "--seed", "1", "--n", "3000"], None, 3),
+])
+def test_invalid_input_exits_before_output(tmp_path, monkeypatch, capsys, argv, threads, code):
+    if threads is None:
+        monkeypatch.delenv("SERI_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("SERI_THREADS", threads)
+    grown = []
+    real_grow = seritree.growth.grow
+    monkeypatch.setattr(seritree.growth, "grow", lambda *a, **kw: grown.append(1) or real_grow(*a, **kw))
+    out = tmp_path / "out"
+    assert run_cli(argv + ["--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+    # only the tail fit needs the grown tree to find its input too small
+    assert bool(grown) == (argv[0] == "tail")

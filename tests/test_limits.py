@@ -19,6 +19,7 @@ from seritree.limits import (
     marked_neighborhood_log_prob,
     mc_zeta_hat,
     p1_quadrature,
+    random_marked_tree,
     rate_nonroot,
     rate_root,
     sample_arrivals,
@@ -345,20 +346,10 @@ def test_density_integral_is_p1():
         assert abs(val - p1_quadrature(delta)) < 1e-9
 
 
-def _random_marked_tree(rng, max_vertices=5):
-    size = 1 + rng.randbelow(max_vertices)
-    parents = [None] + [rng.randbelow(i) for i in range(1, size)]
-    marks = sorted(1e-6 + (1 - 1e-6) * rng.random() for _ in range(size))
-    for i in range(1, size):
-        if marks[i] <= marks[i - 1]:
-            marks[i] = marks[i - 1] * (1 + 1e-9)
-    return MarkedTree(parents=tuple(parents), marks=tuple(marks))
-
-
 def test_density_duality_random_trees():
     rng = CounterRng(12)
     for _ in range(500):
-        tree = _random_marked_tree(rng)
+        tree = random_marked_tree(rng, max_vertices=5)
         delta = rng.random() * 4 - 0.5
         d1 = limit_neighborhood_density(tree, delta, form="discrete_limit")
         d2 = limit_neighborhood_density(tree, delta, form="hazard_product")

@@ -30,10 +30,19 @@ def test_tree_csv_roundtrip(tmp_path, tree):
     path = tmp_path / "tree.csv"
     write_tree_csv(tree, path)
     back = read_tree_csv(path, delta=1.0)
-    assert back.parent == tree.parent
-    assert back.degree == tree.degree
+    assert np.array_equal(back.parent, tree.parent)
+    assert np.array_equal(back.degree, tree.degree)
     header = path.read_text().splitlines()[0]
     assert header == "vertex,parent"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("text", ["vertex,parent\r\n", "v,p\r\n1,0\r\n", "vertex,parent\r\n2,0\r\n1,0\r\n"])
+def test_tree_csv_rejects_bad_input(tmp_path, text):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(text.encode())
+    with pytest.raises(ValueError):
+        read_tree_csv(path)
 
 
 def test_tree_binary_roundtrip(tmp_path, tree):
@@ -43,7 +52,7 @@ def test_tree_binary_roundtrip(tmp_path, tree):
     assert raw[:10] == b"SERI-TREE\x00"
     assert len(raw) == 24 + 8 * tree.n
     back = read_tree_binary(path, delta=1.0)
-    assert back.parent == tree.parent
+    assert np.array_equal(back.parent, tree.parent)
 
 
 def test_tree_binary_rejects_garbage(tmp_path):
@@ -54,6 +63,15 @@ def test_tree_binary_rejects_garbage(tmp_path):
     path.write_bytes(b"SERI-TREE\x00\x07" + b"\x00" * 13)
     with pytest.raises(ValueError):
         read_tree_binary(path)
+
+
+def test_tree_binary_rejects_bad_parents(tmp_path):
+    path = tmp_path / "bad.bin"
+    header = b"SERI-TREE\x00\x01" + b"\x00" * 5
+    for parents, vertex in (([0, 2**63 + 1, 1], 2), ([0, 1, 3], 3)):
+        path.write_bytes(header + np.array([len(parents)] + parents, dtype="<u8").tobytes())
+        with pytest.raises(ValueError, match=f"parent {parents[vertex - 1]} of vertex {vertex} "):
+            read_tree_binary(path)
 
 
 def test_manifest_roundtrip(tmp_path):

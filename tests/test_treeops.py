@@ -151,7 +151,7 @@ def test_extended_fringe_basics():
 def test_extended_fringe_partitions_sizes():
     rng = CounterRng(21)
     tree, _ = grow(GrowthParams(delta=0.0, n_final=60, seed=33))
-    parents = [None] + tree.parent[1:]
+    parents = [None] + tree.parent[1:].tolist()
     depth = [0] * (tree.n + 1)
     for v in range(1, tree.n + 1):
         depth[v] = depth[parents[v]] + 1
@@ -228,6 +228,44 @@ def test_extended_histogram_excludes_shallow():
         assert len(key.split("|")) == 2
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**31),
+    st.integers(min_value=1, max_value=40),
+    st.integers(min_value=0, max_value=2),
+    st.integers(min_value=0, max_value=8),
+)
+def test_histogram_matches_per_vertex_reference(seed, n, k, truncation):
+    rng = CounterRng(seed)
+    hist = [0] + [rng.randbelow(i) for i in range(2, n + 1)]
+    tree = TreeRecord.from_parents(hist, 0.0)
+    children = _children_from_hist(hist)
+    keys, sizes = _keys_of_children(children)
+    parents = [None] + hist
+    depth = [0] * (n + 1)
+    for v in range(1, n + 1):
+        depth[v] = depth[parents[v]] + 1
+    scanned = [v for v in range(n + 1) if depth[v] >= k]
+    expected = Counter()
+    other = 0
+    for v in scanned:
+        path = [v]
+        for _ in range(k):
+            path.append(parents[path[-1]])
+        parts = [keys[v]] + [
+            "(" + "".join(sorted(keys[c] for c in children[u] if c != w)) + ")"
+            for w, u in zip(path, path[1:])
+        ]
+        assert extended_fringe(tree, v, k) == parts
+        if sizes[path[-1]] > truncation:
+            other += 1
+        else:
+            expected["|".join(parts)] += 1
+    h = empirical_fringe_distribution(tree, k=k, truncation=truncation)
+    assert h.counts == dict(expected)
+    assert (h.other, h.total, h.excluded_shallow) == (other, len(scanned), n + 1 - len(scanned))
+
+
 def test_leaf_fraction_near_limit():
     tree, _ = grow(GrowthParams(delta=0.0, n_final=100000, seed=6))
     h = empirical_fringe_distribution(tree)
@@ -269,7 +307,7 @@ def test_bp_fringe_bad_method():
 def test_degree_counts_examples():
     star = TreeRecord.from_parents([0, 0, 0], 0.0)
     assert degree_counts(star) == {1: 3, 3: 1}
-    edge = TreeRecord.initial(0.0)
+    edge = TreeRecord.from_parents([0], 0.0)
     assert degree_counts(edge) == {1: 2}
     tree, _ = grow(GrowthParams(delta=1.0, n_final=500, seed=9))
     counts = degree_counts(tree)
