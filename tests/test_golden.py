@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from seritree.growth import GrowthParams, grow
+from seritree.limits import limit_degree_pmf, mc_zeta_hat, yule_marked_ensemble
 from seritree.rng import CounterRng
 from seritree.serialize import write_tree_binary, write_tree_csv
 from seritree.treeops import bp_fringe_sample, empirical_fringe_distribution
@@ -47,6 +48,24 @@ def test_grow_parent_digest(delta, convention):
     tree, _ = grow(GrowthParams(delta=delta, n_final=N, seed=SEED, convention=convention))
     assert tree.n == N
     assert _parents_digest(tree) == PARENT_DIGESTS[(delta, convention)]
+
+
+# words each golden growth draws from CounterRng(SEED)
+WORDS_CONSUMED = {
+    (0.0, "exact"): 9999,
+    (1.0, "exact"): 9999,
+    (2.5, "exact"): 9999,
+    (0.3, "exact"): 29991,
+    (-0.5, "exact"): 10850,
+    (-0.75, "paper_total"): 30703,
+}
+
+
+@pytest.mark.parametrize("delta,convention", sorted(WORDS_CONSUMED))
+def test_grow_words_consumed(delta, convention):
+    rng = CounterRng(SEED)
+    grow(GrowthParams(delta=delta, n_final=N, seed=SEED, convention=convention), rng=rng)
+    assert rng.counter == WORDS_CONSUMED[(delta, convention)]
 
 
 def test_checkpoints_and_tracked_degrees():
@@ -88,3 +107,24 @@ def test_bp_fringe_keys_digest():
     rng = CounterRng(SEED)
     keys = [bp_fringe_sample(0.0, rng) for _ in range(200)]
     assert _sha("\n".join(keys).encode()) == "3bbf8a4a04add49a8b8daa269e88c23f82ae18ba874e896d5d9495aa160ee520"
+
+
+def test_limit_degree_pmf_digest():
+    rng = CounterRng(SEED)
+    pmf = limit_degree_pmf(0.0, 300, rng)
+    assert rng.counter == 1488
+    assert _json_digest(sorted(pmf.p.items())) == "8770419f428b29ca88e9a47073a5966aafb04c607c79be64e15d6d40547bc51c"
+
+
+def test_mc_zeta_hat_digest():
+    # nine significant digits: a last-bit difference of a libm exp stays hidden
+    samples = mc_zeta_hat(0.0, 1000, CounterRng(SEED))
+    text = "\n".join(f"{x:.9e}" for x in samples)
+    assert _sha(text.encode()) == "3116d1cc7e77e322cb1da8549f46af2868249bcc07a5a1acdabb15d69805049b"
+
+
+def test_yule_marked_ensemble_digest():
+    counts = yule_marked_ensemble(0.0, (1.0, 2.0, 3.0), 200, CounterRng(SEED))
+    assert counts.shape == (3, 200)
+    assert np.array_equal(counts, np.round(counts))
+    assert _sha(counts.astype("<i8").tobytes()) == "69d3dae94e4483163ff37876156dd2434bae153f6200a88136c1f7fc5ae23de8"
