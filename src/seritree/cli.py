@@ -144,7 +144,7 @@ def cmd_tail(args) -> int:
     target = -limits.exponents(args.delta).phi
     return _finish(args, {
         "slope": fit.slope,
-        "stderr": 0.0,
+        "stderr": None,  # no error is estimated; "sensitivity" shows the spread
         "target": target,
         "tolerance": args.tolerance,
         "pass": abs(fit.slope - target) <= args.tolerance,

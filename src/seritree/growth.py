@@ -30,12 +30,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import isqrt
+from math import isfinite, isqrt
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .rng import CounterRng
+from .rng import CounterRng, drive_blocks, lemire
+
+_UNIT = 1.1102230246251565e-16  # 2**-53, as in CounterRng.random
 
 CONVENTIONS = ("exact", "paper_total")
 
@@ -63,6 +65,40 @@ class GrowthParams:
             raise ValueError("exact convention requires delta >= -1/2 (v0 weight would go negative)")
         if not 0 <= int(self.seed) <= (1 << 64) - 1:
             raise ValueError("seed must fit in 64 unsigned bits")
+        if not isfinite(self.delta):
+            raise ValueError(f"delta must be finite, got {self.delta}")
+        # CounterRng.randbelow draws one 64-bit word; a larger bound would
+        # be sampled with a bias, and the blocked sampler cannot hold it
+        if token_bound(self.delta, self.n_final, self.convention) >= 1 << 64:
+            raise ValueError(
+                f"n_final = {self.n_final} is too large at delta = {self.delta}: "
+                "the sampler's token bound reaches 2^64"
+            )
+
+
+def token_bound(delta, n_final: int, convention: str) -> int:
+    """Largest `randbelow` bound of a growth to n_final, drawn at n = n_final - 1.
+
+    With 2*delta integral the token draw is below c2*n(n+1)/2 plus the mass
+    below the tokens (`_low_rate`), scaled by 2 like the tokens, where
+    c2 = 4 + 2*delta; otherwise the float path draws the edge index below
+    n(n+1)/2.  v0's thinning bound for negative delta is smaller.
+    """
+    n = n_final - 1
+    t_tri = n * (n + 1) // 2
+    if not _is_half_integer(delta):
+        return t_tri
+    d2 = int(2 * delta)
+    return (4 + d2) * t_tri + _low_rate(d2, convention) * (n + 1)
+
+
+def _low_rate(delta, convention: str):
+    """Mass that the token sampler puts below the tokens, per unit of n+1.
+
+    It is v0's delta mass under ``exact`` and the uniform proposal for
+    negative delta under ``paper_total``; delta may be scaled by 2.
+    """
+    return max(delta if convention == "exact" else -delta, 0)
 
 
 @dataclass
@@ -440,6 +476,126 @@ class GrowthSnapshot:
     tracked_degrees: dict[int, int] = field(default_factory=dict)
 
 
+def _tri(k: np.ndarray) -> np.ndarray:
+    """k(k+1)/2 of a uint64 array, without forming the product k(k+1)."""
+    return ((k + 1) >> 1) * (k | 1)
+
+
+def _triangular_indices(r: np.ndarray) -> np.ndarray:
+    """`_triangular_index` of every entry of a uint64 array.
+
+    The float value of sqrt(2r + 1/4) + 1/2, whose floor is the answer, is
+    off by less than 2^-19 for every 64-bit r.  Taken 2^-10 low and floored,
+    it gives the answer or one less, and one integer-checked step up makes
+    it exact.  The check compares k(k+1)/2 = ceil(k/2)*(k|1) with r by
+    dividing r, so nothing overflows.
+    """
+    x = r * 2.0
+    x += 0.25
+    np.sqrt(x, out=x)
+    x += 0.5 - 2.0**-10
+    k = x.astype(np.uint64)
+    k += (k + 1) >> 1 <= r // (k | 1)
+    return k
+
+
+def _copy_parents(parent: np.ndarray, i: int, target: np.ndarray, copy: np.ndarray) -> None:
+    """Replace target[k] by the parent of vertex target[k] wherever copy[k].
+
+    Slot k is vertex i+k.  Parents of vertices below i are read from
+    `parent`; a copy of a vertex in the block follows the chain of copies
+    back to a drawn value by pointer jumping.
+    """
+    k = copy.nonzero()[0]
+    src = target[k]
+    target[k] = parent[src]  # final unless src >= i
+    inner = src >= i
+    if inner.any():
+        k = k[inner]
+        ptr = np.arange(target.size)
+        ptr[k] = src[inner] - i
+        while True:
+            hop = ptr[ptr[k]]
+            if np.array_equal(hop, ptr[k]):
+                break
+            ptr[k] = hop
+        target[k] = target[ptr[k]]
+
+
+def _int_block(parent: np.ndarray, d2: int, convention: str):
+    """`_fast_target_int` for a block of steps, one word each (`drive_blocks`).
+
+    A step is irregular when its word is rejected, or, for negative delta,
+    when it proposes v0 and so pays for a thinning draw.
+    """
+    c2 = np.uint64(4 + d2)
+    low_rate = np.uint64(_low_rate(d2, convention))
+
+    def block(i: int, words: np.ndarray):
+        n1 = np.arange(i, i + words.size, dtype=np.uint64)  # n + 1 at step i
+        low_mass = low_rate * n1
+        r, irregular = lemire(words, c2 * _tri(n1 - 1) + low_mass)
+        if low_rate:
+            low = r < low_mass
+            big_r, s = np.divmod(r - np.minimum(r, low_mass), c2)
+        else:
+            big_r, s = np.divmod(r, c2)
+        target = (n1 - _triangular_indices(big_r)).astype(np.int64)
+        if d2 >= 0:
+            copy = s >> 1 == 1  # s in {2, 3}
+            if convention == "paper_total":
+                target -= s >= 4
+        else:
+            copy = s >= 2 + d2
+        if low_rate:
+            copy &= ~low
+            # v0 under exact; the uniform proposal r // -d2 under paper_total
+            target[low] = r[low] // low_rate if d2 < 0 else 0
+        _copy_parents(parent, i, target, copy)
+        if d2 < 0:
+            irregular |= target == 0
+        return target, irregular
+
+    return block
+
+
+def _float_block(parent: np.ndarray, delta: float, convention: str):
+    """`_fast_target_float` for a block of steps, three words each.
+
+    A step is irregular when it reads another number of words: its first
+    draw lands in the mass below the tokens, which takes one word; n = 1,
+    where ``randbelow(1)`` takes none; or its bounded draw is rejected.  For
+    negative delta a step that proposes v0 is irregular too.
+    """
+    two_plus = 2.0 + delta
+    low_rate = float(_low_rate(delta, convention))
+
+    def block(i: int, words: np.ndarray):
+        w = words.reshape(-1, 3)
+        n1 = np.arange(i, i + len(w), dtype=np.uint64)  # n + 1 at step i
+        t_tri = _tri(n1 - 1)
+        r, irregular = lemire(w[:, 1], t_tri)
+        irregular |= t_tri == 1
+        if low_rate:
+            low_mass = low_rate * n1.astype(np.float64)
+            u = (w[:, 0] >> np.uint64(11)) * _UNIT * (two_plus * t_tri + low_mass)
+            irregular |= u < low_mass
+        target = (n1 - _triangular_indices(r)).astype(np.int64)
+        v = (w[:, 2] >> np.uint64(11)) * _UNIT * two_plus
+        if delta >= 0:
+            copy = (v >= 1.0) & (v < 2.0)
+            if convention == "paper_total":
+                target -= v >= 2.0
+        else:
+            copy = v >= 1.0 + delta
+        _copy_parents(parent, i, target, copy)
+        if delta < 0:
+            irregular |= target == 0
+        return target, irregular
+
+    return block
+
+
 def grow(
     params: GrowthParams,
     checkpoints: Sequence[int] = (),
@@ -447,6 +603,11 @@ def grow(
     track_vertices: Sequence[int] = (),
 ) -> tuple[TreeRecord, list[GrowthSnapshot]]:
     """Run the attachment dynamics to n_final with the O(1) token sampler.
+
+    The steps run as numpy blocks (`drive_blocks`); a step whose draw reads
+    another number of words than usual runs through `_fast_target_int` or
+    `_fast_target_float` on `rng` itself, so the parents and the words
+    consumed are those of calling the scalar sampler at every step.
 
     The returned snapshots hold degree counts and the degrees of
     `track_vertices` at each distinct checkpoint time; they are read off the
@@ -459,19 +620,27 @@ def grow(
     if rng is None:
         rng = CounterRng(params.seed)
     convention = params.convention
+    parent = np.zeros(params.n_final + 1, dtype=np.int64)
+    parent[:2] = (-1, 0)
     if _is_half_integer(params.delta):
         draw, delta = _fast_target_int, int(2 * params.delta)
+        words, block = 1, _int_block(parent, delta, convention)
     else:
         draw, delta = _fast_target_float, float(params.delta)
-    # the samplers read only v0's degree and edge-time sum (negative delta)
-    parent = [-1, 0]
+        words, block = 3, _float_block(parent, delta, convention)
+    # the samplers read v0's degree and edge-time sum only for negative
+    # delta, and then every v0 target comes through fixup
     deg0 = tsum0 = 1
-    for m in range(2, params.n_final + 1):
+
+    def fixup(m: int) -> int:
+        nonlocal deg0, tsum0
         target = draw(parent, m - 1, delta, convention, rng, deg0, tsum0)
         if target == 0:
             deg0 += 1
             tsum0 += m
-        parent.append(target)
+        return target
+
+    drive_blocks(rng, parent, 2, words, block, fixup)
     tree = TreeRecord.from_parents(parent[1:], params.delta)
 
     snapshots = []

@@ -9,11 +9,18 @@ through numpy for speed without changing the stream.
 
 Parallel streams: replica ``r`` of a run with master seed ``s`` uses
 ``stream_seed(s, r) = mix64(s XOR ((r+1) * GOLDEN mod 2^64))``.
+
+Blocked draws: `drive_blocks` runs a sequence of steps, each of which
+normally reads a fixed number of words, as numpy blocks over `splitmix64`
+words, and hands every step that reads another number of words to a scalar
+fix-up on the same `CounterRng`.  The values and the words consumed are
+those of running every step through the fix-up.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Callable
 
 import numpy as np
 
@@ -24,6 +31,16 @@ _M1 = 0xBF58476D1CE4E5B9
 _M2 = 0x94D049BB133111EB
 
 _BUFFER_SIZE = 4096
+_MASK32 = np.uint64(0xFFFFFFFF)
+_U32 = np.uint64(32)
+_TWO_M64 = 2.0**-64
+_FLOAT_EXACT = 1 << 48  # bounds below this take the float multiply-high
+
+# step counts of one `drive_blocks` block; the cap bounds its memory.
+# Fewer steps than _SCALAR_STEPS run one by one, where a block costs more.
+_SCALAR_STEPS = 16
+_MIN_BLOCK = 64
+_MAX_BLOCK = 1 << 14
 
 
 def mix64(x: int) -> int:
@@ -32,6 +49,46 @@ def mix64(x: int) -> int:
     x = ((x ^ (x >> 30)) * _M1) & MASK64
     x = ((x ^ (x >> 27)) * _M2) & MASK64
     return x ^ (x >> 31)
+
+
+def splitmix64(seed: int, start: int, count: int) -> np.ndarray:
+    """Words start+1 .. start+count of the stream `seed`, as a uint64 array."""
+    z = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    z *= np.uint64(GOLDEN)
+    z += np.uint64(seed)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(_M1)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(_M2)
+    z ^= z >> np.uint64(31)
+    return z
+
+
+def lemire(words: np.ndarray, bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`CounterRng.randbelow(bound)` of one word each, vectorized.
+
+    Returns the draws, floor(word * bound / 2^64), and whether each word is
+    rejected; a rejected word makes the scalar draw read another one.  A
+    bound of 1 reads no word in `randbelow`, which the caller must treat as
+    its own case.
+    """
+    lo = words * bounds  # the low 64 bits of the product
+    if bounds.max() < _FLOAT_EXACT:
+        # word * bound / 2^64 in floats is within 0.1 of its exact value,
+        # whose fraction is lo / 2^64: taking that off and rounding is exact
+        hi = np.rint(words * (bounds * _TWO_M64) - lo * _TWO_M64).astype(np.uint64)
+    else:  # the high word from 32-bit limbs
+        a_lo, a_hi = words & _MASK32, words >> _U32
+        b_lo, b_hi = bounds & _MASK32, bounds >> _U32
+        ll, lh, hl = a_lo * b_lo, a_lo * b_hi, a_hi * b_lo
+        mid = (ll >> _U32) + (lh & _MASK32) + (hl & _MASK32)
+        hi = a_hi * b_hi + (lh >> _U32) + (hl >> _U32) + (mid >> _U32)
+    # the rejection threshold (2^64 - bound) % bound is below the bound
+    rejected = lo < bounds
+    if rejected.any():
+        b = bounds[rejected]
+        rejected[rejected] = lo[rejected] < (np.uint64(MASK64) - b + np.uint64(1)) % b
+    return hi, rejected
 
 
 def stream_seed(master_seed: int, stream: int) -> int:
@@ -65,15 +122,18 @@ class CounterRng:
         return self._counter - (len(self._buf) - self._idx)
 
     def _refill(self) -> None:
-        lo = self._counter + 1
-        idx = np.arange(lo, lo + _BUFFER_SIZE, dtype=np.uint64)
-        z = np.uint64(self.seed) + idx * np.uint64(GOLDEN)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_M1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_M2)
-        z = z ^ (z >> np.uint64(31))
-        self._buf = z.tolist()
+        self._buf = splitmix64(self.seed, self._counter, _BUFFER_SIZE).tolist()
         self._idx = 0
         self._counter += _BUFFER_SIZE
+
+    def skip(self, count: int) -> None:
+        """Consume `count` words unread."""
+        if count <= len(self._buf) - self._idx:
+            self._idx += count
+        else:
+            self._counter = self.counter + count
+            self._buf = []
+            self._idx = 0
 
     def u64(self) -> int:
         """Next raw 64-bit word."""
@@ -114,3 +174,52 @@ class CounterRng:
         counter-based 64-bit generator, so determinism guarantees carry over.
         """
         return np.random.Generator(np.random.Philox(key=stream_seed(self.seed, stream)))
+
+
+def drive_blocks(
+    rng: CounterRng,
+    out: np.ndarray,
+    first: int,
+    words_per_step: int,
+    block: Callable[[int, np.ndarray], tuple[np.ndarray, np.ndarray]],
+    fixup: Callable[[int], int],
+) -> None:
+    """Fill out[first:] step by step, as blocks of numpy draws.
+
+    A step is regular when it reads exactly `words_per_step` words.
+    ``block(i, words)`` gets the words of steps i, i+1, ... laid out as if
+    all were regular and returns their values and a mask of the steps that
+    are not; it may read out[:i].  The leading regular run is accepted, and
+    the first irregular step i runs as ``fixup(i)``, which draws from `rng`
+    itself and returns the value; so do the last steps when fewer than
+    _SCALAR_STEPS are left.  Block lengths adapt to the accepted runs.
+    """
+    buf = np.empty(0, dtype=np.uint64)
+    buf_at = 0  # stream position of buf[0]
+    size = _MIN_BLOCK
+    i = first
+    while i < len(out):
+        size = min(size, _MAX_BLOCK, len(out) - i)
+        if size < _SCALAR_STEPS:
+            out[i] = fixup(i)
+            i += 1
+            continue
+        need = size * words_per_step
+        at = rng.counter - buf_at
+        if at < 0 or at + need > len(buf):
+            buf_at = rng.counter
+            buf = splitmix64(rng.seed, buf_at, min(_MAX_BLOCK, len(out) - i) * words_per_step)
+            at = 0
+        values, irregular = block(i, buf[at : at + need])
+        run = int(irregular.argmax())
+        if not irregular[run]:
+            run = size
+        out[i : i + run] = values[:run]
+        rng.skip(run * words_per_step)
+        i += run
+        if run < size:
+            out[i] = fixup(i)
+            i += 1
+            size = max(_MIN_BLOCK, 2 * run)
+        else:
+            size *= 2

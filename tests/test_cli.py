@@ -94,6 +94,8 @@ def test_tail_small_run(tmp_path):
                     "--tolerance", "0.25", "--out", str(out)])
     report = json.loads((out / "report.json").read_text())
     assert "slope" in report and "sensitivity" in report
+    assert report["stderr"] is None  # the fit estimates no error
+    assert len(report["sensitivity"]) > 1
     assert code in (0, 1)
     assert report["pass"] == (abs(report["slope"] - report["target"]) <= 0.25)
 
@@ -154,6 +156,8 @@ def test_missing_required_flag_exits_2():
     (["localcheck", "--delta", "0", "--seed", "1", "--n", "0"], None, 2),
     (["growth", "--delta", "0", "--seed", "1", "--n", "20000", "--seeds", "2"], "abc", 2),
     (["spectrum", "--delta", "0", "--seed", "1", "--n", "3000"], None, 3),
+    # the last step's token bound 2n(n+1) reaches 2^64
+    (["grow", "--delta", "0", "--seed", "1", "--n", "3037000501"], None, 2),
 ])
 def test_invalid_input_exits_before_output(tmp_path, monkeypatch, capsys, argv, threads, code):
     if threads is None:

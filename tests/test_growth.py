@@ -19,7 +19,11 @@ from seritree.growth import (
     token_probability_vector,
     total_weight,
     vertex_weight,
+    _fast_target_float,
+    _fast_target_int,
+    _is_half_integer,
     _triangular_index,
+    _triangular_indices,
 )
 from seritree.rng import CounterRng
 from seritree.treeops import fringe
@@ -38,6 +42,34 @@ def test_params_validation():
         GrowthParams(delta=-0.7, n_final=10, convention="exact")
     GrowthParams(delta=-0.7, n_final=10, convention="paper_total")  # fine
     GrowthParams(delta=-0.5, n_final=10, convention="exact")  # boundary ok
+    with pytest.raises(ValueError):
+        GrowthParams(delta=math.inf, n_final=10)
+
+
+def _first_n_at_2_64(bound) -> int:
+    """Smallest n_final whose last step (n = n_final - 1) has bound(n) >= 2^64."""
+    lo, hi = 1, 1 << 40
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if bound(mid - 1) < 1 << 64 else (lo, mid)
+    return hi
+
+
+@pytest.mark.parametrize("delta,convention,bound", [
+    # integer tokens: c2 * n(n+1)/2 + 2*delta*(n+1), c2 = 4 + 2*delta
+    (0.0, "exact", lambda n: 4 * (n * (n + 1) // 2)),
+    (100.0, "exact", lambda n: 204 * (n * (n + 1) // 2) + 200 * (n + 1)),
+    (100.0, "paper_total", lambda n: 204 * (n * (n + 1) // 2)),
+    # float tokens: the edge index is drawn below n(n+1)/2
+    (0.3, "exact", lambda n: n * (n + 1) // 2),
+])
+def test_params_reject_token_bound_of_2_64(delta, convention, bound):
+    limit = _first_n_at_2_64(bound)
+    GrowthParams(delta=delta, n_final=limit - 1, convention=convention)
+    with pytest.raises(ValueError, match="2\\^64"):
+        GrowthParams(delta=delta, n_final=limit, convention=convention)
+    with pytest.raises(ValueError):
+        GrowthParams(delta=delta, n_final=10 * limit, convention=convention)
 
 
 # --- weights: hand-worked small cases -----------------------------------------
@@ -134,6 +166,18 @@ def test_triangular_index_property(r):
     assert (k - 1) * k // 2 <= r < k * (k + 1) // 2
 
 
+@given(st.lists(
+    st.one_of(st.integers(min_value=0, max_value=10**6), st.integers(min_value=0, max_value=2**64 - 1)),
+    min_size=1, max_size=50,
+))
+def test_triangular_indices_match_scalar(rs):
+    # near triangular numbers the float estimate is closest to the wrong answer
+    near = [k * (k + 1) // 2 + e for k in (1, 2, 3, 4096, 2**32 - 1, 6074000999) for e in (-1, 0, 1)]
+    rs = rs + [r for r in near if r < 1 << 64]
+    ks = _triangular_indices(np.array(rs, dtype=np.uint64))
+    assert ks.tolist() == [_triangular_index(r) for r in rs]
+
+
 def test_token_vector_matches_attach_probabilities_exhaustive_small():
     for delta in (Fraction(0), Fraction(1), Fraction(-1, 2)):
         for n in range(1, 5):
@@ -207,6 +251,61 @@ def test_grow_minimal_tree():
     tree, snaps = grow(GrowthParams(delta=0.0, n_final=1, seed=1))
     assert np.array_equal(tree.parent, [-1, 0])
     assert snaps == []
+
+
+def _scalar_grow(params: GrowthParams, rng: CounterRng) -> list:
+    """The per-step grow loop that the blocked driver replaced, as a reference."""
+    convention = params.convention
+    if _is_half_integer(params.delta):
+        draw, delta = _fast_target_int, int(2 * params.delta)
+    else:
+        draw, delta = _fast_target_float, float(params.delta)
+    parent = [-1, 0]
+    deg0 = tsum0 = 1
+    for m in range(2, params.n_final + 1):
+        target = draw(parent, m - 1, delta, convention, rng, deg0, tsum0)
+        if target == 0:
+            deg0 += 1
+            tsum0 += m
+        parent.append(target)
+    return parent
+
+
+GROW_CASES = [(d, "exact") for d in (0.0, 0.5, 1.0, 2.5, 0.3, 1.7, -0.25, -0.5)] + [
+    (d, "paper_total") for d in (0.0, 0.3, -0.3, -0.75)
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**64 - 1),
+    st.integers(min_value=1, max_value=3000),
+    st.sampled_from(GROW_CASES),
+    st.integers(min_value=0, max_value=5000),
+)
+def test_blocked_grow_equals_scalar_loop(seed, n_final, case, drawn):
+    # `drawn` words are consumed first, so the stream starts part-way into
+    # (or past) CounterRng's buffer
+    delta, convention = case
+    params = GrowthParams(delta=delta, n_final=n_final, seed=seed, convention=convention)
+    ref_rng, rng = CounterRng(seed), CounterRng(seed)
+    for _ in range(drawn):
+        ref_rng.u64()
+        rng.u64()
+    expected = _scalar_grow(params, ref_rng)
+    tree, _ = grow(params, rng=rng)
+    assert tree.parent.tolist() == expected
+    assert rng.counter == ref_rng.counter
+
+
+@pytest.mark.parametrize("delta,convention", GROW_CASES)
+def test_blocked_grow_equals_scalar_loop_n3000(delta, convention):
+    params = GrowthParams(delta=delta, n_final=3000, seed=97, convention=convention)
+    ref_rng, rng = CounterRng(97), CounterRng(97)
+    expected = _scalar_grow(params, ref_rng)
+    tree, _ = grow(params, rng=rng)
+    assert tree.parent.tolist() == expected
+    assert rng.counter == ref_rng.counter
 
 
 def test_grow_conservation_and_determinism():

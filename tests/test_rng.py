@@ -2,9 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from seritree.rng import MASK64, CounterRng, mix64, stream_seed
+from seritree.rng import GOLDEN, MASK64, CounterRng, drive_blocks, lemire, mix64, splitmix64, stream_seed
 
 
 def test_same_seed_same_stream():
@@ -95,3 +95,100 @@ def test_numpy_rng_deterministic():
     a = CounterRng(10).numpy_rng()
     b = CounterRng(10).numpy_rng()
     assert np.array_equal(a.random(8), b.random(8))
+
+
+def _consume(rng: CounterRng, words: int) -> CounterRng:
+    for _ in range(words):
+        rng.u64()
+    return rng
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=MASK64),
+    st.integers(min_value=0, max_value=5000),
+    st.integers(min_value=1, max_value=5000),
+)
+def test_splitmix64_block_equals_u64(seed, start, count):
+    rng = _consume(CounterRng(seed), start)
+    block = splitmix64(seed, start, count)
+    assert block.dtype == np.uint64
+    assert block.tolist() == [rng.u64() for _ in range(count)]
+
+
+@given(st.integers(min_value=0, max_value=MASK64), st.integers(min_value=0, max_value=2**48))
+def test_splitmix64_far_counter(seed, start):
+    # word i is mix64(seed + i * GOLDEN), whatever the counter
+    block = splitmix64(seed, start, 3)
+    assert block.tolist() == [mix64(seed + i * GOLDEN) for i in range(start + 1, start + 4)]
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=MASK64),
+    st.integers(min_value=0, max_value=5000),
+    st.integers(min_value=0, max_value=9000),
+)
+def test_skip_equals_reading(seed, before, count):
+    rng = _consume(CounterRng(seed), before)
+    ref = _consume(CounterRng(seed), before + count)
+    rng.skip(count)
+    assert rng.counter == ref.counter
+    assert [rng.u64() for _ in range(5000)] == [ref.u64() for _ in range(5000)]
+
+
+@given(st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=MASK64),
+        st.one_of(
+            st.integers(min_value=1, max_value=2**48 + 2),
+            st.integers(min_value=2**48 - 2, max_value=2**53),
+            st.integers(min_value=1, max_value=MASK64),
+        ),
+    ),
+    min_size=1, max_size=40,
+))
+def test_lemire_matches_integer_arithmetic(pairs):
+    # float multiply-high below 2^48, 32-bit limbs above
+    words = np.array([w for w, _ in pairs], dtype=np.uint64)
+    bounds = np.array([b for _, b in pairs], dtype=np.uint64)
+    draws, rejected = lemire(words, bounds)
+    assert draws.tolist() == [(w * b) >> 64 for w, b in pairs]
+    assert rejected.tolist() == [(w * b) & MASK64 < ((1 << 64) - b) % b for w, b in pairs]
+
+
+@pytest.mark.parametrize("bits", range(64))
+def test_lemire_exact_at_every_bound_size(bits):
+    # the float multiply-high goes wrong in a few percent of draws from
+    # bounds of 2^51 on, so this also pins where the 32-bit limbs take over
+    words = splitmix64(bits, 0, 1000)
+    bounds = np.random.default_rng(bits).integers(
+        1 << bits, (1 << bits + 1) - 1, words.size, dtype=np.uint64, endpoint=True
+    )
+    draws, rejected = lemire(words, bounds)
+    pairs = zip(words.tolist(), bounds.tolist())
+    expected = [((w * b) >> 64, (w * b) & MASK64 < ((1 << 64) - b) % b) for w, b in pairs]
+    assert list(zip(draws.tolist(), rejected.tolist())) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=MASK64),
+    st.lists(st.integers(min_value=2**63, max_value=MASK64), min_size=1, max_size=400),
+    st.integers(min_value=0, max_value=5000),
+)
+def test_blocked_bounded_draws_equal_randbelow(seed, bounds, drawn):
+    # above 2^63 up to half of all words are rejected, so the blocked driver
+    # realigns many times; growth bounds are far too small for that
+    ref = _consume(CounterRng(seed), drawn)
+    expected = [ref.randbelow(b) for b in bounds]
+    rng = _consume(CounterRng(seed), drawn)
+    caps = np.array(bounds, dtype=np.uint64)
+    out = np.zeros(len(bounds), dtype=np.uint64)
+    drive_blocks(
+        rng, out, 0, 1,
+        lambda i, words: lemire(words, caps[i : i + words.size]),
+        lambda i: rng.randbelow(bounds[i]),
+    )
+    assert out.tolist() == expected
+    assert rng.counter == ref.counter
