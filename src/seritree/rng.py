@@ -33,8 +33,6 @@ _M2 = 0x94D049BB133111EB
 _BUFFER_SIZE = 4096
 _MASK32 = np.uint64(0xFFFFFFFF)
 _U32 = np.uint64(32)
-_TWO_M64 = 2.0**-64
-_FLOAT_EXACT = 1 << 48  # bounds below this take the float multiply-high
 
 # step counts of one `drive_blocks` block; the cap bounds its memory.
 # Fewer steps than _SCALAR_STEPS run one by one, where a block costs more.
@@ -73,16 +71,12 @@ def lemire(words: np.ndarray, bounds: np.ndarray) -> tuple[np.ndarray, np.ndarra
     its own case.
     """
     lo = words * bounds  # the low 64 bits of the product
-    if bounds.max() < _FLOAT_EXACT:
-        # word * bound / 2^64 in floats is within 0.1 of its exact value,
-        # whose fraction is lo / 2^64: taking that off and rounding is exact
-        hi = np.rint(words * (bounds * _TWO_M64) - lo * _TWO_M64).astype(np.uint64)
-    else:  # the high word from 32-bit limbs
-        a_lo, a_hi = words & _MASK32, words >> _U32
-        b_lo, b_hi = bounds & _MASK32, bounds >> _U32
-        ll, lh, hl = a_lo * b_lo, a_lo * b_hi, a_hi * b_lo
-        mid = (ll >> _U32) + (lh & _MASK32) + (hl & _MASK32)
-        hi = a_hi * b_hi + (lh >> _U32) + (hl >> _U32) + (mid >> _U32)
+    # the high 64 bits from 32-bit limbs, whose products fit in 64 bits
+    a_lo, a_hi = words & _MASK32, words >> _U32
+    b_lo, b_hi = bounds & _MASK32, bounds >> _U32
+    ll, lh, hl = a_lo * b_lo, a_lo * b_hi, a_hi * b_lo
+    mid = (ll >> _U32) + (lh & _MASK32) + (hl & _MASK32)
+    hi = a_hi * b_hi + (lh >> _U32) + (hl >> _U32) + (mid >> _U32)
     # the rejection threshold (2^64 - bound) % bound is below the bound
     rejected = lo < bounds
     if rejected.any():
