@@ -12,7 +12,14 @@ import numpy as np
 import pytest
 
 from seritree.growth import GrowthParams, grow
-from seritree.limits import limit_degree_pmf, mc_zeta_hat, yule_marked_ensemble
+from seritree.limits import (
+    limit_degree_pmf,
+    mc_zeta_hat,
+    sample_arrivals,
+    sample_memory_bp,
+    yule_marked_ensemble,
+    yule_marked_simulate,
+)
 from seritree.rng import CounterRng
 from seritree.serialize import write_tree_binary, write_tree_csv
 from seritree.treeops import bp_fringe_sample, empirical_fringe_distribution
@@ -128,3 +135,97 @@ def test_yule_marked_ensemble_digest():
     assert counts.shape == (3, 200)
     assert np.array_equal(counts, np.round(counts))
     assert _sha(counts.astype("<i8").tobytes()) == "69d3dae94e4483163ff37876156dd2434bae153f6200a88136c1f7fc5ae23de8"
+
+
+# --- limit processes: every float pinned by its hex form ------------------------
+
+def _hex_digest(rows) -> str:
+    return _sha("\n".join(",".join(float.hex(float(x)) for x in row) for row in rows).encode())
+
+
+STOP_RULES = {"t_max": {"t_max": 3.0}, "max_arrivals": {"max_arrivals": 6}, "exp1": {"exp1": True}}
+
+# (digest of 100 arrival sequences, words consumed)
+ARRIVAL_DIGESTS = {
+    (-0.5, "exp1"): ("2d855a3d02d88b30423be8e8c22aaa76cd97fff3a771ba8c93719008eea33401", 516),
+    (-0.5, "max_arrivals"): ("5a2304f3e35c9b09d72795e66ced58aefff07d094dee2fcb0bdf31db8ee93cde", 2118),
+    (-0.5, "t_max"): ("5d95229aaff6c03a2b5f84d2cb13abdb2321770de09b5459f45648e5afdb4db7", 1082),
+    (0.0, "exp1"): ("2494327db86c548c84b53be4e5f7a386fc0bc4d083e955452c84a4faedf6f389", 548),
+    (0.0, "max_arrivals"): ("050cd232ac8f484428e846633246baaf9fb7f2c556fe35b0ae9b55bce54f0793", 2006),
+    (0.0, "t_max"): ("4a29788d1d3e10a2b54739b66416b727df78ed39109345a296636b06748a59e6", 1362),
+    (2.5, "exp1"): ("e75c2d5b10bffa7b64c283098491cce56da9f643b9fad1d5d9126ff9be6f61e7", 566),
+    (2.5, "max_arrivals"): ("a82bd8b239c55fe1fdfe755bb77b8c27992ed57f1363f744e5ce0dc34687398d", 1812),
+    (2.5, "t_max"): ("5e9685e06391edc1652f205595efc43c321e337e0e1f70337a081619b43f5505", 1468),
+}
+
+
+@pytest.mark.parametrize("delta,rule", sorted(ARRIVAL_DIGESTS))
+def test_sample_arrivals_digest(delta, rule):
+    rng = CounterRng(SEED)
+    rows = [sample_arrivals(delta, rng, **STOP_RULES[rule]).sigmas for _ in range(100)]
+    assert (_hex_digest(rows), rng.counter) == ARRIVAL_DIGESTS[(delta, rule)]
+
+
+# (digest of the parents, digest of the birth times, words consumed) of 30 realizations
+MEMORY_BP_DIGESTS = {
+    (-0.5, "exp1"): (
+        "e87250bbffb3a8ea773a46a83745c5398f7abf5cfe3dae7d17d31382fdf33984",
+        "d0523eff0cf850db42f56229d5308bc1c7f4ccc62f33e2dd9acfef72523cabdb",
+        152,
+    ),
+    (-0.5, "t_max"): (
+        "56545d8a784599307362833fcc20373a26724a006c8427528bc162de7bb9e8e0",
+        "c6267208dba3f720de027c309f20bbe7108ad0abe3dba18064c96ccbd4c5ef93",
+        680,
+    ),
+    (0.0, "exp1"): (
+        "cd5f99cc314a94a7bba9daae50027d2884b2d2f496a0dadc30598809bf024fac",
+        "45833def1f6e8406ac38e91a7711ab08d4465790d41975c6c669325dfcafc0cd",
+        479,
+    ),
+    (0.0, "t_max"): (
+        "017243fb85e8fbde4748f0245c7b45d70736c614038bb3eac4cc6deefeab4929",
+        "538ef6945b4638c394f452ad7ed2bb16b842e54139b7c38b90d96397a5751dec",
+        1181,
+    ),
+    (2.5, "exp1"): (
+        "975fd60472f165b8aaed3c7cfc8044eae89a9526b518dfc55b563c3ba80f2a91",
+        "b5e176c069b24ecf7fb732b17d8ac79457d12e2fa12f1337f564763ead2fc24d",
+        703,
+    ),
+    (2.5, "t_max"): (
+        "a494015821dc1ce58dbd0482c979a2d36a6f6f71a00546bf8e25fe2c5a36e8a2",
+        "1cf91bb8ab9bbe6f54cb6a7d37770075823b5c441bc8c6a30163b28d69f98c70",
+        1638,
+    ),
+}
+
+
+@pytest.mark.parametrize("delta,rule", sorted(MEMORY_BP_DIGESTS))
+def test_sample_memory_bp_digest(delta, rule):
+    rng = CounterRng(SEED)
+    bps = [sample_memory_bp(delta, rng, **STOP_RULES[rule]) for _ in range(30)]
+    parents = _json_digest([bp.parents for bp in bps])
+    assert (parents, _hex_digest(bp.birth_times for bp in bps), rng.counter) == MEMORY_BP_DIGESTS[(delta, rule)]
+
+
+def test_yule_marked_ensemble_simplified_digest():
+    rng = CounterRng(SEED)
+    counts = yule_marked_ensemble(0.0, (1.0, 2.0, 3.0), 200, rng, variant="simplified")
+    assert rng.counter == 0  # the ensemble draws from its own Philox generator
+    assert _sha(counts.astype("<i8").tobytes()) == "c3c7014810142995ac102a1c234a12c5d9b538f78caf7c79364dd3802230eee2"
+
+
+# (digest of t, y, d, w over 20 paths, words consumed)
+YULE_PATH_DIGESTS = {
+    "exact_chain": ("e3b3c1920f421b457536e0b2220df250e6f2479858184cd1cdfd622eb6fc14e2", 4180),
+    "simplified": ("c24eb053e213a78bda0d5786a977c4445868afcf98a79f355ab57dec398d48d0", 4180),
+}
+
+
+@pytest.mark.parametrize("variant", sorted(YULE_PATH_DIGESTS))
+def test_yule_marked_simulate_digest(variant):
+    rng = CounterRng(SEED)
+    paths = [yule_marked_simulate(0.5, 4.0, rng, variant=variant) for _ in range(20)]
+    rows = [row for p in paths for row in (p.t, p.y, p.d, p.w)]
+    assert (_hex_digest(rows), rng.counter) == YULE_PATH_DIGESTS[variant]
