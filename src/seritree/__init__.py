@@ -38,7 +38,6 @@ from .growth import (
     vertex_weight,
 )
 from .limits import (
-    ArrivalSequence,
     BranchingTree,
     DegreePMF,
     ExponentPack,

@@ -202,7 +202,7 @@ def cmd_fringe_compare(args) -> int:
         "tv_distance": tv,
         "chi_square": chi2,
         "p_value": p_value,
-        "stderr": 0.0,
+        "stderr": None,
         "target": 0.0,
         "tolerance": args.tolerance,
         "pass": tv <= args.tolerance,
@@ -228,7 +228,7 @@ def cmd_spectrum(args) -> int:
         "trace": trace,
         "sum_squares_error": sumsq_err,
         "atom_mass_at_zero": analysis.atom_mass_at_zero(spec),
-        "stderr": 0.0,
+        "stderr": None,
         "target": 0.0,
         "tolerance": args.tolerance,
         "pass": abs(trace) <= args.tolerance and sumsq_err <= args.tolerance,
@@ -255,7 +255,7 @@ def cmd_localcheck(args) -> int:
     return _finish(args, {
         "max_form_gap": worst,
         "discrete_limit_rel_gap": rel_gap,
-        "stderr": 0.0,
+        "stderr": None,
         "target": 0.0,
         "tolerance": args.tolerance,
         "pass": worst <= args.tolerance and rel_gap <= 0.05,

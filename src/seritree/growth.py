@@ -116,37 +116,42 @@ class TreeRecord:
     """A grown tree: one int64 parent array and what it determines.
 
     Vertex m (m >= 1) is born at time m and carries edge m = (m, parent[m]);
-    parent[0] = -1 marks the root v0.  `degree[i]` and `edge_time_sum[i]`
-    (sum of birth times of edges incident to i) are derived once from the
-    parents, so every vertex weight is O(1) to evaluate:
-    degree part = (n+1)*degree[i] - edge_time_sum[i].
+    parent[0] = -1 marks the root v0.  The constructor takes a parent array
+    that is already valid and derives `degree[i]` and `edge_time_sum[i]`
+    (sum of birth times of edges incident to i) from it once, so every vertex
+    weight is O(1) to evaluate: degree part = (n+1)*degree[i] - edge_time_sum[i].
+    Outside input goes through `from_parents`, which checks it.
     """
 
     parent: np.ndarray
-    degree: np.ndarray
-    edge_time_sum: np.ndarray
     delta: float | Fraction = 0.0
+    degree: np.ndarray = field(init=False)
+    edge_time_sum: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        parent = np.asarray(self.parent, dtype=np.int64)
+        chosen = parent[1:]
+        born = np.arange(1, len(parent))
+        degree = np.bincount(chosen, minlength=len(parent))
+        degree[1:] += 1
+        edge_time_sum = np.zeros(len(parent), dtype=np.int64)
+        np.add.at(edge_time_sum, chosen, born)
+        edge_time_sum[1:] += born
+        for name, a in (("parent", parent), ("degree", degree), ("edge_time_sum", edge_time_sum)):
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
 
     @classmethod
     def from_parents(cls, parents: Sequence[int], delta: float | Fraction = 0.0) -> "TreeRecord":
-        """Build the record from the parent choices of vertices 1..n."""
+        """Check the parent choices of vertices 1..n and build the record."""
         chosen = np.asarray(parents, dtype=np.int64)
         if chosen.ndim != 1 or chosen.size < 1 or chosen[0] != 0:
             raise ValueError("history must start with parent[1] = 0")
-        born = np.arange(1, chosen.size + 1)
-        bad = np.flatnonzero((chosen < 0) | (chosen >= born))
+        bad = np.flatnonzero((chosen < 0) | (chosen >= np.arange(1, chosen.size + 1)))
         if bad.size:
             m = int(bad[0]) + 1
             raise ValueError(f"parent of vertex {m} must be < {m}")
-        degree = np.bincount(chosen, minlength=chosen.size + 1)
-        degree[1:] += 1
-        edge_time_sum = np.zeros(chosen.size + 1, dtype=np.int64)
-        np.add.at(edge_time_sum, chosen, born)
-        edge_time_sum[1:] += born
-        parent = np.concatenate(([-1], chosen))
-        for a in (parent, degree, edge_time_sum):
-            a.flags.writeable = False
-        return cls(parent=parent, degree=degree, edge_time_sum=edge_time_sum, delta=delta)
+        return cls(np.concatenate(([-1], chosen)), delta)
 
     @property
     def n(self) -> int:
@@ -641,7 +646,7 @@ def grow(
         return target
 
     drive_blocks(rng, parent, 2, words, block, fixup)
-    tree = TreeRecord.from_parents(parent[1:], params.delta)
+    tree = TreeRecord(parent, params.delta)
 
     snapshots = []
     for n in cps:

@@ -95,24 +95,6 @@ def exponents(delta: float) -> ExponentPack:
 # ---------------------------------------------------------------------------
 # the offspring point process with memory
 
-@dataclass
-class ArrivalSequence:
-    """Ordered child-arrival times sigma_1 < sigma_2 < ... of the limit process."""
-
-    sigmas: list[float]
-    delta: float
-
-    def __post_init__(self):
-        prev = 0.0
-        for s in self.sigmas:
-            if not s > prev:
-                raise ValueError("arrival times must be strictly increasing and positive")
-            prev = s
-
-    def __len__(self) -> int:
-        return len(self.sigmas)
-
-
 def rate_root(t: float, delta: float) -> float:
     """Reproduction rate of the edge-process root at absolute time t."""
     return (1.0 + delta) / (1.0 + 0.5 * delta) * (1.0 - math.exp(-t))
@@ -123,28 +105,45 @@ def rate_nonroot(age: float, delta: float) -> float:
     return (1.0 - math.exp(-age)) / (1.0 + 0.5 * delta)
 
 
-def hazard(k: int, sigmas: Sequence[float], x: float, delta: float) -> float:
-    """Hazard rate, at elapsed time x, of the k-th arrival given sigma_1..sigma_{k-1}.
+def hazard(sigmas: Sequence[float], x: float, delta: float) -> float:
+    """Hazard rate, at elapsed time x, of the next arrival after sigma_1..sigma_{k-1}.
 
-    k = 1 gives (1+delta)/(1+delta/2) * (1-e^-x); for k >= 2 the previous
-    arrivals each contribute a (1 - e^-(sigma_{k-1} - sigma_j + x)) term.
+    The root contributes (1+delta)/(1+delta/2) * (1 - e^-(sigma_{k-1} + x)),
+    which is (1+delta)/(1+delta/2) * (1-e^-x) for the first arrival, and each
+    previous arrival a (1 - e^-(sigma_{k-1} - sigma_j + x))/(1+delta/2) term.
     The value always lies in [0, (k+delta)/(1+delta/2)).
     """
     if x < 0:
         raise ValueError("x must be >= 0")
-    if hasattr(sigmas, "sigmas"):
-        sigmas = sigmas.sigmas
-    if len(sigmas) != k - 1:
-        raise ValueError(f"need exactly {k - 1} previous arrivals, got {len(sigmas)}")
     a = (1.0 + delta) / (1.0 + 0.5 * delta)
-    if k == 1:
-        return a * (1.0 - math.exp(-x))
     b = 1.0 / (1.0 + 0.5 * delta)
-    s_prev = sigmas[-1]
+    s_prev = sigmas[-1] if sigmas else 0.0
     h = a * (1.0 - math.exp(-(x + s_prev)))
     for sj in sigmas:
         h += b * (1.0 - math.exp(-(s_prev - sj + x)))
     return h
+
+
+def _next_arrival(
+    ages: Sequence[float], birth: float, t_max: float, delta: float, rng: CounterRng
+) -> Optional[float]:
+    """Age increment from the last of `ages` to the next arrival, or None past t_max.
+
+    Thinning (Lewis & Shedler 1979) against the constant bound
+    (k+delta)/(1+delta/2), which the k-th hazard approaches but never
+    attains, so acceptance probabilities stay in [0, 1) and the sampled
+    survival function is exp(-integral of the hazard) with no discretization
+    error.  `birth` + age is the absolute time compared with `t_max`.
+    """
+    bound = (len(ages) + 1 + delta) * (1.0 / (1.0 + 0.5 * delta))
+    prev = ages[-1] if ages else 0.0
+    x = 0.0
+    while True:
+        x += rng.exponential(bound)
+        if birth + prev + x > t_max:
+            return None  # proposals only increase; nothing left before the horizon
+        if rng.random() * bound <= hazard(ages, x, delta):
+            return x
 
 
 def sample_arrivals(
@@ -154,36 +153,26 @@ def sample_arrivals(
     t_max: Optional[float] = None,
     max_arrivals: Optional[int] = None,
     exp1: bool = False,
-) -> ArrivalSequence:
-    """Sample the arrival times of the limit point process.
+) -> list[float]:
+    """Sample the increasing arrival times of the limit point process.
 
-    Each inter-arrival is drawn by thinning against the constant bound
-    (k+delta)/(1+delta/2), which the k-th hazard approaches but never
-    attains, so acceptance probabilities stay in [0, 1) and the sampled
-    survival function is exp(-integral of the hazard) with no discretization
-    error.  Stop at `t_max`, after `max_arrivals`, or (with ``exp1=True``) at
-    an exponential(1) horizon drawn from `rng` first.
+    Inter-arrivals come from `_next_arrival`.  Stop at `t_max`, after
+    `max_arrivals`, or (with ``exp1=True``) at an exponential(1) horizon
+    drawn from `rng` first.
     """
     if exp1:
         t_max = rng.exponential()
     if t_max is None and max_arrivals is None:
         raise ValueError("need a stop rule: t_max, max_arrivals, or exp1")
+    if t_max is None:
+        t_max = math.inf
     sigmas: list[float] = []
-    inv_half = 1.0 / (1.0 + 0.5 * delta)
-    k = 1
     while max_arrivals is None or len(sigmas) < max_arrivals:
-        bound = (k + delta) * inv_half
-        s_prev = sigmas[-1] if sigmas else 0.0
-        x = 0.0
-        while True:
-            x += rng.exponential(bound)
-            if t_max is not None and s_prev + x > t_max:
-                return ArrivalSequence(sigmas=sigmas, delta=delta)
-            if rng.random() * bound <= hazard(k, sigmas, x, delta):
-                break
-        sigmas.append(s_prev + x)
-        k += 1
-    return ArrivalSequence(sigmas=sigmas, delta=delta)
+        x = _next_arrival(sigmas, 0.0, t_max, delta, rng)
+        if x is None:
+            break
+        sigmas.append((sigmas[-1] if sigmas else 0.0) + x)
+    return sigmas
 
 
 # ---------------------------------------------------------------------------
@@ -303,8 +292,8 @@ def sample_memory_bp(
 
     Every individual carries its own copy of the limit offspring point
     process: the hazard of its k-th child depends on the ages at which its
-    previous children arrived.  Inter-arrivals are drawn by the same thinning
-    scheme as `sample_arrivals`; a global priority queue interleaves the
+    previous children arrived.  Inter-arrivals come from `_next_arrival`, as
+    in `sample_arrivals`; a global priority queue interleaves the
     individuals.  This is the process whose genealogy, stopped at an
     independent exp(1) time, gives the limiting fringe law.
     """
@@ -312,7 +301,6 @@ def sample_memory_bp(
         t_max = rng.exponential()
     if t_max is None:
         raise ValueError("need a stop rule: t_max or exp1")
-    inv_half = 1.0 / (1.0 + 0.5 * delta)
     parents: list[Optional[int]] = [None]
     births: list[float] = [0.0]
     arrival_ages: list[list[float]] = [[]]
@@ -320,17 +308,10 @@ def sample_memory_bp(
 
     def schedule_next(i: int) -> None:
         ages = arrival_ages[i]
-        k = len(ages) + 1
-        bound = (k + delta) * inv_half
-        prev = ages[-1] if ages else 0.0
-        x = 0.0
-        while True:
-            x += rng.exponential(bound)
-            if births[i] + prev + x > t_max:
-                return  # proposals only increase; nothing left before the horizon
-            if rng.random() * bound <= hazard(k, ages, x, delta):
-                heapq.heappush(heap, (births[i] + prev + x, i, prev + x))
-                return
+        x = _next_arrival(ages, births[i], t_max, delta, rng)
+        if x is not None:
+            prev = ages[-1] if ages else 0.0
+            heapq.heappush(heap, (births[i] + prev + x, i, prev + x))
 
     schedule_next(0)
     while heap:
@@ -664,13 +645,17 @@ class YulePath:
     w: np.ndarray
 
 
-def _mark_probability(y: int, d: int, w: float, delta: float, variant: str) -> float:
+def _check_variant(variant: str) -> None:
+    if variant not in ("exact_chain", "simplified"):
+        raise ValueError("variant must be 'exact_chain' or 'simplified'")
+
+
+def _mark_probability(y: int, d, w, delta: float, variant: str):
+    """Mark probability of the next birth; `d` and `w` may be replica arrays."""
     gamma = 2.0 / (2.0 + delta)
     if variant == "exact_chain":
         return gamma * ((d + delta) / (y + 1.0) - w / (y * (y + 1.0)))
-    if variant == "simplified":
-        return gamma * ((d + delta) / y - w / (y * y))
-    raise ValueError("variant must be 'exact_chain' or 'simplified'")
+    return gamma * ((d + delta) / y - w / (y * y))
 
 
 def yule_marked_simulate(
@@ -690,6 +675,7 @@ def yule_marked_simulate(
     """
     if t_max <= 0:
         raise ValueError("t_max must be positive")
+    _check_variant(variant)
     t, y, d, w = 0.0, 2, 1, 2.0
     ts, ys, ds, ws = [t], [y], [d], [w]
     while True:
@@ -729,8 +715,8 @@ def yule_marked_ensemble(
     n_grid = len(grid)
     if grid.ndim != 1 or n_grid == 0 or np.any(np.diff(grid) <= 0):
         raise ValueError("t_grid must be a strictly increasing sequence")
+    _check_variant(variant)
     gen = rng.numpy_rng()
-    gamma = 2.0 / (2.0 + delta)
     out = np.empty((n_grid, reps))
     # compacted per-replica state; `idx` maps rows back to replica numbers
     idx = np.arange(reps)
@@ -769,11 +755,7 @@ def yule_marked_ensemble(
                     break
                 dt_block = dt_block[:, keep]
                 uni_block = uni_block[:, keep]
-        ya = float(y)
-        if variant == "exact_chain":
-            p = gamma * ((d + delta) / (ya + 1.0) - w / (ya * (ya + 1.0)))
-        else:
-            p = gamma * ((d + delta) / ya - w / (ya * ya))
+        p = _mark_probability(y, d, w, delta, variant)
         if np.any(p < -1e-12) or np.any(p > 1.0 + 1e-12):
             raise AssertionError("mark probability outside [0, 1]")
         marked = uni_block[j] < p

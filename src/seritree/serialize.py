@@ -112,13 +112,18 @@ def read_tree_binary(path: Union[str, Path], delta: float = 0.0) -> TreeRecord:
     (n,) = struct.unpack("<Q", raw[16:24])
     if len(raw) != 24 + 8 * n:
         raise ValueError("tree binary length does not match the vertex count")
+    if n < 1:
+        raise ValueError("tree binary holds no edges")
     parents = np.frombuffer(raw, dtype="<u8", offset=24)
     # compare as uint64, before a parent >= 2**63 could wrap to a negative int64
     bad = np.flatnonzero(parents >= np.arange(1, n + 1, dtype=np.uint64))
     if bad.size:
         m = int(bad[0]) + 1
         raise ValueError(f"tree binary: parent {int(parents[bad[0]])} of vertex {m} is not below {m}")
-    return TreeRecord.from_parents(parents.astype(np.int64), delta)
+    parent = np.empty(n + 1, dtype=np.int64)
+    parent[0] = -1
+    parent[1:] = parents
+    return TreeRecord(parent, delta)
 
 
 def write_pmf_csv(pmf: DegreePMF, path: Union[str, Path]) -> None:

@@ -21,7 +21,7 @@ from typing import Iterable, Optional, Sequence, Union
 import numpy as np
 
 from .growth import TreeRecord, value_counts
-from .limits import BranchingTree, sample_edge_bp, sample_memory_bp
+from .limits import BranchingTree, sample_memory_bp
 from .rng import CounterRng
 
 LEAF_KEY = "()"
@@ -263,27 +263,13 @@ def empirical_fringe_distribution(
     )
 
 
-def bp_fringe_sample(
-    delta: float,
-    rng: CounterRng,
-    method: str = "nested",
-    max_nodes: int = 10_000_000,
-) -> str:
+def bp_fringe_sample(delta: float, rng: CounterRng) -> str:
     """One sample from the limiting fringe law, as a canonical key.
 
     Runs the memory branching process up to an independent exp(1) horizon
-    and returns the canonical key of its genealogy.  ``method="edge"``
-    substitutes the edge branching process, which matches in population size
-    but not necessarily in genealogy; it is exposed for cross-validation of
-    size statistics only.
+    and returns the canonical key of its genealogy.
     """
-    if method == "nested":
-        bp = sample_memory_bp(delta, rng, exp1=True, max_nodes=max_nodes)
-    elif method == "edge":
-        bp = sample_edge_bp(delta, rng, exp1=True, max_nodes=max_nodes)
-    else:
-        raise ValueError("method must be 'nested' or 'edge'")
-    return fringe(bp, 0)
+    return fringe(sample_memory_bp(delta, rng, exp1=True), 0)
 
 
 def degree_counts(tree: TreeRecord) -> dict[int, int]:

@@ -69,6 +69,7 @@ def test_spectrum_report(tmp_path):
     assert abs(total) <= 1e-6
     report = json.loads((out / "report.json").read_text())
     assert report["pass"] is True
+    assert report["stderr"] is None
 
 
 def test_spectrum_size_cap(tmp_path):
@@ -86,6 +87,7 @@ def test_localcheck(tmp_path):
     assert report["pass"] is True
     assert report["max_form_gap"] <= 1e-10
     assert report["discrete_limit_rel_gap"] <= 0.05
+    assert report["stderr"] is None
 
 
 def test_tail_small_run(tmp_path):
@@ -118,6 +120,7 @@ def test_fringe_compare_small(tmp_path):
     assert code == 0
     report = json.loads((out / "report.json").read_text())
     assert report["tv_distance"] <= 0.05
+    assert report["stderr"] is None
     assert (out / "fringe_empirical.csv").exists()
     assert (out / "fringe_bp.csv").exists()
 

@@ -162,7 +162,7 @@ ARRIVAL_DIGESTS = {
 @pytest.mark.parametrize("delta,rule", sorted(ARRIVAL_DIGESTS))
 def test_sample_arrivals_digest(delta, rule):
     rng = CounterRng(SEED)
-    rows = [sample_arrivals(delta, rng, **STOP_RULES[rule]).sigmas for _ in range(100)]
+    rows = [sample_arrivals(delta, rng, **STOP_RULES[rule]) for _ in range(100)]
     assert (_hex_digest(rows), rng.counter) == ARRIVAL_DIGESTS[(delta, rule)]
 
 

@@ -90,7 +90,7 @@ def test_vertex_weight_errors():
     t = TreeRecord.from_parents([0], 0.0)
     with pytest.raises(IndexError):
         vertex_weight(t, 5)
-    bare = TreeRecord(parent=[-1], degree=[0], edge_time_sum=[0], delta=0.0)
+    bare = TreeRecord(parent=[-1], delta=0.0)
     with pytest.raises(ValueError):
         vertex_weight(bare, 0)
 

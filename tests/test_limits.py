@@ -8,7 +8,6 @@ from scipy import integrate, stats
 
 from seritree.growth import TreeRecord, enumerate_histories, history_probability
 from seritree.limits import (
-    ArrivalSequence,
     MarkedTree,
     NodeCapExceeded,
     exponents,
@@ -25,6 +24,7 @@ from seritree.limits import (
     sample_arrivals,
     sample_edge_bp,
     sample_memory_bp,
+    yule_marked_ensemble,
     yule_marked_simulate,
     zeta_hat_cumulant,
 )
@@ -72,14 +72,12 @@ def test_exponents_rejects_bad_delta():
 # --- hazards -----------------------------------------------------------------
 
 def test_hazard_examples():
-    assert hazard(1, [], 0.0, 0.0) == 0.0
-    assert abs(hazard(1, [], 40.0, 0.0) - 1.0) < 1e-12
+    assert hazard([], 0.0, 0.0) == 0.0
+    assert abs(hazard([], 40.0, 0.0) - 1.0) < 1e-12
     expected = (1 - math.exp(-2)) + (1 - math.exp(-1))
-    assert abs(hazard(2, [1.0], 1.0, 0.0) - expected) < 1e-12
+    assert abs(hazard([1.0], 1.0, 0.0) - expected) < 1e-12
     with pytest.raises(ValueError):
-        hazard(1, [], -0.1, 0.0)
-    with pytest.raises(ValueError):
-        hazard(3, [1.0], 0.5, 0.0)
+        hazard([], -0.1, 0.0)
 
 
 def test_hazard_superposition_identity():
@@ -94,26 +92,14 @@ def test_hazard_superposition_identity():
         direct = rate_root(s_prev + x, delta) + sum(
             rate_nonroot(s_prev - sj + x, delta) for sj in sigmas
         )
-        assert abs(hazard(k, sigmas, x, delta) - direct) <= 1e-14 * max(1.0, direct)
+        assert abs(hazard(sigmas, x, delta) - direct) <= 1e-14 * max(1.0, direct)
 
 
 def test_hazard_within_stated_bound():
     sigmas = [0.3, 0.9, 2.2]
     for x in (0.0, 0.5, 5.0, 50.0):
-        h = hazard(4, sigmas, x, 1.0)
+        h = hazard(sigmas, x, 1.0)
         assert 0.0 <= h < (4 + 1.0) / 1.5
-
-
-def test_arrival_sequence_validation():
-    with pytest.raises(ValueError):
-        ArrivalSequence(sigmas=[0.5, 0.4], delta=0.0)
-    with pytest.raises(ValueError):
-        ArrivalSequence(sigmas=[-0.1], delta=0.0)
-
-
-def test_hazard_accepts_arrival_sequence():
-    seq = ArrivalSequence(sigmas=[0.4, 1.1], delta=0.0)
-    assert hazard(3, seq, 0.7, 0.0) == hazard(3, [0.4, 1.1], 0.7, 0.0)
 
 
 def test_malthusian_identity_on_delta_grid():
@@ -180,6 +166,12 @@ def test_edge_bp_node_cap():
     rng = CounterRng(6)
     with pytest.raises(NodeCapExceeded):
         sample_edge_bp(0.0, rng, t_max=30.0, max_nodes=50)
+
+
+def test_memory_bp_node_cap():
+    # the cap that stops a runaway fringe sample; bp_fringe_sample keeps the default
+    with pytest.raises(NodeCapExceeded):
+        sample_memory_bp(0.0, CounterRng(6), t_max=30.0, max_nodes=50)
 
 
 def test_edge_bp_size_matches_arrivals_plus_one():
@@ -387,6 +379,23 @@ def test_yule_variants_and_errors():
         yule_marked_simulate(0.0, -1.0, rng)
     with pytest.raises(ValueError):
         yule_marked_simulate(0.0, 1.0, rng, variant="bogus")
+    with pytest.raises(ValueError):
+        yule_marked_ensemble(0.0, (1.0,), 10, rng, variant="bogus")
+
+
+@pytest.mark.parametrize("variant", ["exact_chain", "simplified"])
+def test_yule_ensemble_matches_simulate(variant):
+    # the per-path simulator is the ensemble's reference: D(3) agrees in law
+    n = 2000
+    rng = CounterRng(16)
+    paths = [yule_marked_simulate(0.5, 3.0, rng, variant=variant) for _ in range(n)]
+    a = np.array([p.d[-1] for p in paths])
+    b = yule_marked_ensemble(0.5, (3.0,), n, CounterRng(17), variant=variant)[0]
+    cap = np.quantile(np.concatenate([a, b]), 0.95)  # pool the sparse upper tail
+    support = np.unique(np.minimum(np.concatenate([a, b]), cap))
+    table = np.array([[np.count_nonzero(np.minimum(x, cap) == v) for v in support] for x in (a, b)])
+    _, p_value, _, _ = stats.chi2_contingency(table)
+    assert p_value > 0.01
 
 
 def test_yule_deterministic():

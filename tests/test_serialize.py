@@ -63,6 +63,9 @@ def test_tree_binary_rejects_garbage(tmp_path):
     path.write_bytes(b"SERI-TREE\x00\x07" + b"\x00" * 13)
     with pytest.raises(ValueError):
         read_tree_binary(path)
+    path.write_bytes(b"SERI-TREE\x00\x01" + b"\x00" * 13)  # n = 0: no edges
+    with pytest.raises(ValueError):
+        read_tree_binary(path)
 
 
 def test_tree_binary_rejects_bad_parents(tmp_path):

@@ -289,19 +289,6 @@ def test_bp_fringe_single_vertex_probability():
     assert abs(singles / n - target) <= 3 * math.sqrt(target * (1 - target) / n)
 
 
-def test_bp_fringe_edge_method_mean_size():
-    # edge-process size - 1 replicates the root offspring count (mean 1)
-    rng = CounterRng(25)
-    sizes = np.array([key_size(bp_fringe_sample(1.0, rng, method="edge")) for _ in range(20000)])
-    se = sizes.std(ddof=1) / math.sqrt(len(sizes))
-    assert abs((sizes - 1).mean() - 1.0) <= 3 * se
-
-
-def test_bp_fringe_bad_method():
-    with pytest.raises(ValueError):
-        bp_fringe_sample(0.0, CounterRng(1), method="bogus")
-
-
 # --- degree counts ------------------------------------------------------------------
 
 def test_degree_counts_examples():
