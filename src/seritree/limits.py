@@ -650,7 +650,9 @@ def _check_variant(variant: str) -> None:
         raise ValueError("variant must be 'exact_chain' or 'simplified'")
 
 
-def _mark_probability(y: int, d, w, delta: float, variant: str):
+def _mark_probability(
+    y: int, d: float | np.ndarray, w: float | np.ndarray, delta: float, variant: str
+) -> float | np.ndarray:
     """Mark probability of the next birth; `d` and `w` may be replica arrays."""
     gamma = 2.0 / (2.0 + delta)
     if variant == "exact_chain":
