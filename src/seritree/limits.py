@@ -34,6 +34,8 @@ from .growth import total_weight_closed
 from .rng import CounterRng
 
 NODE_CAP = 10_000_000
+_NEWTON_CHUNK = 1 << 14  # points per chunk of the zeta Newton sweep
+_YULE_BLOCK = 512  # births per block of the marked Yule ensemble
 
 
 class NodeCapExceeded(RuntimeError):
@@ -166,6 +168,8 @@ def sample_arrivals(
         raise ValueError("need a stop rule: t_max, max_arrivals, or exp1")
     if t_max is None:
         t_max = math.inf
+    elif math.isnan(t_max) or (t_max == math.inf and max_arrivals is None):
+        raise ValueError("t_max must not be NaN, and must be finite without max_arrivals")
     sigmas: list[float] = []
     while max_arrivals is None or len(sigmas) < max_arrivals:
         x = _next_arrival(sigmas, 0.0, t_max, delta, rng)
@@ -361,22 +365,74 @@ def mc_zeta_hat(delta: float, reps: int, rng: CounterRng) -> np.ndarray:
     gen = rng.numpy_rng()
     counts = gen.poisson(total_mass, size=reps)
     total = int(counts.sum())
-    u = gen.random(total) * total_mass
-    t = _inverse_cumulative_hazard_vec(c, u)
+    t = _inverse_cumulative_hazard_vec(c, gen.random(total) * total_mass)
+    np.exp(np.multiply(t, -lam, out=t), out=t)  # e^(-lam t), in place
     rep_idx = np.repeat(np.arange(reps), counts)
-    return np.bincount(rep_idx, weights=np.exp(-lam * t), minlength=reps)
+    return np.bincount(rep_idx, weights=t, minlength=reps)
 
 
 def _inverse_cumulative_hazard_vec(c: float, targets: np.ndarray) -> np.ndarray:
-    """Vectorized Newton for c*(t-1+e^-t) = target; init from above as in the scalar case."""
+    """Vectorized Newton for c*(t-1+e^-t) = target; init from above as in the scalar case.
+
+    Every iteration maps t to max(t - f/f', 0) with f = c*(t-1+e^-t) - target
+    and f' = c*(1-e^-t) (a step of 0 where f' is not positive), for at most
+    60 iterations, and stops after the first one whose max |f| over all
+    points is at most 1e-12 * max(1, max target).  A point whose update
+    returns its own t is at an exact fixed point: later iterations give it
+    the same t and the same |f|.  Such points retire from the sweep once
+    they are at least half of it, and their last |f| stays in the stop test,
+    so the result is that of iterating every point to the end.  The sweep
+    runs in chunks through scratch buffers, with one exp per point.
+    """
     t = targets / c + 1.0
+    if t.size == 0:
+        return t
+    tol = 1e-12 * max(1.0, float(np.max(targets)))
+    # the points still swept: their t, their targets and where they belong in
+    # t (None while that is all of t, in order)
+    ts, gs, pos = t, targets, None
+    retired_ok = True  # every retired point's |f| is within tol
+    e, f, q = (np.empty(_NEWTON_CHUNK) for _ in range(3))
+    ok, moved = np.empty(_NEWTON_CHUNK, dtype=bool), np.empty(t.size, dtype=bool)
     for _ in range(60):
-        f = c * (t - 1.0 + np.exp(-t)) - targets
-        fp = c * (1.0 - np.exp(-t))
-        step = np.where(fp > 0, f / np.maximum(fp, 1e-300), 0.0)
-        t = np.maximum(t - step, 0.0)
-        if np.max(np.abs(f)) <= 1e-12 * max(1.0, float(np.max(targets, initial=1.0))):
+        stop, fixed_ok = retired_ok, True
+        for lo in range(0, ts.size, _NEWTON_CHUNK):
+            tc, gc = ts[lo : lo + _NEWTON_CHUNK], gs[lo : lo + _NEWTON_CHUNK]
+            k = tc.size
+            ec, fc, qc, okc, mc = e[:k], f[:k], q[:k], ok[:k], moved[lo : lo + k]
+            np.exp(np.negative(tc, out=ec), out=ec)
+            np.subtract(tc, 1.0, out=fc)
+            fc += ec
+            fc *= c
+            fc -= gc  # f
+            np.subtract(1.0, ec, out=ec)
+            ec *= c  # f'
+            np.maximum(ec, 1e-300, out=qc)
+            np.divide(fc, qc, out=qc)
+            if not np.greater(ec, 0.0, out=okc).all():
+                qc[~okc] = 0.0
+            np.subtract(tc, qc, out=qc)
+            np.maximum(qc, 0.0, out=qc)  # the next t
+            np.not_equal(qc, tc, out=mc)
+            tc[...] = qc
+            np.less_equal(np.abs(fc, out=fc), tol, out=okc)
+            if not okc.all():
+                stop = False
+                fixed_ok = fixed_ok and bool((okc | mc).all())
+        if stop:
             break
+        n_moved = int(np.count_nonzero(moved[: ts.size]))
+        if 2 * n_moved <= ts.size:
+            retired_ok = retired_ok and fixed_ok
+            keep = moved[: ts.size]
+            if pos is None:
+                pos = np.flatnonzero(keep)
+                ts, gs = t[pos], targets[pos]
+            else:
+                t[pos] = ts
+                pos, ts, gs = pos[keep], ts[keep], gs[keep]
+    if pos is not None:
+        t[pos] = ts
     return t
 
 
@@ -675,8 +731,8 @@ def yule_marked_simulate(
     post-birth population.  The jump chain is exact in distribution
     (exponential holding times with mean 1/Y).
     """
-    if t_max <= 0:
-        raise ValueError("t_max must be positive")
+    if not 0.0 < t_max < math.inf:
+        raise ValueError("t_max must be positive and finite")
     _check_variant(variant)
     t, y, d, w = 0.0, 2, 1, 2.0
     ts, ys, ds, ws = [t], [y], [d], [w]
@@ -708,61 +764,69 @@ def yule_marked_ensemble(
 ) -> np.ndarray:
     """Marked-individual counts D(t) on a time grid for many replicas.
 
-    Replicas advance in lockstep over birth events, vectorized with numpy;
-    the population after k births is deterministic (k+2), so only the mark
-    state and clocks are per-replica.  Returns an array of shape
-    (len(t_grid), reps).
+    Replicas advance in lockstep over birth events, in blocks of
+    `_YULE_BLOCK` births; the population after k births is deterministic
+    (k+2), so only the mark state and clocks are per-replica.  Each block
+    draws the holding times and then the mark uniforms of the replicas still
+    running, sums their clocks with one cumsum and loops over births only to
+    update the marks.  D(t) is the count before the mark of the first birth
+    at or after t, and a replica stops at the birth that passes the last
+    grid time.  Returns an array of shape (len(t_grid), reps).
     """
     grid = np.asarray(t_grid, dtype=float)
     n_grid = len(grid)
     if grid.ndim != 1 or n_grid == 0 or np.any(np.diff(grid) <= 0):
         raise ValueError("t_grid must be a strictly increasing sequence")
+    if not np.isfinite(grid).all():
+        raise ValueError("t_grid must be finite")
+    if reps < 1:
+        raise ValueError("reps must be >= 1")
     _check_variant(variant)
     gen = rng.numpy_rng()
     out = np.empty((n_grid, reps))
-    # compacted per-replica state; `idx` maps rows back to replica numbers
+    # state of the replicas still running; `idx` maps columns back to replica numbers
     idx = np.arange(reps)
     t = np.zeros(reps)
     d = np.ones(reps)
     w = np.full(reps, 2.0)
-    gi = np.zeros(reps, dtype=np.int64)
-    next_time = np.full(reps, grid[0])
-    y = 2
-    block = 512
-    dt_block = uni_block = None
-    j = block  # force an initial draw
+    gi = np.zeros(reps, dtype=np.int64)  # grid times recorded
+    y = 2  # population before the block's first birth
     while idx.size:
-        if j >= block:
-            dt_block = gen.exponential(size=(block, idx.size))
-            uni_block = gen.random((block, idx.size))
-            j = 0
-        t += dt_block[j] * (1.0 / y)
-        crossed = t >= next_time
-        if crossed.any():
-            # record D at every grid time crossed by these holding intervals
-            while True:
-                rows = np.nonzero(crossed)[0]
-                out[gi[rows], idx[rows]] = d[rows]
-                gi[rows] += 1
-                done = gi == n_grid
-                next_time = np.where(done, np.inf, grid[np.minimum(gi, n_grid - 1)])
-                crossed = t >= next_time
-                if not crossed.any():
-                    break
-            if done.any():
-                keep = ~done
-                idx, t, d, w, gi, next_time = (
-                    idx[keep], t[keep], d[keep], w[keep], gi[keep], next_time[keep])
-                if idx.size == 0:
-                    break
-                dt_block = dt_block[:, keep]
-                uni_block = uni_block[:, keep]
-        p = _mark_probability(y, d, w, delta, variant)
-        if np.any(p < -1e-12) or np.any(p > 1.0 + 1e-12):
+        m = idx.size
+        clock = gen.exponential(size=(_YULE_BLOCK, m))
+        uni = gen.random((_YULE_BLOCK, m))
+        clock *= (1.0 / np.arange(y, y + _YULE_BLOCK))[:, None]
+        clock[0] += t
+        np.cumsum(clock, axis=0, out=clock)  # row after row, as births add them
+        # births before every replica has passed the last grid time
+        steps = int(np.searchsorted(clock.min(axis=1), grid[-1]))
+        # D after birth k's mark goes to uni[k], once the mark has read it
+        before, marked = d, np.empty(m, dtype=bool)
+        p = np.empty((steps, m))
+        for k in range(steps):
+            p_k = p[k] = _mark_probability(y + k, before, w, delta, variant)
+            row = uni[k]
+            np.less(row, p_k, out=marked)
+            before = np.add(before, marked, out=row)
+            np.add(w, y + k + 1.0, out=w, where=marked)
+        # p must lie in [0, 1] at every birth a replica takes, not at those after
+        outside = (p < -1e-12) | (p > 1.0 + 1e-12)
+        if (outside & (clock[:steps] < grid[-1])).any():
             raise AssertionError("mark probability outside [0, 1]")
-        marked = uni_block[j] < p
-        d += marked
-        w += marked * (y + 1.0)
-        y += 1
-        j += 1
+        # D at the grid times passed in this block, from the births that pass them
+        cols = np.flatnonzero(clock[-1] >= grid[gi])
+        if cols.size:
+            passed = np.searchsorted(grid, clock[:, cols], side="right")
+            prior = np.vstack([gi[cols], passed[:-1]])
+            ks, cs = np.nonzero(passed > prior)
+            count = passed[ks, cs] - prior[ks, cs]
+            # one holding interval may pass several grid times
+            first = np.repeat(prior[ks, cs] - np.cumsum(count) + count, count)
+            ks, cs = np.repeat(ks, count), cols[np.repeat(cs, count)]
+            d_before = np.where(ks > 0, uni[ks - 1, cs], d[cs])
+            out[first + np.arange(first.size), idx[cs]] = d_before
+            gi[cols] = passed[-1]
+        live = gi < n_grid
+        idx, t, d, w, gi = idx[live], clock[-1, live], uni[-1, live], w[live], gi[live]
+        y += _YULE_BLOCK
     return out

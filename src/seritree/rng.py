@@ -30,6 +30,9 @@ GOLDEN = 0x9E3779B97F4A7C15
 _M1 = 0xBF58476D1CE4E5B9
 _M2 = 0x94D049BB133111EB
 
+# a refill reads as many words as the stream has consumed, within these
+# bounds, so a stream that serves a few draws computes a few words
+_MIN_REFILL = 64
 _BUFFER_SIZE = 4096
 _MASK32 = np.uint64(0xFFFFFFFF)
 _U32 = np.uint64(32)
@@ -116,9 +119,10 @@ class CounterRng:
         return self._counter - (len(self._buf) - self._idx)
 
     def _refill(self) -> None:
-        self._buf = splitmix64(self.seed, self._counter, _BUFFER_SIZE).tolist()
+        size = min(_BUFFER_SIZE, max(_MIN_REFILL, self._counter))
+        self._buf = splitmix64(self.seed, self._counter, size).tolist()
         self._idx = 0
-        self._counter += _BUFFER_SIZE
+        self._counter += size
 
     def skip(self, count: int) -> None:
         """Consume `count` words unread."""

@@ -4,10 +4,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate, stats
 
+from seritree import limits
 from seritree.growth import TreeRecord, enumerate_histories, history_probability
 from seritree.limits import (
+    _inverse_cumulative_hazard_vec,
+    _mark_probability,
     MarkedTree,
     NodeCapExceeded,
     exponents,
@@ -123,6 +127,14 @@ def test_sample_arrivals_stop_rules():
     assert len(seq) == 4
     with pytest.raises(ValueError):
         sample_arrivals(0.0, rng)
+    assert len(sample_arrivals(0.0, rng, t_max=math.inf, max_arrivals=3)) == 3
+
+
+@pytest.mark.parametrize("kwargs", [{"t_max": math.nan}, {"t_max": math.inf}, {"t_max": math.nan, "max_arrivals": 3}])
+def test_sample_arrivals_refuses_endless_horizons(kwargs):
+    # each of these used to loop forever
+    with pytest.raises(ValueError):
+        sample_arrivals(0.0, CounterRng(1), **kwargs)
 
 
 def test_first_arrival_survival():
@@ -230,6 +242,64 @@ def test_mc_zeta_hat_mean():
     z = mc_zeta_hat(0.0, 30000, rng)
     se = z.std(ddof=1) / math.sqrt(len(z))
     assert abs(z.mean() - 1.0) <= 3 * se
+
+
+def _full_array_newton(c: float, targets: np.ndarray) -> np.ndarray:
+    """The Newton that iterated every point to the end, as a reference."""
+    t = targets / c + 1.0
+    for _ in range(60):
+        f = c * (t - 1.0 + np.exp(-t)) - targets
+        fp = c * (1.0 - np.exp(-t))
+        step = np.where(fp > 0, f / np.maximum(fp, 1e-300), 0.0)
+        t = np.maximum(t - step, 0.0)
+        if np.max(np.abs(f)) <= 1e-12 * max(1.0, float(np.max(targets, initial=1.0))):
+            break
+    return t
+
+
+def _assert_newtons_agree(c, targets):
+    with np.errstate(over="ignore"):  # e^-t of a large negative start overflows
+        assert np.array_equal(_inverse_cumulative_hazard_vec(c, targets), _full_array_newton(c, targets))
+
+
+_newton_targets = st.lists(
+    st.one_of(
+        st.sampled_from([0.0, 1e-300, 5e-324]),
+        st.floats(min_value=0.0, max_value=1e-8),
+        st.floats(min_value=0.0, max_value=60.0),
+        st.floats(min_value=1e6, max_value=1e12),
+        # no root: the point sticks at t = 0 with |f| above the stop
+        # tolerance, so all 60 iterations run
+        st.floats(min_value=-10.0, max_value=0.0),
+    ),
+    min_size=1,  # the reference fails on no targets
+    max_size=60,
+)
+_newton_rates = st.sampled_from([2.0 / (2.0 + d) for d in (-0.5, 0.0, 1.0, 2.5)] + [1e-3, 7.0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_newton_rates, _newton_targets)
+def test_newton_equals_full_array_newton(c, targets):
+    _assert_newtons_agree(c, np.array(targets, dtype=float))
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    _newton_rates,
+    st.integers(min_value=0, max_value=2**32),
+    st.integers(min_value=1, max_value=3 * limits._NEWTON_CHUNK + 7),
+)
+def test_newton_equals_full_array_newton_across_chunks(c, seed, size):
+    # mixed regimes, so points retire at different iterations and in every
+    # chunk; with a negative target all 60 iterations run
+    gen = np.random.default_rng(seed)
+    targets = np.exp(gen.uniform(-700.0, 30.0, size)) * gen.choice([-1.0, 0.0, 1.0, 1.0, 1.0], size)
+    _assert_newtons_agree(c, targets)
+
+
+def test_newton_of_no_targets_is_empty():
+    assert _inverse_cumulative_hazard_vec(0.5, np.empty(0)).shape == (0,)
 
 
 # --- limiting degree pmf ---------------------------------------------------------
@@ -396,6 +466,150 @@ def test_yule_ensemble_matches_simulate(variant):
     table = np.array([[np.count_nonzero(np.minimum(x, cap) == v) for v in support] for x in (a, b)])
     _, p_value, _, _ = stats.chi2_contingency(table)
     assert p_value > 0.01
+
+
+def _lockstep_ensemble(delta, t_grid, reps, rng, variant="exact_chain"):
+    """The per-birth ensemble loop that the block version replaced, as a reference."""
+    grid = np.asarray(t_grid, dtype=float)
+    n_grid = len(grid)
+    gen = rng.numpy_rng()
+    out = np.empty((n_grid, reps))
+    idx = np.arange(reps)
+    t = np.zeros(reps)
+    d = np.ones(reps)
+    w = np.full(reps, 2.0)
+    gi = np.zeros(reps, dtype=np.int64)
+    next_time = np.full(reps, grid[0])
+    y = 2
+    block = 512
+    dt_block = uni_block = None
+    j = block  # force an initial draw
+    while idx.size:
+        if j >= block:
+            dt_block = gen.exponential(size=(block, idx.size))
+            uni_block = gen.random((block, idx.size))
+            j = 0
+        t += dt_block[j] * (1.0 / y)
+        crossed = t >= next_time
+        if crossed.any():
+            while True:
+                rows = np.nonzero(crossed)[0]
+                out[gi[rows], idx[rows]] = d[rows]
+                gi[rows] += 1
+                done = gi == n_grid
+                next_time = np.where(done, np.inf, grid[np.minimum(gi, n_grid - 1)])
+                crossed = t >= next_time
+                if not crossed.any():
+                    break
+            if done.any():
+                keep = ~done
+                idx, t, d, w, gi, next_time = (
+                    idx[keep], t[keep], d[keep], w[keep], gi[keep], next_time[keep])
+                if idx.size == 0:
+                    break
+                dt_block = dt_block[:, keep]
+                uni_block = uni_block[:, keep]
+        p = _mark_probability(y, d, w, delta, variant)
+        if np.any(p < -1e-12) or np.any(p > 1.0 + 1e-12):
+            raise AssertionError("mark probability outside [0, 1]")
+        marked = uni_block[j] < p
+        d += marked
+        w += marked * (y + 1.0)
+        y += 1
+        j += 1
+    return out
+
+
+def _counts_or_error(ensemble, *args, **kwargs):
+    try:
+        return ensemble(*args, **kwargs)
+    except AssertionError:
+        return "p outside [0, 1]"
+
+
+_yule_grids = st.one_of(
+    # a dense run: one holding interval passes several grid times
+    st.builds(
+        lambda start, step, n: tuple(start + step * i for i in range(n)),
+        st.floats(min_value=0.2, max_value=3.0),
+        st.floats(min_value=1e-4, max_value=1e-2),
+        st.integers(min_value=2, max_value=40),
+    ),
+    # grid times at or before the first birth, and spread out ones
+    st.lists(st.floats(min_value=-1.0, max_value=3.5), min_size=1, max_size=10, unique=True).map(sorted),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**32),
+    st.sampled_from([-0.5, 0.0, 0.5, 2.5]),
+    st.sampled_from(["exact_chain", "simplified"]),
+    _yule_grids,
+    st.one_of(st.just(1), st.integers(min_value=513, max_value=700)),
+)
+def test_yule_ensemble_equals_lockstep_loop(seed, delta, variant, grid, reps):
+    got = _counts_or_error(yule_marked_ensemble, delta, grid, reps, CounterRng(seed), variant=variant)
+    expected = _counts_or_error(_lockstep_ensemble, delta, grid, reps, CounterRng(seed), variant=variant)
+    if isinstance(expected, str):
+        assert got == expected
+    else:
+        assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("variant", ["exact_chain", "simplified"])
+def test_yule_ensemble_equals_lockstep_loop_over_many_blocks(variant):
+    # to t = 6.5 a replica takes about 1300 births, so blocks and compaction repeat
+    grid = (0.5, 4.0, 4.0001, 6.0, 6.5)
+    got = yule_marked_ensemble(1.0, grid, 300, CounterRng(8), variant=variant)
+    assert np.array_equal(got, _lockstep_ensemble(1.0, grid, 300, CounterRng(8), variant=variant))
+
+
+def test_yule_refuses_endless_or_empty_runs():
+    for grid in [(1.0, math.nan), (1.0, math.inf), (math.nan,)]:
+        with pytest.raises(ValueError):  # a non-finite grid time used to loop forever
+            yule_marked_ensemble(0.0, grid, 5, CounterRng(1))
+    for reps in (0, -1):
+        with pytest.raises(ValueError):
+            yule_marked_ensemble(0.0, (1.0,), reps, CounterRng(1))
+    for t_max in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            yule_marked_simulate(0.0, t_max, CounterRng(1))
+
+
+def _births_taken(seed, reps, t_last):
+    """Births each replica takes before its clock passes t_last, if all fit in one block.
+
+    The ensemble's first draw is the (512, reps) block of unit exponential
+    holding times; birth k comes at rate k + 2.
+    """
+    dt = CounterRng(seed).numpy_rng().exponential(size=(512, reps))
+    clock = np.cumsum(dt * (1.0 / np.arange(2, 514))[:, None], axis=0)
+    assert clock[-1].min() >= t_last
+    return np.count_nonzero(clock < t_last, axis=0)
+
+
+def test_yule_ensemble_checks_p_on_exactly_the_births_taken(monkeypatch):
+    # replica 0 stops first; replica 1 keeps its block going past that birth
+    seed = next(s for s in range(100) if np.diff(_births_taken(s, 2, 3.0))[0] > 1)
+    taken = int(_births_taken(seed, 2, 3.0)[0])
+    clean = yule_marked_ensemble(0.0, (1.0, 3.0), 2, CounterRng(seed))
+
+    def patched(first_bad_y):
+        def mark_probability(y, d, w, delta, variant):
+            p = _mark_probability(y, d, w, delta, variant)
+            if y >= first_bad_y:
+                p = p.copy()
+                p[0] = 1.5  # replica 0's column, as long as both replicas run
+            return p
+        return mark_probability
+
+    # the population before replica 0's last birth is taken + 1
+    monkeypatch.setattr(limits, "_mark_probability", patched(taken + 1))
+    with pytest.raises(AssertionError):
+        yule_marked_ensemble(0.0, (1.0, 3.0), 2, CounterRng(seed))
+    monkeypatch.setattr(limits, "_mark_probability", patched(taken + 2))
+    assert np.array_equal(yule_marked_ensemble(0.0, (1.0, 3.0), 2, CounterRng(seed)), clean)
 
 
 def test_yule_deterministic():

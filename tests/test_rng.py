@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from seritree import rng as rng_module
 from seritree.rng import GOLDEN, MASK64, CounterRng, drive_blocks, lemire, mix64, splitmix64, stream_seed
 
 
@@ -33,6 +34,22 @@ def test_counter_tracks_consumption():
     for _ in range(5000):  # crosses a buffer refill
         rng.u64()
     assert rng.counter == 5001
+
+
+def test_refills_grow_with_consumption(monkeypatch):
+    # a fresh stream computes 64 words, not 4096, to serve its first draw
+    sizes = []
+
+    def counting(seed, start, count):
+        sizes.append(count)
+        return splitmix64(seed, start, count)
+
+    monkeypatch.setattr(rng_module, "splitmix64", counting)
+    rng = CounterRng(5)
+    words = [rng.u64() for _ in range(10000)]
+    assert sizes == [64, 64, 128, 256, 512, 1024, 2048, 4096, 4096]
+    assert words == splitmix64(5, 0, 10000).tolist()
+    assert rng.counter == 10000
 
 
 def test_mix64_is_bijective_on_samples():
