@@ -30,7 +30,6 @@ from .growth import (
     enumerate_histories,
     grow,
     history_probability,
-    sample_target_fast,
     sample_target_naive,
     token_probability_vector,
     total_weight,

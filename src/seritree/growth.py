@@ -9,9 +9,10 @@ the integrated weight
 i.e. the cumulative sum over all past times of the vertex's affine degree.
 The weight admits an exact event decomposition: every edge born at time t
 contributes (n+1-t) to each endpoint, and the delta term of vertex i is an
-arithmetic function of its birth time.  That decomposition is what makes an
-O(1)-per-step sampler possible (`sample_target_fast`, the one `grow` uses);
-the O(n) reference sampler (`sample_target_naive`) is kept as an oracle.
+arithmetic function of its birth time.  That decomposition is what makes the
+O(1)-per-step token sampler that `grow` uses possible (`_fast_target_int`,
+`_fast_target_float`); the O(n) reference sampler (`sample_target_naive`) is
+kept as an oracle.
 
 Two normalization conventions are supported:
 
@@ -417,18 +418,6 @@ def _fast_target_float(parent, n, delta, convention, rng: CounterRng, deg0, tsum
             q0 -= delta
         if rng.random() * q0 < q0 + delta * (n + 1):
             return 0
-
-
-def sample_target_fast(tree: TreeRecord, rng: CounterRng, convention: str = "exact") -> int:
-    """O(1)-per-call sampler, identical in distribution to the naive one."""
-    n = tree.n
-    if n < 1:
-        raise ValueError("sampling requires n >= 1")
-    delta = tree.delta
-    deg0, tsum0 = int(tree.degree[0]), int(tree.edge_time_sum[0])
-    if _is_half_integer(delta):
-        return int(_fast_target_int(tree.parent, n, int(2 * delta), convention, rng, deg0, tsum0))
-    return int(_fast_target_float(tree.parent, n, float(delta), convention, rng, deg0, tsum0))
 
 
 def token_probability_vector(tree: TreeRecord, convention: str = "exact") -> list:

@@ -35,7 +35,6 @@ from .rng import CounterRng
 
 NODE_CAP = 10_000_000
 _NEWTON_CHUNK = 1 << 14  # points per chunk of the zeta Newton sweep
-_YULE_BLOCK = 512  # births per block of the marked Yule ensemble
 
 
 class NodeCapExceeded(RuntimeError):
@@ -96,11 +95,6 @@ def exponents(delta: float) -> ExponentPack:
 
 # ---------------------------------------------------------------------------
 # the offspring point process with memory
-
-def rate_root(t: float, delta: float) -> float:
-    """Reproduction rate of the edge-process root at absolute time t."""
-    return (1.0 + delta) / (1.0 + 0.5 * delta) * (1.0 - math.exp(-t))
-
 
 def rate_nonroot(age: float, delta: float) -> float:
     """Reproduction rate of a non-root edge-process individual at given age."""
@@ -194,9 +188,6 @@ class BranchingTree:
     def size(self) -> int:
         return len(self.parents)
 
-    def size_at(self, t: float) -> int:
-        return sum(1 for b in self.birth_times if b <= t)
-
     def check_invariants(self) -> None:
         if self.parents[0] is not None or self.birth_times[0] != 0.0:
             raise AssertionError("root must be unparented and born at 0")
@@ -255,6 +246,8 @@ def sample_edge_bp(
         t_max = rng.exponential()
     if t_max is None:
         raise ValueError("need a stop rule: t_max or exp1")
+    if not math.isfinite(t_max):
+        raise ValueError("t_max must be finite")
     c_root = (1.0 + delta) / (1.0 + 0.5 * delta)
     c_other = 1.0 / (1.0 + 0.5 * delta)
     parents: list[Optional[int]] = [None]
@@ -305,6 +298,8 @@ def sample_memory_bp(
         t_max = rng.exponential()
     if t_max is None:
         raise ValueError("need a stop rule: t_max or exp1")
+    if not math.isfinite(t_max):
+        raise ValueError("t_max must be finite")
     parents: list[Optional[int]] = [None]
     births: list[float] = [0.0]
     arrival_ages: list[list[float]] = [[]]
@@ -707,13 +702,19 @@ def _check_variant(variant: str) -> None:
 
 
 def _mark_probability(
-    y: int, d: float | np.ndarray, w: float | np.ndarray, delta: float, variant: str
+    y: float | np.ndarray, d: float | np.ndarray, w: float | np.ndarray, delta: float, variant: str
 ) -> float | np.ndarray:
-    """Mark probability of the next birth; `d` and `w` may be replica arrays."""
+    """Mark probability of the birth at pre-birth population y; all may be replica arrays."""
     gamma = 2.0 / (2.0 + delta)
     if variant == "exact_chain":
         return gamma * ((d + delta) / (y + 1.0) - w / (y * (y + 1.0)))
     return gamma * ((d + delta) / y - w / (y * y))
+
+
+def _check_mark_probability(p: np.ndarray, q: np.ndarray) -> None:
+    """Refuse a mark probability outside [0, q], q <= 1 being its bound."""
+    if ((p < -1e-12) | (p > q + 1e-12)).any():
+        raise AssertionError("mark probability outside [0, 1]")
 
 
 def yule_marked_simulate(
@@ -764,14 +765,19 @@ def yule_marked_ensemble(
 ) -> np.ndarray:
     """Marked-individual counts D(t) on a time grid for many replicas.
 
-    Replicas advance in lockstep over birth events, in blocks of
-    `_YULE_BLOCK` births; the population after k births is deterministic
-    (k+2), so only the mark state and clocks are per-replica.  Each block
-    draws the holding times and then the mark uniforms of the replicas still
-    running, sums their clocks with one cumsum and loops over births only to
-    update the marks.  D(t) is the count before the mark of the first birth
-    at or after t, and a replica stops at the birth that passes the last
-    grid time.  Returns an array of shape (len(t_grid), reps).
+    Exact skip-ahead, equal in law to `yule_marked_simulate`.  Y is a pure
+    Yule process, so Y at the grid times comes first: Y(t') - Y(t) given
+    Y(t) = y is NegBin(y, e^-(t'-t)) (Kendall 1948).  The births taken by
+    t_g are those whose pre-birth population is below Y(t_g).  Between marks
+    D and W are fixed, and the mark probability p is at most
+    q = min(1, gamma*(D+delta)/(y+1)) (y for the simplified variant), which
+    does not increase in y.  So the next candidate birth is a geometric(q)
+    skip, accepted with probability p/q (discrete thinning; Lewis & Shedler
+    1979), and q is recomputed after every candidate.  A replica stops at
+    the first candidate past its last grid time.  p must lie in [0, 1] at
+    every birth taken: it is checked against [0, q] at each candidate and at
+    the first birth after each mark, which suffices because (D+delta)y - W
+    increases in y.  Returns an array of shape (len(t_grid), reps).
     """
     grid = np.asarray(t_grid, dtype=float)
     n_grid = len(grid)
@@ -783,50 +789,40 @@ def yule_marked_ensemble(
         raise ValueError("reps must be >= 1")
     _check_variant(variant)
     gen = rng.numpy_rng()
+    # Y at each grid time (2 up to time 0), then a population no birth reaches
+    pop = np.full((n_grid + 1, reps), np.iinfo(np.int64).max)
+    y_t, t = np.full(reps, 2), 0.0
+    for g, t_g in enumerate(grid):
+        if t_g > t:
+            y_t = y_t + gen.negative_binomial(y_t, math.exp(t - t_g))
+            t = t_g
+        pop[g] = y_t
+    gamma, shift = 2.0 / (2.0 + delta), 1.0 if variant == "exact_chain" else 0.0
     out = np.empty((n_grid, reps))
-    # state of the replicas still running; `idx` maps columns back to replica numbers
-    idx = np.arange(reps)
-    t = np.zeros(reps)
-    d = np.ones(reps)
-    w = np.full(reps, 2.0)
-    gi = np.zeros(reps, dtype=np.int64)  # grid times recorded
-    y = 2  # population before the block's first birth
+    # the running replicas: replica number, pre-birth population of the next
+    # birth, D, W, grid times recorded, Y at the next and at the last of them
+    idx, y, d, w = np.arange(reps), np.full(reps, 2.0), np.ones(reps), np.full(reps, 2.0)
+    gi, nxt, last = np.zeros(reps, dtype=np.int64), pop[0], pop[n_grid - 1]
+    opens = last > 2  # the next birth is taken and opens a gap between marks
     while idx.size:
-        m = idx.size
-        clock = gen.exponential(size=(_YULE_BLOCK, m))
-        uni = gen.random((_YULE_BLOCK, m))
-        clock *= (1.0 / np.arange(y, y + _YULE_BLOCK))[:, None]
-        clock[0] += t
-        np.cumsum(clock, axis=0, out=clock)  # row after row, as births add them
-        # births before every replica has passed the last grid time
-        steps = int(np.searchsorted(clock.min(axis=1), grid[-1]))
-        # D after birth k's mark goes to uni[k], once the mark has read it
-        before, marked = d, np.empty(m, dtype=bool)
-        p = np.empty((steps, m))
-        for k in range(steps):
-            p_k = p[k] = _mark_probability(y + k, before, w, delta, variant)
-            row = uni[k]
-            np.less(row, p_k, out=marked)
-            before = np.add(before, marked, out=row)
-            np.add(w, y + k + 1.0, out=w, where=marked)
-        # p must lie in [0, 1] at every birth a replica takes, not at those after
-        outside = (p < -1e-12) | (p > 1.0 + 1e-12)
-        if (outside & (clock[:steps] < grid[-1])).any():
-            raise AssertionError("mark probability outside [0, 1]")
-        # D at the grid times passed in this block, from the births that pass them
-        cols = np.flatnonzero(clock[-1] >= grid[gi])
-        if cols.size:
-            passed = np.searchsorted(grid, clock[:, cols], side="right")
-            prior = np.vstack([gi[cols], passed[:-1]])
-            ks, cs = np.nonzero(passed > prior)
-            count = passed[ks, cs] - prior[ks, cs]
-            # one holding interval may pass several grid times
-            first = np.repeat(prior[ks, cs] - np.cumsum(count) + count, count)
-            ks, cs = np.repeat(ks, count), cols[np.repeat(cs, count)]
-            d_before = np.where(ks > 0, uni[ks - 1, cs], d[cs])
-            out[first + np.arange(first.size), idx[cs]] = d_before
-            gi[cols] = passed[-1]
-        live = gi < n_grid
-        idx, t, d, w, gi = idx[live], clock[-1, live], uni[-1, live], w[live], gi[live]
-        y += _YULE_BLOCK
+        q = np.minimum(gamma * (d + delta) / (y + shift), 1.0)
+        if opens.any():
+            p = _mark_probability(y[opens], d[opens], w[opens], delta, variant)
+            _check_mark_probability(p, q[opens])
+        y += gen.geometric(q) - 1  # the next candidate
+        while (hit := y >= nxt).any():  # grid times before the candidate
+            out[gi[hit], idx[hit]] = d[hit]
+            gi += hit
+            nxt = pop[gi, idx]
+            if (gi[hit] == n_grid).any():
+                live = gi < n_grid
+                idx, y, d, w, gi, nxt, last, q = (
+                    a[live] for a in (idx, y, d, w, gi, nxt, last, q))
+        p = _mark_probability(y, d, w, delta, variant)
+        _check_mark_probability(p, q)
+        marked = gen.random(idx.size) * q < p
+        d += marked
+        w += marked * (y + 1.0)
+        y += 1.0
+        opens = marked & (y < last)
     return out

@@ -45,7 +45,6 @@ class RunManifest:
     format_version: str = FORMAT_VERSION
     n: Optional[int] = None
     reps: Optional[int] = None
-    sampler: Optional[str] = None
     timestamp: str = ""
     tool_version: str = ""
 
@@ -62,7 +61,9 @@ class RunManifest:
 
     @classmethod
     def from_json(cls, text: str) -> "RunManifest":
-        return cls(**json.loads(text))
+        fields = json.loads(text)
+        fields.pop("sampler", None)  # always null, in manifests from before it went
+        return cls(**fields)
 
     def write(self, path: Union[str, Path]) -> None:
         Path(path).write_text(self.to_json())

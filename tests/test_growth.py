@@ -14,7 +14,6 @@ from seritree.growth import (
     enumerate_histories,
     grow,
     history_probability,
-    sample_target_fast,
     sample_target_naive,
     token_probability_vector,
     total_weight,
@@ -151,6 +150,14 @@ def test_attach_probabilities_float_sum():
 
 # --- samplers ---------------------------------------------------------------
 
+def _sample_target_fast(tree, rng, convention="exact"):
+    """One token-sampler draw on a finished tree, as `grow` draws each step."""
+    deg0, tsum0 = int(tree.degree[0]), int(tree.edge_time_sum[0])
+    if _is_half_integer(tree.delta):
+        return int(_fast_target_int(tree.parent, tree.n, int(2 * tree.delta), convention, rng, deg0, tsum0))
+    return int(_fast_target_float(tree.parent, tree.n, float(tree.delta), convention, rng, deg0, tsum0))
+
+
 def test_triangular_index_inverts_integer_cdf():
     for n in (1, 2, 3, 10, 1000):
         t = n * (n + 1) // 2
@@ -227,7 +234,7 @@ def test_fast_sampler_matches_probabilities(delta, conv):
     probs = [float(p) for p in attach_probabilities(tree, conv)]
     rng = CounterRng(123)
     n = 120000
-    counts = Counter(sample_target_fast(tree, rng, conv) for _ in range(n))
+    counts = Counter(_sample_target_fast(tree, rng, conv) for _ in range(n))
     for i, p in enumerate(probs):
         sigma = math.sqrt(max(p * (1 - p), 1e-12) / n)
         assert abs(counts[i] / n - p) <= 4 * sigma + 1e-3
@@ -237,7 +244,7 @@ def test_fast_equals_naive_in_distribution():
     tree = TreeRecord.from_parents([0, 1, 1, 0, 2], 1.0)
     n = 60000
     rng_fast, rng_naive = CounterRng(5), CounterRng(6)
-    fast = Counter(sample_target_fast(tree, rng_fast) for _ in range(n))
+    fast = Counter(_sample_target_fast(tree, rng_fast) for _ in range(n))
     naive = Counter(sample_target_naive(tree, rng_naive) for _ in range(n))
     support = sorted(set(fast) | set(naive))
     table = np.array([[fast[i] for i in support], [naive[i] for i in support]])

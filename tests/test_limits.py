@@ -24,7 +24,6 @@ from seritree.limits import (
     p1_quadrature,
     random_marked_tree,
     rate_nonroot,
-    rate_root,
     sample_arrivals,
     sample_edge_bp,
     sample_memory_bp,
@@ -84,6 +83,11 @@ def test_hazard_examples():
         hazard([], -0.1, 0.0)
 
 
+def _rate_root(t, delta):
+    """Reproduction rate of the edge-process root at absolute time t."""
+    return (1.0 + delta) / (1.0 + 0.5 * delta) * (1.0 - math.exp(-t))
+
+
 def test_hazard_superposition_identity():
     # the inter-arrival hazard is the summed rate of root + previous arrivals
     rng = CounterRng(91)
@@ -93,7 +97,7 @@ def test_hazard_superposition_identity():
         sigmas = sorted(rng.random() * 3 + 0.01 for _ in range(k - 1))
         x = rng.random() * 2
         s_prev = sigmas[-1]
-        direct = rate_root(s_prev + x, delta) + sum(
+        direct = _rate_root(s_prev + x, delta) + sum(
             rate_nonroot(s_prev - sj + x, delta) for sj in sigmas
         )
         assert abs(hazard(sigmas, x, delta) - direct) <= 1e-14 * max(1.0, direct)
@@ -137,6 +141,14 @@ def test_sample_arrivals_refuses_endless_horizons(kwargs):
         sample_arrivals(0.0, CounterRng(1), **kwargs)
 
 
+@pytest.mark.parametrize("sampler", [sample_edge_bp, sample_memory_bp])
+@pytest.mark.parametrize("t_max", [math.nan, math.inf])
+def test_branching_samplers_refuse_endless_horizons(sampler, t_max):
+    # without the check, NaN never stops or yields a one-node tree, and inf runs to the node cap
+    with pytest.raises(ValueError):
+        sampler(0.0, CounterRng(1), t_max=t_max)
+
+
 def test_first_arrival_survival():
     # P(first arrival > 1) = exp(-(1 - 1 + e^-1)) = e^(-1/e) at delta = 0
     rng = CounterRng(2)
@@ -164,7 +176,7 @@ def test_edge_bp_starts_with_one():
     assert bp.size == 1
     bp2 = sample_edge_bp(1.0, rng, t_max=2.0)
     bp2.check_invariants()
-    assert bp2.size_at(0.0) == 1
+    assert sum(1 for b in bp2.birth_times if b <= 0.0) == 1
 
 
 def test_edge_bp_mean_size_at_exp1():
@@ -453,116 +465,34 @@ def test_yule_variants_and_errors():
         yule_marked_ensemble(0.0, (1.0,), 10, rng, variant="bogus")
 
 
-@pytest.mark.parametrize("variant", ["exact_chain", "simplified"])
-def test_yule_ensemble_matches_simulate(variant):
-    # the per-path simulator is the ensemble's reference: D(3) agrees in law
-    n = 2000
-    rng = CounterRng(16)
-    paths = [yule_marked_simulate(0.5, 3.0, rng, variant=variant) for _ in range(n)]
-    a = np.array([p.d[-1] for p in paths])
-    b = yule_marked_ensemble(0.5, (3.0,), n, CounterRng(17), variant=variant)[0]
-    cap = np.quantile(np.concatenate([a, b]), 0.95)  # pool the sparse upper tail
+def _same_law_p(a, b):
+    """Chi-square p-value for two samples of counts, the sparse upper tail pooled."""
+    cap = np.quantile(np.concatenate([a, b]), 0.95)
     support = np.unique(np.minimum(np.concatenate([a, b]), cap))
     table = np.array([[np.count_nonzero(np.minimum(x, cap) == v) for v in support] for x in (a, b)])
     _, p_value, _, _ = stats.chi2_contingency(table)
-    assert p_value > 0.01
-
-
-def _lockstep_ensemble(delta, t_grid, reps, rng, variant="exact_chain"):
-    """The per-birth ensemble loop that the block version replaced, as a reference."""
-    grid = np.asarray(t_grid, dtype=float)
-    n_grid = len(grid)
-    gen = rng.numpy_rng()
-    out = np.empty((n_grid, reps))
-    idx = np.arange(reps)
-    t = np.zeros(reps)
-    d = np.ones(reps)
-    w = np.full(reps, 2.0)
-    gi = np.zeros(reps, dtype=np.int64)
-    next_time = np.full(reps, grid[0])
-    y = 2
-    block = 512
-    dt_block = uni_block = None
-    j = block  # force an initial draw
-    while idx.size:
-        if j >= block:
-            dt_block = gen.exponential(size=(block, idx.size))
-            uni_block = gen.random((block, idx.size))
-            j = 0
-        t += dt_block[j] * (1.0 / y)
-        crossed = t >= next_time
-        if crossed.any():
-            while True:
-                rows = np.nonzero(crossed)[0]
-                out[gi[rows], idx[rows]] = d[rows]
-                gi[rows] += 1
-                done = gi == n_grid
-                next_time = np.where(done, np.inf, grid[np.minimum(gi, n_grid - 1)])
-                crossed = t >= next_time
-                if not crossed.any():
-                    break
-            if done.any():
-                keep = ~done
-                idx, t, d, w, gi, next_time = (
-                    idx[keep], t[keep], d[keep], w[keep], gi[keep], next_time[keep])
-                if idx.size == 0:
-                    break
-                dt_block = dt_block[:, keep]
-                uni_block = uni_block[:, keep]
-        p = _mark_probability(y, d, w, delta, variant)
-        if np.any(p < -1e-12) or np.any(p > 1.0 + 1e-12):
-            raise AssertionError("mark probability outside [0, 1]")
-        marked = uni_block[j] < p
-        d += marked
-        w += marked * (y + 1.0)
-        y += 1
-        j += 1
-    return out
-
-
-def _counts_or_error(ensemble, *args, **kwargs):
-    try:
-        return ensemble(*args, **kwargs)
-    except AssertionError:
-        return "p outside [0, 1]"
-
-
-_yule_grids = st.one_of(
-    # a dense run: one holding interval passes several grid times
-    st.builds(
-        lambda start, step, n: tuple(start + step * i for i in range(n)),
-        st.floats(min_value=0.2, max_value=3.0),
-        st.floats(min_value=1e-4, max_value=1e-2),
-        st.integers(min_value=2, max_value=40),
-    ),
-    # grid times at or before the first birth, and spread out ones
-    st.lists(st.floats(min_value=-1.0, max_value=3.5), min_size=1, max_size=10, unique=True).map(sorted),
-)
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    st.integers(min_value=0, max_value=2**32),
-    st.sampled_from([-0.5, 0.0, 0.5, 2.5]),
-    st.sampled_from(["exact_chain", "simplified"]),
-    _yule_grids,
-    st.one_of(st.just(1), st.integers(min_value=513, max_value=700)),
-)
-def test_yule_ensemble_equals_lockstep_loop(seed, delta, variant, grid, reps):
-    got = _counts_or_error(yule_marked_ensemble, delta, grid, reps, CounterRng(seed), variant=variant)
-    expected = _counts_or_error(_lockstep_ensemble, delta, grid, reps, CounterRng(seed), variant=variant)
-    if isinstance(expected, str):
-        assert got == expected
-    else:
-        assert np.array_equal(got, expected)
+    return p_value
 
 
 @pytest.mark.parametrize("variant", ["exact_chain", "simplified"])
-def test_yule_ensemble_equals_lockstep_loop_over_many_blocks(variant):
-    # to t = 6.5 a replica takes about 1300 births, so blocks and compaction repeat
-    grid = (0.5, 4.0, 4.0001, 6.0, 6.5)
-    got = yule_marked_ensemble(1.0, grid, 300, CounterRng(8), variant=variant)
-    assert np.array_equal(got, _lockstep_ensemble(1.0, grid, 300, CounterRng(8), variant=variant))
+def test_yule_ensemble_matches_simulate(variant):
+    # the per-path simulator is the ensemble's reference: D agrees in law at
+    # every grid time, past the first few mark gaps, through a dense run of
+    # grid times that one gap spans, and for one replica at a time; no birth
+    # comes at or before time 0
+    grid = (-0.5, 0.0, 1.0, 3.0, 3.0005, 3.001, 5.0)
+    n = 2000
+    rng = CounterRng(16)
+    paths = [yule_marked_simulate(0.5, grid[-1], rng, variant=variant) for _ in range(n)]
+    a = np.array([p.d[np.searchsorted(p.t, grid[2:], side="right") - 1] for p in paths]).T
+    b = yule_marked_ensemble(0.5, grid, n, CounterRng(17), variant=variant)
+    assert np.all(b[:2] == 1)
+    for a_t, b_t in zip(a, b[2:]):
+        assert _same_law_p(a_t, b_t) > 0.01
+    ones = [yule_marked_ensemble(0.5, grid[:4], 1, CounterRng(17).spawn(k), variant=variant) for k in range(n)]
+    ones = np.concatenate(ones, axis=1)
+    assert np.all(ones[:2] == 1)
+    assert _same_law_p(a[1], ones[3]) > 0.01
 
 
 def test_yule_refuses_endless_or_empty_runs():
@@ -577,39 +507,36 @@ def test_yule_refuses_endless_or_empty_runs():
             yule_marked_simulate(0.0, t_max, CounterRng(1))
 
 
-def _births_taken(seed, reps, t_last):
-    """Births each replica takes before its clock passes t_last, if all fit in one block.
-
-    The ensemble's first draw is the (512, reps) block of unit exponential
-    holding times; birth k comes at rate k + 2.
-    """
-    dt = CounterRng(seed).numpy_rng().exponential(size=(512, reps))
-    clock = np.cumsum(dt * (1.0 / np.arange(2, 514))[:, None], axis=0)
-    assert clock[-1].min() >= t_last
-    return np.count_nonzero(clock < t_last, axis=0)
-
-
 def test_yule_ensemble_checks_p_on_exactly_the_births_taken(monkeypatch):
-    # replica 0 stops first; replica 1 keeps its block going past that birth
-    seed = next(s for s in range(100) if np.diff(_births_taken(s, 2, 3.0))[0] > 1)
-    taken = int(_births_taken(seed, 2, 3.0)[0])
-    clean = yule_marked_ensemble(0.0, (1.0, 3.0), 2, CounterRng(seed))
+    # the replica takes the births whose pre-birth population is below Y(3);
+    # the ensemble's first draws are Y(1) and Y(3)
+    seed, grid = 3, (1.0, 3.0)
+    gen = CounterRng(seed).numpy_rng()
+    y_1 = 2 + gen.negative_binomial(np.full(1, 2), math.exp(-1.0))
+    y_last = int((y_1 + gen.negative_binomial(y_1, math.exp(-2.0)))[0])
+    evaluated = []
 
-    def patched(first_bad_y):
+    def spy(y, d, w, delta, variant):
+        evaluated.extend(np.atleast_1d(y).tolist())
+        return _mark_probability(y, d, w, delta, variant)
+
+    monkeypatch.setattr(limits, "_mark_probability", spy)
+    clean = yule_marked_ensemble(0.0, grid, 1, CounterRng(seed))
+    assert min(evaluated) == 2 and max(evaluated) < y_last
+
+    def patched(bad, value):
         def mark_probability(y, d, w, delta, variant):
-            p = _mark_probability(y, d, w, delta, variant)
-            if y >= first_bad_y:
-                p = p.copy()
-                p[0] = 1.5  # replica 0's column, as long as both replicas run
-            return p
+            return np.where(bad(y), value, _mark_probability(y, d, w, delta, variant))
         return mark_probability
 
-    # the population before replica 0's last birth is taken + 1
-    monkeypatch.setattr(limits, "_mark_probability", patched(taken + 1))
-    with pytest.raises(AssertionError):
-        yule_marked_ensemble(0.0, (1.0, 3.0), 2, CounterRng(seed))
-    monkeypatch.setattr(limits, "_mark_probability", patched(taken + 2))
-    assert np.array_equal(yule_marked_ensemble(0.0, (1.0, 3.0), 2, CounterRng(seed)), clean)
+    for value in (-0.5, 1.5):
+        # at the last birth the engine looks at, p outside [0, 1] raises
+        monkeypatch.setattr(limits, "_mark_probability", patched(lambda y: y == max(evaluated), value))
+        with pytest.raises(AssertionError):
+            yule_marked_ensemble(0.0, grid, 1, CounterRng(seed))
+        # from the first birth past the last grid time on, it changes nothing
+        monkeypatch.setattr(limits, "_mark_probability", patched(lambda y: y >= y_last, value))
+        assert np.array_equal(yule_marked_ensemble(0.0, grid, 1, CounterRng(seed)), clean)
 
 
 def test_yule_deterministic():

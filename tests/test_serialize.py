@@ -78,7 +78,7 @@ def test_tree_binary_rejects_bad_parents(tmp_path):
 
 
 def test_manifest_roundtrip(tmp_path):
-    m = RunManifest(command="grow", delta=0.5, seed=9, convention="exact", n=100, sampler="fast")
+    m = RunManifest(command="grow", delta=0.5, seed=9, convention="exact", n=100)
     path = tmp_path / "manifest.json"
     m.write(path)
     back = RunManifest.read(path)
@@ -87,6 +87,9 @@ def test_manifest_roundtrip(tmp_path):
     assert payload["format_version"] == "1"
     assert payload["tool_version"]
     assert payload["timestamp"]
+    # manifests written while `sampler` was a field still load
+    assert "sampler" not in payload
+    assert RunManifest.from_json(json.dumps({**payload, "sampler": None})) == m
 
 
 def test_pmf_and_histogram_csv(tmp_path):
