@@ -9,6 +9,8 @@ converges to locally:
   (1+delta)/(1+delta/2) * (1-e^-t) and every other individual at rate
   (1-e^-age)/(1+delta/2); its population size matches the offspring count
   plus one in distribution (`sample_edge_bp`);
+* every one of these rates is bounded by a constant, so each process is
+  drawn by thinning (Lewis & Shedler 1979), with no root-finding;
 * closed-form growth/tail exponents and the drift-matrix spectrum
   (`exponents`);
 * discounted offspring integrals and their cumulants (`zeta_hat_cumulant`,
@@ -34,7 +36,6 @@ from .growth import total_weight_closed
 from .rng import CounterRng
 
 NODE_CAP = 10_000_000
-_NEWTON_CHUNK = 1 << 14  # points per chunk of the zeta Newton sweep
 
 
 class NodeCapExceeded(RuntimeError):
@@ -61,6 +62,12 @@ class ExponentPack:
         return np.array([[g, -g], [g, -(1.0 + g)]])
 
 
+def _check_delta(delta: float) -> None:
+    """Refuse a delta outside the model: it must be finite and > -1."""
+    if not -1.0 < delta < math.inf:
+        raise ValueError(f"delta must be finite and > -1, got {delta}")
+
+
 def exponents(delta: float) -> ExponentPack:
     """Evaluate the closed forms and verify their internal identities.
 
@@ -69,8 +76,7 @@ def exponents(delta: float) -> ExponentPack:
     with g = 2/(2+delta) has eigenvalues (+-sqrt(1+4g)-1)/2, the positive one
     equal to lam.
     """
-    if not delta > -1:
-        raise ValueError(f"delta must be > -1, got {delta}")
+    _check_delta(delta)
     half = 1.0 + 0.5 * delta
     gamma = 1.0 / half
     phi = 0.5 * half * (1.0 + math.sqrt(1.0 + 4.0 * gamma))
@@ -156,6 +162,7 @@ def sample_arrivals(
     `max_arrivals`, or (with ``exp1=True``) at an exponential(1) horizon
     drawn from `rng` first.
     """
+    _check_delta(delta)
     if exp1:
         t_max = rng.exponential()
     if t_max is None and max_arrivals is None:
@@ -197,36 +204,6 @@ class BranchingTree:
                 raise AssertionError("children must be born strictly after their parents")
 
 
-def inverse_cumulative_hazard(c: float, target: float, tol: float = 1e-12) -> float:
-    """Solve c*(t - 1 + e^-t) = target for t >= 0.
-
-    The left side is convex and increasing, and the initial guess
-    target/c + 1 always sits at or above the root, so safeguarded Newton
-    converges monotonically; bisection kicks in only on pathological
-    rounding.
-    """
-    if target <= 0.0:
-        return 0.0
-    t = target / c + 1.0
-    lo = 0.0
-    for _ in range(200):
-        f = c * (t - 1.0 + math.exp(-t)) - target
-        if abs(f) <= tol * max(1.0, target):
-            return t
-        fp = c * (1.0 - math.exp(-t))
-        step = f / fp if fp > 0 else 0.0
-        nxt = t - step
-        if not lo < nxt <= t:
-            nxt = 0.5 * (lo + t)  # bisection fallback
-        if f > 0:
-            t = nxt
-        else:
-            lo, t = t, nxt
-        if t - lo <= tol:
-            return t
-    return t
-
-
 def sample_edge_bp(
     delta: float,
     rng: CounterRng,
@@ -237,11 +214,13 @@ def sample_edge_bp(
 ) -> BranchingTree:
     """Simulate the edge branching process up to a time horizon.
 
-    Per-individual Poisson arrivals are generated by exact inversion of the
-    cumulative hazard c*(t - 1 + e^-t) fed with unit-exponential increments;
-    a priority queue orders the next potential birth over all individuals.
-    Raises `NodeCapExceeded` rather than silently truncating.
+    Each individual's next child is drawn by thinning: proposals come at the
+    rate bound c from its last event, and one at age a is kept with
+    probability 1 - e^-a, which makes the children a Poisson process of rate
+    c(1 - e^-a).  A priority queue orders the next births over all
+    individuals.  Raises `NodeCapExceeded` rather than silently truncating.
     """
+    _check_delta(delta)
     if exp1:
         t_max = rng.exponential()
     if t_max is None:
@@ -252,28 +231,27 @@ def sample_edge_bp(
     c_other = 1.0 / (1.0 + 0.5 * delta)
     parents: list[Optional[int]] = [None]
     births: list[float] = [0.0]
-    cum_exp: list[float] = [rng.exponential()]
-    rate_const: list[float] = [c_root]
-    heap: list[tuple[float, int]] = []
-    first = inverse_cumulative_hazard(c_root, cum_exp[0])
-    if first <= t_max:
-        heapq.heappush(heap, (first, 0))
+    heap: list[tuple[float, int, float]] = []
+
+    def schedule_next(i: int, age: float, c: float) -> None:
+        while True:
+            age += rng.exponential(c)
+            if births[i] + age > t_max:
+                return  # proposals only increase; nothing left before the horizon
+            if rng.random() < 1.0 - math.exp(-age):
+                heapq.heappush(heap, (births[i] + age, i, age))
+                return
+
+    schedule_next(0, 0.0, c_root)
     while heap:
-        t, i = heapq.heappop(heap)
+        t, i, age = heapq.heappop(heap)
         child = len(parents)
         if child >= max_nodes:
             raise NodeCapExceeded(f"branching realization exceeded {max_nodes} nodes")
         parents.append(i)
         births.append(t)
-        cum_exp.append(rng.exponential())
-        rate_const.append(c_other)
-        t_child = t + inverse_cumulative_hazard(c_other, cum_exp[child])
-        if t_child <= t_max:
-            heapq.heappush(heap, (t_child, child))
-        cum_exp[i] += rng.exponential()
-        t_next = births[i] + inverse_cumulative_hazard(rate_const[i], cum_exp[i])
-        if t_next <= t_max:
-            heapq.heappush(heap, (t_next, i))
+        schedule_next(child, 0.0, c_other)
+        schedule_next(i, age, c_root if i == 0 else c_other)
     return BranchingTree(parents=parents, birth_times=births, horizon=t_max)
 
 
@@ -294,6 +272,7 @@ def sample_memory_bp(
     individuals.  This is the process whose genealogy, stopped at an
     independent exp(1) time, gives the limiting fringe law.
     """
+    _check_delta(delta)
     if exp1:
         t_max = rng.exponential()
     if t_max is None:
@@ -348,87 +327,27 @@ def mc_zeta_hat(delta: float, reps: int, rng: CounterRng) -> np.ndarray:
     """Monte Carlo samples of the discounted integral over the offspring process.
 
     Each sample is sum_j e^(-lam * t_j) over the points t_j of a Poisson
-    process with the non-root rate; points beyond the horizon T contribute at
-    most (c/lam) e^(-lam T) in expectation, which is kept below 1e-9.
+    process with the non-root rate c(1 - e^-t); points beyond the horizon T
+    contribute at most (c/lam) e^(-lam T) in expectation, which is kept below
+    1e-9.  The points come by thinning: Poisson(c T) uniform points on
+    [0, T], each kept when a standard exponential draw falls below it, which
+    happens with probability 1 - e^-t.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
     pack = exponents(delta)
     lam, c = pack.lam, pack.gamma
     horizon = math.log(c / (lam * 1e-9)) / lam
-    total_mass = c * (horizon - 1.0 + math.exp(-horizon))
     gen = rng.numpy_rng()
-    counts = gen.poisson(total_mass, size=reps)
+    counts = gen.poisson(c * horizon, size=reps)
     total = int(counts.sum())
-    t = _inverse_cumulative_hazard_vec(c, gen.random(total) * total_mass)
+    t = gen.random(total)
+    t *= horizon
+    keep = gen.standard_exponential(total) < t
+    t = t[keep]
     np.exp(np.multiply(t, -lam, out=t), out=t)  # e^(-lam t), in place
-    rep_idx = np.repeat(np.arange(reps), counts)
+    rep_idx = np.repeat(np.arange(reps), counts)[keep]
     return np.bincount(rep_idx, weights=t, minlength=reps)
-
-
-def _inverse_cumulative_hazard_vec(c: float, targets: np.ndarray) -> np.ndarray:
-    """Vectorized Newton for c*(t-1+e^-t) = target; init from above as in the scalar case.
-
-    Every iteration maps t to max(t - f/f', 0) with f = c*(t-1+e^-t) - target
-    and f' = c*(1-e^-t) (a step of 0 where f' is not positive), for at most
-    60 iterations, and stops after the first one whose max |f| over all
-    points is at most 1e-12 * max(1, max target).  A point whose update
-    returns its own t is at an exact fixed point: later iterations give it
-    the same t and the same |f|.  Such points retire from the sweep once
-    they are at least half of it, and their last |f| stays in the stop test,
-    so the result is that of iterating every point to the end.  The sweep
-    runs in chunks through scratch buffers, with one exp per point.
-    """
-    t = targets / c + 1.0
-    if t.size == 0:
-        return t
-    tol = 1e-12 * max(1.0, float(np.max(targets)))
-    # the points still swept: their t, their targets and where they belong in
-    # t (None while that is all of t, in order)
-    ts, gs, pos = t, targets, None
-    retired_ok = True  # every retired point's |f| is within tol
-    e, f, q = (np.empty(_NEWTON_CHUNK) for _ in range(3))
-    ok, moved = np.empty(_NEWTON_CHUNK, dtype=bool), np.empty(t.size, dtype=bool)
-    for _ in range(60):
-        stop, fixed_ok = retired_ok, True
-        for lo in range(0, ts.size, _NEWTON_CHUNK):
-            tc, gc = ts[lo : lo + _NEWTON_CHUNK], gs[lo : lo + _NEWTON_CHUNK]
-            k = tc.size
-            ec, fc, qc, okc, mc = e[:k], f[:k], q[:k], ok[:k], moved[lo : lo + k]
-            np.exp(np.negative(tc, out=ec), out=ec)
-            np.subtract(tc, 1.0, out=fc)
-            fc += ec
-            fc *= c
-            fc -= gc  # f
-            np.subtract(1.0, ec, out=ec)
-            ec *= c  # f'
-            np.maximum(ec, 1e-300, out=qc)
-            np.divide(fc, qc, out=qc)
-            if not np.greater(ec, 0.0, out=okc).all():
-                qc[~okc] = 0.0
-            np.subtract(tc, qc, out=qc)
-            np.maximum(qc, 0.0, out=qc)  # the next t
-            np.not_equal(qc, tc, out=mc)
-            tc[...] = qc
-            np.less_equal(np.abs(fc, out=fc), tol, out=okc)
-            if not okc.all():
-                stop = False
-                fixed_ok = fixed_ok and bool((okc | mc).all())
-        if stop:
-            break
-        n_moved = int(np.count_nonzero(moved[: ts.size]))
-        if 2 * n_moved <= ts.size:
-            retired_ok = retired_ok and fixed_ok
-            keep = moved[: ts.size]
-            if pos is None:
-                pos = np.flatnonzero(keep)
-                ts, gs = t[pos], targets[pos]
-            else:
-                t[pos] = ts
-                pos, ts, gs = pos[keep], ts[keep], gs[keep]
-    if pos is not None:
-        t[pos] = ts
-    return t
 
 
 # ---------------------------------------------------------------------------
@@ -456,6 +375,7 @@ def limit_degree_pmf(delta: float, reps: int, rng: CounterRng) -> DegreePMF:
     p(k) is the fraction of replicas in which the offspring process produced
     exactly k-1 arrivals before an independent exp(1) time.
     """
+    _check_delta(delta)
     if reps < 1:
         raise ValueError("reps must be >= 1")
     counts: dict[int, int] = {}
@@ -732,6 +652,7 @@ def yule_marked_simulate(
     post-birth population.  The jump chain is exact in distribution
     (exponential holding times with mean 1/Y).
     """
+    _check_delta(delta)
     if not 0.0 < t_max < math.inf:
         raise ValueError("t_max must be positive and finite")
     _check_variant(variant)
@@ -779,6 +700,7 @@ def yule_marked_ensemble(
     the first birth after each mark, which suffices because (D+delta)y - W
     increases in y.  Returns an array of shape (len(t_grid), reps).
     """
+    _check_delta(delta)
     grid = np.asarray(t_grid, dtype=float)
     n_grid = len(grid)
     if grid.ndim != 1 or n_grid == 0 or np.any(np.diff(grid) <= 0):

@@ -16,6 +16,7 @@ from seritree.limits import (
     limit_degree_pmf,
     mc_zeta_hat,
     sample_arrivals,
+    sample_edge_bp,
     sample_memory_bp,
     yule_marked_ensemble,
     yule_marked_simulate,
@@ -127,7 +128,7 @@ def test_mc_zeta_hat_digest():
     # nine significant digits: a last-bit difference of a libm exp stays hidden
     samples = mc_zeta_hat(0.0, 1000, CounterRng(SEED))
     text = "\n".join(f"{x:.9e}" for x in samples)
-    assert _sha(text.encode()) == "3116d1cc7e77e322cb1da8549f46af2868249bcc07a5a1acdabb15d69805049b"
+    assert _sha(text.encode()) == "35fc020d74289661ef2f6b1451cdc7d95709655da83edcc97e765f1ed1a96b4b"
 
 
 def test_yule_marked_ensemble_digest():
@@ -207,6 +208,39 @@ def test_sample_memory_bp_digest(delta, rule):
     bps = [sample_memory_bp(delta, rng, **STOP_RULES[rule]) for _ in range(30)]
     parents = _json_digest([bp.parents for bp in bps])
     assert (parents, _hex_digest(bp.birth_times for bp in bps), rng.counter) == MEMORY_BP_DIGESTS[(delta, rule)]
+
+
+# (digest of the parents, digest of the birth times, words consumed) of 30 realizations
+EDGE_BP_DIGESTS = {
+    (0.0, "exp1"): (
+        "78c5765392105015a7abd7370f0d62cc94bbeb27a712d581ee30ea17aff1bbeb",
+        "ad86f914c85ff130221a76c95dddf29f77fda995250223479d51a427a364de37",
+        292,
+    ),
+    (0.0, "t_max"): (
+        "d7b4f6e35060b4dba0276c8a0e9839e5428760b675e77a51619b02df1bebf6f9",
+        "869b2c5839a1541534f42d7a1e4eb154523a050e31b7226fffbabe04226abdfb",
+        539,
+    ),
+    (1.0, "exp1"): (
+        "bd28be8c889fa8f703f90382b45dcb99be5aab1ea9c2746060b0d26ab4dc156e",
+        "bab006570180e7a8312e55ce535be378a9759bfc12f4a6df4dfe779c53dab77e",
+        191,
+    ),
+    (1.0, "t_max"): (
+        "c00eebf2d1ac8cc116c16fc6b547fc634386547644c18bd827a2bb05f39d1ce4",
+        "5998f0f1405187337ee8e5a3d7d03fcb773c846e24ccd3e36569099acc80f242",
+        500,
+    ),
+}
+
+
+@pytest.mark.parametrize("delta,rule", sorted(EDGE_BP_DIGESTS))
+def test_sample_edge_bp_digest(delta, rule):
+    rng = CounterRng(SEED)
+    bps = [sample_edge_bp(delta, rng, **STOP_RULES[rule]) for _ in range(30)]
+    parents = _json_digest([bp.parents for bp in bps])
+    assert (parents, _hex_digest(bp.birth_times for bp in bps), rng.counter) == EDGE_BP_DIGESTS[(delta, rule)]
 
 
 def test_yule_marked_ensemble_simplified_digest():

@@ -4,19 +4,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 from scipy import integrate, stats
 
 from seritree import limits
 from seritree.growth import TreeRecord, enumerate_histories, history_probability
 from seritree.limits import (
-    _inverse_cumulative_hazard_vec,
     _mark_probability,
     MarkedTree,
     NodeCapExceeded,
     exponents,
     hazard,
-    inverse_cumulative_hazard,
     limit_degree_pmf,
     limit_neighborhood_density,
     marked_neighborhood_log_prob,
@@ -149,6 +146,27 @@ def test_branching_samplers_refuse_endless_horizons(sampler, t_max):
         sampler(0.0, CounterRng(1), t_max=t_max)
 
 
+_SAMPLER_CALLS = {
+    "sample_arrivals": lambda delta, rng: sample_arrivals(delta, rng, exp1=True),
+    "limit_degree_pmf": lambda delta, rng: limit_degree_pmf(delta, 10, rng),
+    "sample_edge_bp": lambda delta, rng: sample_edge_bp(delta, rng, exp1=True),
+    "sample_memory_bp": lambda delta, rng: sample_memory_bp(delta, rng, exp1=True),
+    "yule_marked_simulate": lambda delta, rng: yule_marked_simulate(delta, 1.0, rng),
+    "yule_marked_ensemble": lambda delta, rng: yule_marked_ensemble(delta, (1.0,), 10, rng),
+}
+
+
+@pytest.mark.parametrize("sampler", sorted(_SAMPLER_CALLS))
+@pytest.mark.parametrize("delta", [-1.0, -2.0, math.nan, math.inf, -math.inf])
+def test_samplers_refuse_delta_outside_model(sampler, delta):
+    # these used to divide by zero, overflow, fail deep inside, or (edge BP at
+    # NaN) return a one-node tree; now they refuse before drawing a word
+    rng = CounterRng(1)
+    with pytest.raises(ValueError, match="delta"):
+        _SAMPLER_CALLS[sampler](delta, rng)
+    assert rng.counter == 0
+
+
 def test_first_arrival_survival():
     # P(first arrival > 1) = exp(-(1 - 1 + e^-1)) = e^(-1/e) at delta = 0
     rng = CounterRng(2)
@@ -211,6 +229,21 @@ def test_edge_bp_size_matches_arrivals_plus_one():
     assert p_value > 0.01
 
 
+@pytest.mark.parametrize("delta", [0.0, 1.0])
+def test_edge_bp_root_children_are_poisson(delta):
+    # the root's children by time t are Poisson with mean c_root (t - 1 + e^-t);
+    # c_root equals every other individual's rate at delta = 0 and twice it at 1
+    t, n = 1.5, 10000
+    rng = CounterRng(18)
+    kids = Counter(sum(1 for p in sample_edge_bp(delta, rng, t_max=t).parents if p == 0) for _ in range(n))
+    mean = (1.0 + delta) / (1.0 + 0.5 * delta) * (t - 1.0 + math.exp(-t))
+    pmf = stats.poisson.pmf(np.arange(50), mean)
+    top = int(np.flatnonzero(n * pmf >= 5.0)[-1])  # counts from `top` on share one bin
+    observed = [kids[k] for k in range(top)] + [n - sum(kids[k] for k in range(top))]
+    expected = n * np.append(pmf[:top], stats.poisson.sf(top - 1, mean))
+    assert stats.chisquare(observed, expected).pvalue > 0.01
+
+
 def test_memory_bp_root_offspring_matches_arrival_law():
     # root children of the nested process replicate the offspring process
     rng = CounterRng(8)
@@ -225,16 +258,6 @@ def test_memory_bp_root_offspring_matches_arrival_law():
     table = np.array([[a.get(k, 0) for k in support], [b.get(k, 0) for k in support]])
     _, p_value, _, _ = stats.chi2_contingency(table)
     assert p_value > 0.01
-
-
-def test_inverse_cumulative_hazard_accuracy():
-    rng = CounterRng(9)
-    for _ in range(300):
-        c = 0.1 + 3 * rng.random()
-        target = 20 * rng.random()
-        t = inverse_cumulative_hazard(c, target)
-        assert abs(c * (t - 1 + math.exp(-t)) - target) <= 1e-10 * max(1.0, target)
-    assert inverse_cumulative_hazard(1.0, 0.0) == 0.0
 
 
 # --- cumulants -----------------------------------------------------------------
@@ -254,64 +277,6 @@ def test_mc_zeta_hat_mean():
     z = mc_zeta_hat(0.0, 30000, rng)
     se = z.std(ddof=1) / math.sqrt(len(z))
     assert abs(z.mean() - 1.0) <= 3 * se
-
-
-def _full_array_newton(c: float, targets: np.ndarray) -> np.ndarray:
-    """The Newton that iterated every point to the end, as a reference."""
-    t = targets / c + 1.0
-    for _ in range(60):
-        f = c * (t - 1.0 + np.exp(-t)) - targets
-        fp = c * (1.0 - np.exp(-t))
-        step = np.where(fp > 0, f / np.maximum(fp, 1e-300), 0.0)
-        t = np.maximum(t - step, 0.0)
-        if np.max(np.abs(f)) <= 1e-12 * max(1.0, float(np.max(targets, initial=1.0))):
-            break
-    return t
-
-
-def _assert_newtons_agree(c, targets):
-    with np.errstate(over="ignore"):  # e^-t of a large negative start overflows
-        assert np.array_equal(_inverse_cumulative_hazard_vec(c, targets), _full_array_newton(c, targets))
-
-
-_newton_targets = st.lists(
-    st.one_of(
-        st.sampled_from([0.0, 1e-300, 5e-324]),
-        st.floats(min_value=0.0, max_value=1e-8),
-        st.floats(min_value=0.0, max_value=60.0),
-        st.floats(min_value=1e6, max_value=1e12),
-        # no root: the point sticks at t = 0 with |f| above the stop
-        # tolerance, so all 60 iterations run
-        st.floats(min_value=-10.0, max_value=0.0),
-    ),
-    min_size=1,  # the reference fails on no targets
-    max_size=60,
-)
-_newton_rates = st.sampled_from([2.0 / (2.0 + d) for d in (-0.5, 0.0, 1.0, 2.5)] + [1e-3, 7.0])
-
-
-@settings(max_examples=200, deadline=None)
-@given(_newton_rates, _newton_targets)
-def test_newton_equals_full_array_newton(c, targets):
-    _assert_newtons_agree(c, np.array(targets, dtype=float))
-
-
-@settings(max_examples=15, deadline=None)
-@given(
-    _newton_rates,
-    st.integers(min_value=0, max_value=2**32),
-    st.integers(min_value=1, max_value=3 * limits._NEWTON_CHUNK + 7),
-)
-def test_newton_equals_full_array_newton_across_chunks(c, seed, size):
-    # mixed regimes, so points retire at different iterations and in every
-    # chunk; with a negative target all 60 iterations run
-    gen = np.random.default_rng(seed)
-    targets = np.exp(gen.uniform(-700.0, 30.0, size)) * gen.choice([-1.0, 0.0, 1.0, 1.0, 1.0], size)
-    _assert_newtons_agree(c, targets)
-
-
-def test_newton_of_no_targets_is_empty():
-    assert _inverse_cumulative_hazard_vec(0.5, np.empty(0)).shape == (0,)
 
 
 # --- limiting degree pmf ---------------------------------------------------------
