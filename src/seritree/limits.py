@@ -15,7 +15,8 @@ converges to locally:
   (`exponents`);
 * discounted offspring integrals and their cumulants (`zeta_hat_cumulant`,
   `mc_zeta_hat`);
-* the limiting degree distribution (`limit_degree_pmf`, `p1_quadrature`);
+* the limiting degree distribution (`limit_degree_pmf`) and its p(1) in
+  closed form through the incomplete gamma function (`p1_quadrature`);
 * exact discrete and limiting densities of marked neighborhoods
   (`marked_neighborhood_log_prob`, `limit_neighborhood_density`);
 * the marked Yule process tracking a fixed vertex's degree in continuous
@@ -30,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import integrate
+from scipy.special import gammainc, gammaln
 
 from .growth import total_weight_closed
 from .rng import CounterRng
@@ -387,20 +388,17 @@ def limit_degree_pmf(delta: float, reps: int, rng: CounterRng) -> DegreePMF:
     return DegreePMF(p=p, n_samples=reps, stderr=stderr)
 
 
-def p1_quadrature(delta: float, tol: float = 1e-12) -> float:
-    """p(1) by adaptive quadrature of the first-arrival survival function.
+def p1_quadrature(delta: float) -> float:
+    """p(1), the first-arrival survival function integrated, in closed form.
 
     p(1) = int_0^inf e^-t exp(-a (t - 1 + e^-t)) dt with
-    a = (1+delta)/(1+delta/2); the integrand decays at least like e^-t so a
-    [0, 40] window plus an e^-40 tail bound meets a 1e-10 budget.
+    a = (1+delta)/(1+delta/2).  Substituting x = e^-t turns it into
+    e^a a^-(a+1) Gamma(a+1) P(a+1, a), where P is the regularized lower
+    incomplete gamma function.
     """
+    _check_delta(delta)
     a = (1.0 + delta) / (1.0 + 0.5 * delta)
-
-    def integrand(t: float) -> float:
-        return math.exp(-t - a * (t - 1.0 + math.exp(-t)))
-
-    value, _err = integrate.quad(integrand, 0.0, 40.0, epsabs=tol, epsrel=tol, limit=200)
-    return value
+    return float(math.exp(a - (a + 1.0) * math.log(a) + gammaln(a + 1.0)) * gammainc(a + 1.0, a))
 
 
 # ---------------------------------------------------------------------------

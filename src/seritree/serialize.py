@@ -74,10 +74,10 @@ class RunManifest:
 
 
 def write_tree_csv(tree: TreeRecord, path: Union[str, Path]) -> None:
+    # the bytes csv.writer wrote: every row, the header included, ends in \r\n
+    rows = map("{},{}\r\n".format, range(1, tree.n + 1), tree.parent[1:].tolist())
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["vertex", "parent"])
-        writer.writerows(zip(range(1, tree.n + 1), tree.parent[1:].tolist()))
+        fh.write("vertex,parent\r\n" + "".join(rows))
 
 
 def read_tree_csv(path: Union[str, Path], delta: float = 0.0) -> TreeRecord:

@@ -207,7 +207,8 @@ def test_criterion_08_fringe_convergence():
     resid_details = []
     resid_ok = True
     for target in ("()", "(())", "(()())"):  # three smallest tree classes
-        x = np.array([q_count(s, target) - (1.0 if s == target else 0.0) for s in samples])
+        resid = {s: q_count(s, target) - (1.0 if s == target else 0.0) for s in set(samples)}
+        x = np.array([resid[s] for s in samples])
         se = x.std(ddof=1) / math.sqrt(n_samples)
         resid_ok &= abs(x.mean()) <= 3 * se
         resid_details.append(f"{target}: {x.mean():+.4f}+-{se:.4f}")

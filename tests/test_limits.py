@@ -153,6 +153,7 @@ _SAMPLER_CALLS = {
     "sample_memory_bp": lambda delta, rng: sample_memory_bp(delta, rng, exp1=True),
     "yule_marked_simulate": lambda delta, rng: yule_marked_simulate(delta, 1.0, rng),
     "yule_marked_ensemble": lambda delta, rng: yule_marked_ensemble(delta, (1.0,), 10, rng),
+    "p1_quadrature": lambda delta, rng: p1_quadrature(delta),
 }
 
 
@@ -283,6 +284,24 @@ def test_mc_zeta_hat_mean():
 
 def test_p1_quadrature_delta0():
     assert abs(p1_quadrature(0.0) - (math.e - 2)) < 1e-9
+
+
+def _p1_by_quadrature(delta):
+    """Adaptive quadrature of p(1) = int_0^inf e^-t exp(-a (t - 1 + e^-t)) dt.
+
+    The integrand decays at least like e^-t, so [0, 40] leaves a tail below
+    e^-40.
+    """
+    a = (1.0 + delta) / (1.0 + 0.5 * delta)
+    value, _ = integrate.quad(
+        lambda t: math.exp(-t - a * (t - 1.0 + math.exp(-t))), 0.0, 40.0, epsabs=1e-12, epsrel=1e-12, limit=200
+    )
+    return value
+
+
+@pytest.mark.parametrize("delta", [-0.99, -0.9, -0.5, 0.0, 0.3, 1.0, 2.5, 10.0, 100.0, 1e4])
+def test_p1_closed_form_matches_quadrature(delta):
+    assert abs(p1_quadrature(delta) - _p1_by_quadrature(delta)) <= 1e-12
 
 
 def test_limit_pmf_consistency():

@@ -266,6 +266,78 @@ def test_histogram_matches_per_vertex_reference(seed, n, k, truncation):
     assert (h.other, h.total, h.excluded_shallow) == (other, len(scanned), n + 1 - len(scanned))
 
 
+def _per_vertex_histogram(tree, parents, k, truncation):
+    """Counts and overflow from `fringe` and `extended_fringe`, vertex by vertex.
+
+    `parents` lists each vertex's parent, with None at the root.
+    """
+    depth = [0] * len(parents)
+    for v in range(1, len(parents)):
+        depth[v] = depth[parents[v]] + 1
+    counts, other = Counter(), 0
+    for v in range(len(parents)):
+        if depth[v] < k:
+            continue
+        top = v
+        for _ in range(k):
+            top = parents[top]
+        if key_size(fringe(tree, top)) > truncation:
+            other += 1
+        else:
+            counts["|".join(extended_fringe(tree, v, k))] += 1
+    return dict(counts), other
+
+
+@pytest.mark.parametrize("k,truncation", [(0, 4), (0, 12), (1, 6), (2, 12)])
+def test_forest_histogram_is_sum_of_tree_histograms(k, truncation):
+    trees = [grow(GrowthParams(delta=0.0, n_final=n, seed=seed))[0] for n, seed in ((150, 41), (1, 42), (90, 43))]
+    # interleave the three trees at random, each keeping its vertex order, so
+    # two roots sit in the middle of the forest
+    owner = np.repeat(np.arange(3), [t.n + 1 for t in trees])
+    np.random.default_rng(44).shuffle(owner)
+    forest = np.empty(len(owner), dtype=np.int64)
+    for i, tree in enumerate(trees):
+        at = np.flatnonzero(owner == i)
+        forest[at] = np.where(tree.parent >= 0, at[tree.parent], -1)
+    assert np.count_nonzero(forest < 0) == 3 and forest[0] == -1 and (forest[1:] >= 0).any()
+    hist = empirical_fringe_distribution(forest, k=k, truncation=truncation)
+    parts = [empirical_fringe_distribution(t, k=k, truncation=truncation) for t in trees]
+    total = parts[0].merged(parts[1]).merged(parts[2])
+    assert (hist.counts, hist.other, hist.total, hist.excluded_shallow) == (
+        total.counts, total.other, total.total, total.excluded_shallow
+    )
+
+
+@pytest.mark.parametrize("forest", [[0], [-1, 1], [-1, 0, 3, 1], [-1, -2], [[-1, 0]], []])
+def test_forest_refuses_bad_parents(forest):
+    with pytest.raises(ValueError, match="forest"):
+        empirical_fringe_distribution(np.array(forest, dtype=np.int64))
+
+
+@pytest.mark.parametrize("seed", [45, 46, 47])
+def test_genealogy_histogram_matches_per_vertex_fringes(seed):
+    tree = sample_memory_bp(0.0, CounterRng(seed), t_max=6.0)
+    assert tree.size > 20
+    for k, truncation in ((0, 4), (0, 12), (1, 6), (2, 12)):
+        h = empirical_fringe_distribution(tree, k=k, truncation=truncation)
+        counts, other = _per_vertex_histogram(tree, tree.parents, k, truncation)
+        assert (h.counts, h.other) == (counts, other)
+        assert h.total + h.excluded_shallow == tree.size
+
+
+def test_deep_extended_histogram_matches_per_vertex_reference():
+    # a caterpillar: a path with one leaf on every path vertex, scanned along
+    # root paths far longer than the random trees above have
+    spine = 40
+    parents = [None] + list(range(spine - 1)) + list(range(spine))
+    forest = np.array([-1] + parents[1:], dtype=np.int64)
+    for k in (20, 30):
+        h = empirical_fringe_distribution(forest, k=k, truncation=len(parents))
+        counts, other = _per_vertex_histogram(forest, parents, k, len(parents))
+        assert (h.counts, h.other) == (counts, other)
+        assert len(h.counts) > 1
+
+
 def test_leaf_fraction_near_limit():
     tree, _ = grow(GrowthParams(delta=0.0, n_final=100000, seed=6))
     h = empirical_fringe_distribution(tree)
