@@ -228,8 +228,8 @@ def _class_ids(parent: np.ndarray, size: np.ndarray, truncation: int) -> tuple[n
     keys = [LEAF_KEY]
     child = np.flatnonzero(parent >= 0)
     level = size[parent[child]]
-    inside = level <= truncation
-    child, level = child[inside], level[inside]
+    keep = level <= truncation
+    child, level = child[keep], level[keep]
     order = np.argsort(level.astype(np.min_scalar_type(level.max(initial=0))), kind="stable")
     child, level = child[order], level[order]
     bounds = np.flatnonzero(np.diff(level, prepend=-1, append=-1))
