@@ -15,7 +15,7 @@ import numpy as np
 from scipy.special import chdtrc
 
 from .growth import GrowthParams, TreeRecord, grow
-from .limits import DegreePMF, exponents
+from .limits import DegreePMF
 from .rng import CounterRng
 from .treeops import FringeHistogram
 

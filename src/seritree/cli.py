@@ -44,9 +44,12 @@ def _validate(args) -> None:
         raise CliError(f"--delta must be > -1, got {args.delta}")
     if not 0 <= args.seed < 1 << 64:
         raise CliError("--seed must fit in 64 unsigned bits")
-    for flag in ("n", "reps", "seeds"):
-        if getattr(args, flag, 1) < 1:
-            raise CliError(f"--{flag} must be >= 1, got {getattr(args, flag)}")
+    for flag, low in (("n", 1), ("reps", 1), ("seeds", 1), ("max_size", 1), ("vertex", 0), ("workers", 0)):
+        if getattr(args, flag, low) < low:
+            raise CliError(f"--{flag.replace('_', '-')} must be >= {low}, got {getattr(args, flag)}")
+    tolerance = getattr(args, "tolerance", None)
+    if tolerance is not None and not tolerance >= 0:  # NaN fails this too
+        raise CliError(f"--tolerance must be >= 0, got {tolerance}")
 
 
 def _workers(flag_value: int) -> int:

@@ -611,6 +611,8 @@ def grow(
     cps = sorted(set(checkpoints))
     if cps and (cps[0] < 1 or cps[-1] > params.n_final):
         raise ValueError("checkpoints must lie in [1, n_final]")
+    if any(v < 0 for v in track_vertices):
+        raise ValueError("tracked vertices must be >= 0")
     if rng is None:
         rng = CounterRng(params.seed)
     convention = params.convention

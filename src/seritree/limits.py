@@ -9,6 +9,10 @@ converges to locally:
   (1+delta)/(1+delta/2) * (1-e^-t) and every other individual at rate
   (1-e^-age)/(1+delta/2); its population size matches the offspring count
   plus one in distribution (`sample_edge_bp`);
+* the memory branching process, whose individuals each reproduce like the
+  offspring point process (`sample_memory_bp`);
+* both branching processes run through one genealogy loop that visits the
+  individuals breadth first (`_genealogy`), with no priority queue;
 * every one of these rates is bounded by a constant, so each process is
   drawn by thinning (Lewis & Shedler 1979), with no root-finding;
 * closed-form growth/tail exponents and the drift-matrix spectrum
@@ -25,10 +29,9 @@ converges to locally:
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 from scipy.special import gammainc, gammaln
@@ -127,26 +130,32 @@ def hazard(sigmas: Sequence[float], x: float, delta: float) -> float:
     return h
 
 
-def _next_arrival(
-    ages: Sequence[float], birth: float, t_max: float, delta: float, rng: CounterRng
-) -> Optional[float]:
-    """Age increment from the last of `ages` to the next arrival, or None past t_max.
+def _arrivals(
+    delta: float, rng: CounterRng, t_max: float, birth: float = 0.0, max_arrivals: Optional[int] = None
+) -> Iterator[float]:
+    """Arrival times, birth + age, of one individual's offspring up to t_max.
 
-    Thinning (Lewis & Shedler 1979) against the constant bound
-    (k+delta)/(1+delta/2), which the k-th hazard approaches but never
-    attains, so acceptance probabilities stay in [0, 1) and the sampled
+    Thinning (Lewis & Shedler 1979): the k-th arrival is proposed against the
+    constant bound (k+delta)/(1+delta/2), which its hazard approaches but
+    never attains, so acceptance probabilities stay in [0, 1) and the sampled
     survival function is exp(-integral of the hazard) with no discretization
-    error.  `birth` + age is the absolute time compared with `t_max`.
+    error.  Stops after `max_arrivals`, if given.
     """
-    bound = (len(ages) + 1 + delta) * (1.0 / (1.0 + 0.5 * delta))
-    prev = ages[-1] if ages else 0.0
-    x = 0.0
-    while True:
-        x += rng.exponential(bound)
-        if birth + prev + x > t_max:
-            return None  # proposals only increase; nothing left before the horizon
-        if rng.random() * bound <= hazard(ages, x, delta):
-            return x
+    ages: list[float] = []
+    prev = 0.0
+    while max_arrivals is None or len(ages) < max_arrivals:
+        bound = (len(ages) + 1 + delta) * (1.0 / (1.0 + 0.5 * delta))
+        x = 0.0
+        while True:
+            x += rng.exponential(bound)
+            t = birth + prev + x
+            if t > t_max:
+                return  # proposals only increase; nothing left before the horizon
+            if rng.random() * bound <= hazard(ages, x, delta):
+                break
+        prev += x
+        ages.append(prev)
+        yield t
 
 
 def sample_arrivals(
@@ -159,9 +168,9 @@ def sample_arrivals(
 ) -> list[float]:
     """Sample the increasing arrival times of the limit point process.
 
-    Inter-arrivals come from `_next_arrival`.  Stop at `t_max`, after
-    `max_arrivals`, or (with ``exp1=True``) at an exponential(1) horizon
-    drawn from `rng` first.
+    The times come from `_arrivals`, the offspring of one individual in
+    `sample_memory_bp`.  Stop at `t_max`, after `max_arrivals`, or (with
+    ``exp1=True``) at an exponential(1) horizon drawn from `rng` first.
     """
     _check_delta(delta)
     if exp1:
@@ -172,21 +181,20 @@ def sample_arrivals(
         t_max = math.inf
     elif math.isnan(t_max) or (t_max == math.inf and max_arrivals is None):
         raise ValueError("t_max must not be NaN, and must be finite without max_arrivals")
-    sigmas: list[float] = []
-    while max_arrivals is None or len(sigmas) < max_arrivals:
-        x = _next_arrival(sigmas, 0.0, t_max, delta, rng)
-        if x is None:
-            break
-        sigmas.append((sigmas[-1] if sigmas else 0.0) + x)
-    return sigmas
+    return list(_arrivals(delta, rng, t_max, max_arrivals=max_arrivals))
 
 
 # ---------------------------------------------------------------------------
-# the edge branching process
+# branching processes
 
 @dataclass
 class BranchingTree:
-    """A continuous-time branching realization (genealogy plus birth times)."""
+    """A continuous-time branching realization (genealogy plus birth times).
+
+    Individuals are numbered breadth first, so every child has a larger
+    index than its parent; birth times increase along each line of descent
+    but are not sorted across the tree.
+    """
 
     parents: list[Optional[int]]
     birth_times: list[float]
@@ -201,8 +209,37 @@ class BranchingTree:
             raise AssertionError("root must be unparented and born at 0")
         for i in range(1, self.size):
             p = self.parents[i]
-            if p is None or not self.birth_times[i] > self.birth_times[p]:
-                raise AssertionError("children must be born strictly after their parents")
+            if p is None or not p < i or not self.birth_times[i] > self.birth_times[p]:
+                raise AssertionError("children must come after, and be born after, their parents")
+
+
+def _genealogy(
+    rng: CounterRng, t_max: Optional[float], exp1: bool, max_nodes: int,
+    offspring: Callable[[int, float, float], Iterable[float]],
+) -> BranchingTree:
+    """The genealogy up to a horizon of individuals that reproduce independently.
+
+    `offspring(i, birth, t_max)` yields the birth times of individual i's
+    children up to t_max.  The genealogy at a horizon does not depend on the
+    order in which births are simulated, so the individuals are visited in
+    index order, which is breadth first, and each one's children are appended
+    as they come.  Raises `NodeCapExceeded` rather than silently truncating.
+    """
+    if exp1:
+        t_max = rng.exponential()
+    if t_max is None:
+        raise ValueError("need a stop rule: t_max or exp1")
+    if not math.isfinite(t_max):
+        raise ValueError("t_max must be finite")
+    parents: list[Optional[int]] = [None]
+    births = [0.0]
+    for i, birth in enumerate(births):  # reaches the children appended below too
+        for t in offspring(i, birth, t_max):
+            if len(parents) >= max_nodes:
+                raise NodeCapExceeded(f"branching realization exceeded {max_nodes} nodes")
+            parents.append(i)
+            births.append(t)
+    return BranchingTree(parents=parents, birth_times=births, horizon=t_max)
 
 
 def sample_edge_bp(
@@ -215,45 +252,27 @@ def sample_edge_bp(
 ) -> BranchingTree:
     """Simulate the edge branching process up to a time horizon.
 
-    Each individual's next child is drawn by thinning: proposals come at the
-    rate bound c from its last event, and one at age a is kept with
+    Each individual's children are drawn by thinning: proposals come at the
+    rate bound c (c_root for the root), and one at age a is kept with
     probability 1 - e^-a, which makes the children a Poisson process of rate
-    c(1 - e^-a).  A priority queue orders the next births over all
-    individuals.  Raises `NodeCapExceeded` rather than silently truncating.
+    c(1 - e^-a).  The individuals run through `_genealogy`.
     """
     _check_delta(delta)
-    if exp1:
-        t_max = rng.exponential()
-    if t_max is None:
-        raise ValueError("need a stop rule: t_max or exp1")
-    if not math.isfinite(t_max):
-        raise ValueError("t_max must be finite")
     c_root = (1.0 + delta) / (1.0 + 0.5 * delta)
     c_other = 1.0 / (1.0 + 0.5 * delta)
-    parents: list[Optional[int]] = [None]
-    births: list[float] = [0.0]
-    heap: list[tuple[float, int, float]] = []
 
-    def schedule_next(i: int, age: float, c: float) -> None:
+    def children(i: int, birth: float, horizon: float) -> Iterator[float]:
+        c = c_root if i == 0 else c_other
+        age = 0.0
         while True:
             age += rng.exponential(c)
-            if births[i] + age > t_max:
+            t = birth + age
+            if t > horizon:
                 return  # proposals only increase; nothing left before the horizon
             if rng.random() < 1.0 - math.exp(-age):
-                heapq.heappush(heap, (births[i] + age, i, age))
-                return
+                yield t
 
-    schedule_next(0, 0.0, c_root)
-    while heap:
-        t, i, age = heapq.heappop(heap)
-        child = len(parents)
-        if child >= max_nodes:
-            raise NodeCapExceeded(f"branching realization exceeded {max_nodes} nodes")
-        parents.append(i)
-        births.append(t)
-        schedule_next(child, 0.0, c_other)
-        schedule_next(i, age, c_root if i == 0 else c_other)
-    return BranchingTree(parents=parents, birth_times=births, horizon=t_max)
+    return _genealogy(rng, t_max, exp1, max_nodes, children)
 
 
 def sample_memory_bp(
@@ -268,43 +287,15 @@ def sample_memory_bp(
 
     Every individual carries its own copy of the limit offspring point
     process: the hazard of its k-th child depends on the ages at which its
-    previous children arrived.  Inter-arrivals come from `_next_arrival`, as
-    in `sample_arrivals`; a global priority queue interleaves the
-    individuals.  This is the process whose genealogy, stopped at an
-    independent exp(1) time, gives the limiting fringe law.
+    previous children arrived.  Its children come from `_arrivals`, as in
+    `sample_arrivals`, and the individuals run through `_genealogy`.  This
+    is the process whose genealogy, stopped at an independent exp(1) time,
+    gives the limiting fringe law.
     """
     _check_delta(delta)
-    if exp1:
-        t_max = rng.exponential()
-    if t_max is None:
-        raise ValueError("need a stop rule: t_max or exp1")
-    if not math.isfinite(t_max):
-        raise ValueError("t_max must be finite")
-    parents: list[Optional[int]] = [None]
-    births: list[float] = [0.0]
-    arrival_ages: list[list[float]] = [[]]
-    heap: list[tuple[float, int, float]] = []
-
-    def schedule_next(i: int) -> None:
-        ages = arrival_ages[i]
-        x = _next_arrival(ages, births[i], t_max, delta, rng)
-        if x is not None:
-            prev = ages[-1] if ages else 0.0
-            heapq.heappush(heap, (births[i] + prev + x, i, prev + x))
-
-    schedule_next(0)
-    while heap:
-        t, i, age = heapq.heappop(heap)
-        arrival_ages[i].append(age)
-        child = len(parents)
-        if child >= max_nodes:
-            raise NodeCapExceeded(f"branching realization exceeded {max_nodes} nodes")
-        parents.append(i)
-        births.append(t)
-        arrival_ages.append([])
-        schedule_next(i)
-        schedule_next(child)
-    return BranchingTree(parents=parents, birth_times=births, horizon=t_max)
+    return _genealogy(
+        rng, t_max, exp1, max_nodes, lambda i, birth, horizon: _arrivals(delta, rng, horizon, birth)
+    )
 
 
 # ---------------------------------------------------------------------------

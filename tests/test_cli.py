@@ -161,6 +161,11 @@ def test_missing_required_flag_exits_2():
     (["spectrum", "--delta", "0", "--seed", "1", "--n", "3000"], None, 3),
     # the last step's token bound 2n(n+1) reaches 2^64
     (["grow", "--delta", "0", "--seed", "1", "--n", "3037000501"], None, 2),
+    # these four slipped through: a wrong exit code, a silent pass, or no error
+    (["growth", "--delta", "0", "--seed", "1", "--n", "20000", "--vertex", "-1"], None, 2),
+    (["growth", "--delta", "0", "--seed", "1", "--n", "20000", "--workers", "-4"], None, 2),
+    (["fringe-compare", "--delta", "0", "--seed", "1", "--n", "100", "--max-size", "-5"], None, 2),
+    (["tail", "--delta", "0", "--seed", "1", "--n", "100000", "--tolerance", "nan"], None, 2),
 ])
 def test_invalid_input_exits_before_output(tmp_path, monkeypatch, capsys, argv, threads, code):
     if threads is None:
@@ -175,5 +180,5 @@ def test_invalid_input_exits_before_output(tmp_path, monkeypatch, capsys, argv, 
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not out.exists()
-    # only the tail fit needs the grown tree to find its input too small
-    assert bool(grown) == (argv[0] == "tail")
+    # only the tail fit needs the grown tree to find its --n too small
+    assert bool(grown) == (argv[0] == "tail" and "--tolerance" not in argv)

@@ -114,7 +114,7 @@ def test_fringe_histogram_digest(k, truncation, digest):
 def test_bp_fringe_keys_digest():
     rng = CounterRng(SEED)
     keys = [bp_fringe_sample(0.0, rng) for _ in range(200)]
-    assert _sha("\n".join(keys).encode()) == "3bbf8a4a04add49a8b8daa269e88c23f82ae18ba874e896d5d9495aa160ee520"
+    assert _sha("\n".join(keys).encode()) == "2fb36636dc20d4b3d1889b17a1d8ca260eea497f103ea66546a2863d343218e9"
 
 
 def test_limit_degree_pmf_digest():
@@ -170,34 +170,34 @@ def test_sample_arrivals_digest(delta, rule):
 # (digest of the parents, digest of the birth times, words consumed) of 30 realizations
 MEMORY_BP_DIGESTS = {
     (-0.5, "exp1"): (
-        "e87250bbffb3a8ea773a46a83745c5398f7abf5cfe3dae7d17d31382fdf33984",
-        "d0523eff0cf850db42f56229d5308bc1c7f4ccc62f33e2dd9acfef72523cabdb",
-        152,
+        "1427ac101b3d5edc9c1e796bf69cfce61562474b2f37414452d77dc2bdf329bc",
+        "a49a05f6ce11a447982bde4345a3405710e5c4b834af9ee0e6583ffd3bb6f25c",
+        212,
     ),
     (-0.5, "t_max"): (
-        "56545d8a784599307362833fcc20373a26724a006c8427528bc162de7bb9e8e0",
-        "c6267208dba3f720de027c309f20bbe7108ad0abe3dba18064c96ccbd4c5ef93",
-        680,
+        "6d60d0308d759ef508cb7a60c51dd917d70d39a70d8d0cd45adf152d315a6650",
+        "77b3339eb578b413e653b318d26e1c90e6abdaca1baff12cf3adcd6d66667569",
+        695,
     ),
     (0.0, "exp1"): (
-        "cd5f99cc314a94a7bba9daae50027d2884b2d2f496a0dadc30598809bf024fac",
-        "45833def1f6e8406ac38e91a7711ab08d4465790d41975c6c669325dfcafc0cd",
-        479,
+        "1d815077040badccdd3e589c842328bdcdf73b24e43e37887885b491a3ca55dd",
+        "a87909da18a4f5fa8734c83b375c64c507acf5e94adadd0e67eb694a6814b432",
+        441,
     ),
     (0.0, "t_max"): (
-        "017243fb85e8fbde4748f0245c7b45d70736c614038bb3eac4cc6deefeab4929",
-        "538ef6945b4638c394f452ad7ed2bb16b842e54139b7c38b90d96397a5751dec",
-        1181,
+        "54064a5c01ff59c4b877de4de48a0a1e0c43da208696c8c592bba4e6cc65576f",
+        "a32100099c6c5288685312b97fcda41e41d7f7637c872bfbf4bd17640b05cb71",
+        782,
     ),
     (2.5, "exp1"): (
-        "975fd60472f165b8aaed3c7cfc8044eae89a9526b518dfc55b563c3ba80f2a91",
-        "b5e176c069b24ecf7fb732b17d8ac79457d12e2fa12f1337f564763ead2fc24d",
-        703,
+        "f6263b75446983abca277bd63a6968e11d1a0d621220ac1c8fefc14217d76e1c",
+        "beff3068be4d4d7b7ec0555b6ad5b01d166751867f7758f4825d0888ab195fb9",
+        697,
     ),
     (2.5, "t_max"): (
-        "a494015821dc1ce58dbd0482c979a2d36a6f6f71a00546bf8e25fe2c5a36e8a2",
-        "1cf91bb8ab9bbe6f54cb6a7d37770075823b5c441bc8c6a30163b28d69f98c70",
-        1638,
+        "97cea0cd4412200e53a99293f5b2beef13011fe4433b645f246561cc7964aafd",
+        "06f5be4e1c6295f6a14ace8d8e505ded7a86ea420d08f4f88c8519c57c8b0a65",
+        1464,
     ),
 }
 
@@ -213,24 +213,24 @@ def test_sample_memory_bp_digest(delta, rule):
 # (digest of the parents, digest of the birth times, words consumed) of 30 realizations
 EDGE_BP_DIGESTS = {
     (0.0, "exp1"): (
-        "78c5765392105015a7abd7370f0d62cc94bbeb27a712d581ee30ea17aff1bbeb",
-        "ad86f914c85ff130221a76c95dddf29f77fda995250223479d51a427a364de37",
-        292,
+        "35378c9a2368eb2479e5c4ac1e29a00c4a889fc9c469e7b9b7d70f10ef43c8da",
+        "4933deda0c3863f01bc53e09d86b742fbe44df0b9d28b507049334d391006ce9",
+        225,
     ),
     (0.0, "t_max"): (
-        "d7b4f6e35060b4dba0276c8a0e9839e5428760b675e77a51619b02df1bebf6f9",
-        "869b2c5839a1541534f42d7a1e4eb154523a050e31b7226fffbabe04226abdfb",
-        539,
+        "7c4cda9513d780aeda0937b3ebe47f928c286327bd4a321fbd4b4c1141e3ee64",
+        "4da855112a8282402fffe42ae449f86594b0348ad9e716042321ba555d1f68c1",
+        522,
     ),
     (1.0, "exp1"): (
-        "bd28be8c889fa8f703f90382b45dcb99be5aab1ea9c2746060b0d26ab4dc156e",
-        "bab006570180e7a8312e55ce535be378a9759bfc12f4a6df4dfe779c53dab77e",
-        191,
+        "0a89f63499e00a7b8ec2c45db88d121013b5ac1e02761f966b8154c7a2babff1",
+        "7fa5c84f855d9a0d9e5d81688de49eae335b7209b80868d9f468e755b0156451",
+        339,
     ),
     (1.0, "t_max"): (
-        "c00eebf2d1ac8cc116c16fc6b547fc634386547644c18bd827a2bb05f39d1ce4",
-        "5998f0f1405187337ee8e5a3d7d03fcb773c846e24ccd3e36569099acc80f242",
-        500,
+        "4d07b0832ba9e68e76c1808517918c1491d7271274f799f8e4ade1d93129f2db",
+        "4ab6d3ea40ef3d14aad256d098c1cacc4e07528df455480952d7a7a84522194c",
+        579,
     ),
 }
 

@@ -334,6 +334,8 @@ def test_grow_checkpoints():
         assert set(s.tracked_degrees) == {0, 1}
     with pytest.raises(ValueError):
         grow(params, checkpoints=[2000])
+    with pytest.raises(ValueError, match="tracked"):  # degree[-1] would track vertex n
+        grow(params, checkpoints=[10], track_vertices=(-1,))
 
 
 def test_grow_negative_delta_paper_total():

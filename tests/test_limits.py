@@ -1,3 +1,4 @@
+import heapq
 import math
 from collections import Counter
 from fractions import Fraction
@@ -10,6 +11,7 @@ from seritree import limits
 from seritree.growth import TreeRecord, enumerate_histories, history_probability
 from seritree.limits import (
     _mark_probability,
+    BranchingTree,
     MarkedTree,
     NodeCapExceeded,
     exponents,
@@ -29,6 +31,7 @@ from seritree.limits import (
     zeta_hat_cumulant,
 )
 from seritree.rng import CounterRng
+from seritree.treeops import OTHER_KEY, fringe, key_size
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -255,6 +258,54 @@ def test_memory_bp_root_offspring_matches_arrival_law():
         kids.append(sum(1 for p in bp.parents if p == 0))
     direct = [len(sample_arrivals(0.0, rng, t_max=1.2)) for _ in range(n)]
     a, b = Counter(kids), Counter(direct)
+    support = sorted(set(a) | set(b))
+    table = np.array([[a.get(k, 0) for k in support], [b.get(k, 0) for k in support]])
+    _, p_value, _, _ = stats.chi2_contingency(table)
+    assert p_value > 0.01
+
+
+def _heap_memory_bp(delta, rng, t_max):
+    """The memory branching process as a priority-queue event loop over all
+    individuals, the engine `sample_memory_bp` replaced; a reference in law."""
+    parents, births, arrival_ages, heap = [None], [0.0], [[]], []
+
+    def schedule_next(i):
+        ages = arrival_ages[i]
+        bound = (len(ages) + 1 + delta) * (1.0 / (1.0 + 0.5 * delta))
+        prev = ages[-1] if ages else 0.0
+        x = 0.0
+        while True:
+            x += rng.exponential(bound)
+            if births[i] + prev + x > t_max:
+                return
+            if rng.random() * bound <= hazard(ages, x, delta):
+                heapq.heappush(heap, (births[i] + prev + x, i, prev + x))
+                return
+
+    schedule_next(0)
+    while heap:
+        t, i, age = heapq.heappop(heap)
+        arrival_ages[i].append(age)
+        parents.append(i)
+        births.append(t)
+        arrival_ages.append([])
+        schedule_next(i)
+        schedule_next(len(parents) - 1)
+    return BranchingTree(parents=parents, birth_times=births, horizon=t_max)
+
+
+def test_memory_bp_genealogy_matches_heap_engine():
+    # the breadth-first genealogy loop and the event loop give one law of the
+    # genealogy at a horizon; keys above 4 vertices share one bin
+    t_max, n = 1.5, 20000
+    rng = CounterRng(19)
+
+    def key(bp):
+        k = fringe(bp, 0)
+        return k if key_size(k) <= 4 else OTHER_KEY
+
+    a = Counter(key(sample_memory_bp(0.0, rng, t_max=t_max)) for _ in range(n))
+    b = Counter(key(_heap_memory_bp(0.0, rng, t_max)) for _ in range(n))
     support = sorted(set(a) | set(b))
     table = np.array([[a.get(k, 0) for k in support], [b.get(k, 0) for k in support]])
     _, p_value, _, _ = stats.chi2_contingency(table)

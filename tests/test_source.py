@@ -19,6 +19,24 @@ def test_no_assert_statements():
     assert found == []
 
 
+def test_no_unused_imports():
+    # no linter runs here; __init__.py imports names to re-export them
+    unused = []
+    for path in sorted(SOURCE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {
+            (alias.asname or alias.name).split(".")[0]: node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+    assert unused == []
+
+
 def test_import_leaves_scipy_stats_out():
     # scipy.stats takes most of a second to import and scipy.integrate about a
     # quarter, and every command would pay them
