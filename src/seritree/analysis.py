@@ -160,24 +160,28 @@ def fit_degree_growth(
 
     Each seed grows a fresh tree to max(checkpoints) recording the vertex's
     degree at each checkpoint; the per-seed slope of log degree against log n
-    is averaged and its spread reported.  Checkpoints must number at least 4
-    and span at least 3 decades.  Replica r always uses the stream derived
-    from (master_seed, r) and results are reduced in replica order, so the
-    outcome is independent of `workers`.
+    is averaged and its spread reported.  Checkpoints must number at least 4,
+    be at least 1 and span at least 3 decades.  Replica r always uses the
+    stream derived from (master_seed, r) and results are reduced in replica
+    order, so the outcome is independent of `workers`; at most one worker
+    process runs per seed.
     """
     cps = sorted(checkpoints)
     if len(cps) < 4:
         raise ValueError("need at least 4 checkpoints")
+    if cps[0] < 1:
+        raise ValueError(f"checkpoints must be >= 1, got {cps[0]}")
     if math.log10(cps[-1] / cps[0]) < 3:
         raise ValueError("checkpoints must span at least 3 decades")
     if vertex > cps[0]:
         raise ValueError(f"vertex {vertex} not yet born at the first checkpoint")
     log_n = np.log(cps)
     args = [(delta, vertex, cps, master_seed, r, convention) for r in range(n_seeds)]
-    if workers > 1:
+    pool_size = min(workers, n_seeds)
+    if pool_size > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=pool_size) as pool:
             tracked = list(pool.map(_track_one_seed, *zip(*args)))
     else:
         tracked = [_track_one_seed(*a) for a in args]
@@ -261,9 +265,6 @@ class SpectrumResult:
     eigenvalues: np.ndarray
     n_vertices: int
     atom_masses: dict[float, float]
-
-    def histogram(self, bins: int = 64) -> tuple[np.ndarray, np.ndarray]:
-        return np.histogram(self.eigenvalues, bins=bins)
 
 
 def adjacency_spectrum(tree: TreeRecord, atom_tol: float = 1e-8) -> SpectrumResult:

@@ -280,7 +280,7 @@ def cmd_selftest(args) -> int:
         from fractions import Fraction
 
         worst = None
-        for delta in (Fraction(0), Fraction(1), Fraction(5, 2)):
+        for delta in (Fraction(-1, 2), Fraction(0), Fraction(1), Fraction(5, 2)):
             for n in range(1, 7):
                 for hist in growth.enumerate_histories(n):
                     tree = growth.TreeRecord.from_parents(hist, delta)

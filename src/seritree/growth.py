@@ -80,26 +80,17 @@ class GrowthParams:
 def token_bound(delta, n_final: int, convention: str) -> int:
     """Largest `randbelow` bound of a growth to n_final, drawn at n = n_final - 1.
 
-    With 2*delta integral the token draw is below c2*n(n+1)/2 plus the mass
-    below the tokens (`_low_rate`), scaled by 2 like the tokens, where
-    c2 = 4 + 2*delta; otherwise the float path draws the edge index below
-    n(n+1)/2.  v0's thinning bound for negative delta is smaller.
+    With 2*delta integral the token draw is below c2*n(n+1)/2 plus v0's
+    delta mass 2*delta*(n+1) under ``exact``, where c2 = 4 + 2*delta (the
+    total weight, scaled by 2 like the tokens); otherwise the float path
+    draws the edge index below n(n+1)/2.
     """
     n = n_final - 1
     t_tri = n * (n + 1) // 2
     if not _is_half_integer(delta):
         return t_tri
     d2 = int(2 * delta)
-    return (4 + d2) * t_tri + _low_rate(d2, convention) * (n + 1)
-
-
-def _low_rate(delta, convention: str):
-    """Mass that the token sampler puts below the tokens, per unit of n+1.
-
-    It is v0's delta mass under ``exact`` and the uniform proposal for
-    negative delta under ``paper_total``; delta may be scaled by 2.
-    """
-    return max(delta if convention == "exact" else -delta, 0)
+    return (4 + d2) * t_tri + (d2 * (n + 1) if convention == "exact" else 0)
 
 
 @dataclass
@@ -333,23 +324,21 @@ def _is_half_integer(delta) -> bool:
     return d2 == int(d2)
 
 
-def _fast_target_int(parent, n, d2, convention, rng: CounterRng, deg0, tsum0) -> int:
+def _fast_target_int(parent, n, d2, convention, rng: CounterRng) -> int:
     """One fast-sampler draw with integer token weights (2*delta integral).
 
     Token decomposition (all weights scaled by 2 so half-integer delta stays
     integral): for each past time m, the edge (m, parent[m]) carries endpoint
     tokens of weight 2*(n+1-m) each; the delta mass delta*(n+1-m) goes to v_m
     under ``exact`` and to v_{m-1} under ``paper_total``; under ``exact`` v0
-    additionally carries delta*(n+1).  Negative delta folds the child's delta
-    mass into its endpoint token and handles v0 by rejection against the
-    nonnegative proposal (deg0/tsum0 are v0's degree and edge-time sum,
-    passed in so the draw stays O(1)).
+    additionally carries delta*(n+1).  Negative delta lays the tokens out as
+    `token_probability_vector` does.
     """
     t_tri = n * (n + 1) // 2
+    c2 = 4 + d2
+    extra2 = d2 * (n + 1) if convention == "exact" else 0
+    r = rng.randbelow(c2 * t_tri + extra2)
     if d2 >= 0:
-        c2 = 4 + d2
-        extra2 = d2 * (n + 1) if convention == "exact" else 0
-        r = rng.randbelow(c2 * t_tri + extra2)
         if r < extra2:
             return 0
         big_r, s = divmod(r - extra2, c2)
@@ -359,40 +348,31 @@ def _fast_target_int(parent, n, d2, convention, rng: CounterRng, deg0, tsum0) ->
         if s < 4:
             return parent[m]
         return m if convention == "exact" else m - 1
-    # delta in (-1, 0): child token absorbs its own delta mass
-    c2 = 4 + d2  # = 2*(2 + delta) scaled, still positive
-    child2 = 2 + d2  # = 2*(1 + delta)
-    uniform2 = (-d2) * (n + 1) if convention == "paper_total" else 0
-    while True:
-        r = rng.randbelow(c2 * t_tri + uniform2)
-        if r < uniform2:
-            target = r // (-d2)
-        else:
-            big_r, s = divmod(r - uniform2, c2)
-            m = n + 1 - _triangular_index(big_r)
-            target = m if s < child2 else parent[m]
-        if target != 0:
-            return target
-        # v0 proposal dominates its true weight; accept with theta0/proposal0
-        q0_2 = 2 * ((n + 1) * deg0 - tsum0)
-        if convention == "paper_total":
-            q0_2 -= d2
-        if rng.randbelow(q0_2) < q0_2 + d2 * (n + 1):
-            return 0
+    uniform2 = 0 if convention == "exact" else -d2 * n
+    if r < uniform2:
+        return r // -d2 + 1
+    r -= uniform2
+    edges2 = c2 * (t_tri - n)
+    if r >= edges2:
+        return 1 if r - edges2 < (2 + d2) * n else 0
+    big_r, s = divmod(r, c2)
+    m = n + 1 - _triangular_index(big_r)
+    return m if s < 2 + d2 else parent[m]
 
 
-def _fast_target_float(parent, n, delta, convention, rng: CounterRng, deg0, tsum0) -> int:
+def _fast_target_float(parent, n, delta, convention, rng: CounterRng) -> int:
     """Float fallback of the fast sampler for non-half-integer delta.
 
-    Distribution matches `attach_probabilities` to ~1e-12 relative (float
-    threshold comparisons replace the exact integer draws).
+    The first draw picks the region of the tokens; on an edge other than
+    edge 1 two more draw the edge and the endpoint.  Distribution matches
+    `attach_probabilities` to ~1e-12 relative (float threshold comparisons
+    replace the exact integer draws).
     """
     t_tri = n * (n + 1) // 2
     two_plus = 2.0 + delta
+    extra = delta * (n + 1) if convention == "exact" else 0.0
+    u = rng.random() * (two_plus * t_tri + extra)
     if delta >= 0:
-        extra = delta * (n + 1) if convention == "exact" else 0.0
-        total = two_plus * t_tri + extra
-        u = rng.random() * total
         if u < extra:
             return 0
         m = n + 1 - _triangular_index(rng.randbelow(t_tri))
@@ -402,31 +382,30 @@ def _fast_target_float(parent, n, delta, convention, rng: CounterRng, deg0, tsum
         if v < 2.0:
             return parent[m]
         return m if convention == "exact" else m - 1
-    uniform_mass = -delta * (n + 1) if convention == "paper_total" else 0.0
-    while True:
-        u = rng.random() * (two_plus * t_tri + uniform_mass)
-        if u < uniform_mass:
-            target = min(int(u / -delta), n)
-        else:
-            m = n + 1 - _triangular_index(rng.randbelow(t_tri))
-            v = rng.random() * two_plus
-            target = m if v < 1.0 + delta else parent[m]
-        if target != 0:
-            return target
-        q0 = (n + 1) * deg0 - tsum0
-        if convention == "paper_total":
-            q0 -= delta
-        if rng.random() * q0 < q0 + delta * (n + 1):
-            return 0
+    uniform = 0.0 if convention == "exact" else -delta * n
+    if u < uniform:
+        return min(int(u / -delta), n - 1) + 1
+    u -= uniform
+    edges = two_plus * (t_tri - n)
+    if u >= edges:
+        return 1 if u - edges < (1.0 + delta) * n else 0
+    m = n + 1 - _triangular_index(rng.randbelow(t_tri - n))
+    v = rng.random() * two_plus
+    return m if v < 1.0 + delta else parent[m]
 
 
 def token_probability_vector(tree: TreeRecord, convention: str = "exact") -> list:
     """Attachment distribution induced analytically by the fast sampler.
 
-    Accumulates the token weights the fast sampler draws from (including the
-    rejection correction used for negative delta) and normalizes.  With a
-    Fraction delta everything is exact; equality with `attach_probabilities`
-    is the sampler-correctness oracle.
+    Accumulates the token weights the fast sampler draws from and
+    normalizes.  With a Fraction delta everything is exact; equality with
+    `attach_probabilities` is the sampler-correctness oracle.
+
+    For negative delta the tokens come in the sampler's order: under
+    ``paper_total`` -delta for each of v_1..v_n; then edges m = n..2, whose
+    child token (1+delta)(n+1-m) carries v_m's delta mass beside its degree
+    part; then edge 1, v1's token (1+delta)n and v0's n plus v0's delta
+    mass, the one delta mass with no birth edge to absorb it.
     """
     n = tree.n
     delta = tree.delta
@@ -445,18 +424,18 @@ def token_probability_vector(tree: TreeRecord, convention: str = "exact") -> lis
             else:
                 w[m - 1] += delta * k
     else:
-        # proposal weights; v0 then gets thinned down to its true weight
-        for m in range(1, n + 1):
+        if convention == "paper_total":
+            for i in range(1, n + 1):
+                w[i] += -delta
+        for m in range(2, n + 1):
             k = n + 1 - m
             w[m] += (1 + delta) * k
             w[parent[m]] += k
-        if convention == "paper_total":
-            for i in range(n + 1):
-                w[i] += -delta
-        theta0 = w[0] + delta * (n + 1)
-        if not 0 <= theta0 <= w[0]:
-            raise AssertionError("v0 rejection dominance violated")
-        w[0] = theta0
+        w[1] += (1 + delta) * n
+        v0_token = n + _delta_part(delta, 0, n, convention)
+        if v0_token < 0:
+            raise AssertionError(f"v0's edge-1 token {v0_token} is negative")
+        w[0] += v0_token
     total = sum(w)
     return [x / total for x in w]
 
@@ -519,61 +498,84 @@ def _copy_parents(parent: np.ndarray, i: int, target: np.ndarray, copy: np.ndarr
 def _int_block(parent: np.ndarray, d2: int, convention: str):
     """`_fast_target_int` for a block of steps, one word each (`drive_blocks`).
 
-    A step is irregular when its word is rejected, or, for negative delta,
-    when it proposes v0 and so pays for a thinning draw.
+    A step is irregular when its word is rejected, or when its bound is 1,
+    where ``randbelow(1)`` reads no word: v0 weighs 0 at n = 1 under
+    ``exact`` with delta = -1/2.
     """
     c2 = np.uint64(4 + d2)
-    low_rate = np.uint64(_low_rate(d2, convention))
+    exact = convention == "exact"
+    extra = np.uint64(d2 if exact and d2 > 0 else 0)  # v0's delta mass per unit of n+1
+    neg = np.uint64(max(-d2, 0))
 
     def block(i: int, words: np.ndarray):
         n1 = np.arange(i, i + words.size, dtype=np.uint64)  # n + 1 at step i
-        low_mass = low_rate * n1
+        low_mass = extra * n1
         r, irregular = lemire(words, c2 * _tri(n1 - 1) + low_mass)
-        if low_rate:
+        if extra:
             low = r < low_mass
             big_r, s = np.divmod(r - np.minimum(r, low_mass), c2)
         else:
             big_r, s = np.divmod(r, c2)
         target = (n1 - _triangular_indices(big_r)).astype(np.int64)
-        if d2 >= 0:
-            copy = s >> 1 == 1  # s in {2, 3}
-            if convention == "paper_total":
-                target -= s >= 4
-        else:
-            copy = s >= 2 + d2
-        if low_rate:
+        copy = s >> 1 == 1  # s in {2, 3}
+        if convention == "paper_total":
+            target -= s >= 4
+        if extra:
             copy &= ~low
-            # v0 under exact; the uniform proposal r // -d2 under paper_total
-            target[low] = r[low] // low_rate if d2 < 0 else 0
+            target[low] = 0
         _copy_parents(parent, i, target, copy)
-        if d2 < 0:
-            irregular |= target == 0
         return target, irregular
 
-    return block
+    def negative_block(i: int, words: np.ndarray):
+        n1 = np.arange(i, i + words.size, dtype=np.uint64)  # n + 1 at step i
+        n = n1 - np.uint64(1)
+        t_tri = _tri(n)
+        uniform = (np.uint64(0) if exact else neg) * n  # -d2 for each of v_1..v_n
+        bound = c2 * t_tri - (neg if exact else np.uint64(0)) * n1  # less v0's delta mass
+        r, irregular = lemire(words, bound)
+        irregular |= bound == 1
+        low = r < uniform
+        rest = r - np.minimum(r, uniform)
+        big_r, s = np.divmod(rest, c2)
+        target = (n1 - _triangular_indices(big_r)).astype(np.int64)
+        edges = c2 * (t_tri - n)
+        last = rest >= edges  # edge 1: v1's token, then v0's
+        target[last] = rest[last] - edges[last] < np.uint64(2 + d2) * n[last]
+        target[low] = r[low] // neg + 1
+        _copy_parents(parent, i, target, (s >= 2 + d2) & ~last & ~low)
+        return target, irregular
+
+    return block if d2 >= 0 else negative_block
 
 
 def _float_block(parent: np.ndarray, delta: float, convention: str):
     """`_fast_target_float` for a block of steps, three words each.
 
     A step is irregular when it reads another number of words: its first
-    draw lands in the mass below the tokens, which takes one word; n = 1,
-    where ``randbelow(1)`` takes none; or its bounded draw is rejected.  For
-    negative delta a step that proposes v0 is irregular too.
+    draw lands off the edges whose endpoint takes two more draws (on v0's
+    delta mass for nonnegative delta; in the uniform region or on edge 1
+    for negative delta), which takes one word; its edge draw has a bound of
+    1, where ``randbelow(1)`` takes none; or its bounded draw is rejected.
     """
     two_plus = 2.0 + delta
-    low_rate = float(_low_rate(delta, convention))
+    v0_delta = delta if convention == "exact" else 0.0  # per unit of n + 1
 
     def block(i: int, words: np.ndarray):
         w = words.reshape(-1, 3)
         n1 = np.arange(i, i + len(w), dtype=np.uint64)  # n + 1 at step i
-        t_tri = _tri(n1 - 1)
-        r, irregular = lemire(w[:, 1], t_tri)
-        irregular |= t_tri == 1
-        if low_rate:
-            low_mass = low_rate * n1.astype(np.float64)
+        n = n1 - np.uint64(1)
+        t_tri = _tri(n)
+        edge_draws = t_tri if delta >= 0 else t_tri - n
+        r, irregular = lemire(w[:, 1], edge_draws)
+        irregular |= edge_draws == 1
+        if v0_delta or delta < 0:
+            low_mass = v0_delta * n1.astype(np.float64)
             u = (w[:, 0] >> np.uint64(11)) * _UNIT * (two_plus * t_tri + low_mass)
-            irregular |= u < low_mass
+            if delta >= 0:
+                irregular |= u < low_mass
+            else:
+                uniform = 0.0 if convention == "exact" else -delta * n.astype(np.float64)
+                irregular |= (u < uniform) | (u - uniform >= two_plus * (t_tri - n))
         target = (n1 - _triangular_indices(r)).astype(np.int64)
         v = (w[:, 2] >> np.uint64(11)) * _UNIT * two_plus
         if delta >= 0:
@@ -583,8 +585,6 @@ def _float_block(parent: np.ndarray, delta: float, convention: str):
         else:
             copy = v >= 1.0 + delta
         _copy_parents(parent, i, target, copy)
-        if delta < 0:
-            irregular |= target == 0
         return target, irregular
 
     return block
@@ -624,17 +624,9 @@ def grow(
     else:
         draw, delta = _fast_target_float, float(params.delta)
         words, block = 3, _float_block(parent, delta, convention)
-    # the samplers read v0's degree and edge-time sum only for negative
-    # delta, and then every v0 target comes through fixup
-    deg0 = tsum0 = 1
 
     def fixup(m: int) -> int:
-        nonlocal deg0, tsum0
-        target = draw(parent, m - 1, delta, convention, rng, deg0, tsum0)
-        if target == 0:
-            deg0 += 1
-            tsum0 += m
-        return target
+        return draw(parent, m - 1, delta, convention, rng)
 
     drive_blocks(rng, parent, 2, words, block, fixup)
     tree = TreeRecord(parent, params.delta)

@@ -190,12 +190,6 @@ class FringeHistogram:
             return self.other / self.total
         return self.counts.get(key, 0) / self.total
 
-    def frequencies(self) -> dict[str, float]:
-        out = {key: c / self.total for key, c in self.counts.items()}
-        if self.other:
-            out[OTHER_KEY] = self.other / self.total
-        return out
-
     def merged(self, other: "FringeHistogram") -> "FringeHistogram":
         """Associative, commutative merge of two compatible histograms."""
         if (self.truncation, self.k) != (other.truncation, other.k):

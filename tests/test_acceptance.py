@@ -64,7 +64,7 @@ def test_criterion_01_exact_sampler_oracle():
     """Fast-sampler token law equals the weight law on every small history."""
     start = time.monotonic()
     checked = 0
-    for delta in (Fraction(0), Fraction(1), Fraction(5, 2)):
+    for delta in (Fraction(-1, 2), Fraction(0), Fraction(1), Fraction(5, 2)):
         for n in range(1, 7):
             for hist in enumerate_histories(n):
                 tree = TreeRecord.from_parents(hist, delta)

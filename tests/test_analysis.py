@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 
 import numpy as np
@@ -74,6 +75,8 @@ def test_fit_degree_growth_validation():
         fit_degree_growth(0.0, 1, [10, 100, 1000, 5000], n_seeds=2)
     with pytest.raises(ValueError):
         fit_degree_growth(0.0, 50, [10, 100, 1000, 10000, 100000], n_seeds=2)
+    with pytest.raises(ValueError, match=">= 1"):  # log10 would divide by 0
+        fit_degree_growth(0.0, 0, [0, 5, 50, 500], n_seeds=2)
 
 
 def test_fit_degree_growth_small():
@@ -89,6 +92,33 @@ def test_fit_degree_growth_workers_match_serial():
     serial = fit_degree_growth(**kwargs, workers=1)
     parallel = fit_degree_growth(**kwargs, workers=2)
     assert serial.per_seed_slopes == parallel.per_seed_slopes
+
+
+def test_fit_degree_growth_pool_has_at_most_one_worker_per_seed(monkeypatch):
+    sizes = []
+
+    class InProcessPool:
+        """Records the pool size and maps in this process, starting none."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    kwargs = dict(delta=0.0, vertex=1, checkpoints=[20, 200, 2000, 20000], master_seed=3)
+    serial = fit_degree_growth(**kwargs, n_seeds=2, workers=1)
+    assert fit_degree_growth(**kwargs, n_seeds=2, workers=6).per_seed_slopes == serial.per_seed_slopes
+    fit_degree_growth(**kwargs, n_seeds=1, workers=6)
+    fit_degree_growth(**kwargs, n_seeds=3, workers=2)
+    assert sizes == [2, 2]
 
 
 # --- distribution comparison ----------------------------------------------------------

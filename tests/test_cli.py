@@ -164,6 +164,7 @@ def test_missing_required_flag_exits_2():
     # these four slipped through: a wrong exit code, a silent pass, or no error
     (["growth", "--delta", "0", "--seed", "1", "--n", "20000", "--vertex", "-1"], None, 2),
     (["growth", "--delta", "0", "--seed", "1", "--n", "20000", "--workers", "-4"], None, 2),
+    (["growth", "--delta", "0", "--seed", "1", "--n", "500"], None, 2),  # default checkpoint n // 1000 = 0
     (["fringe-compare", "--delta", "0", "--seed", "1", "--n", "100", "--max-size", "-5"], None, 2),
     (["tail", "--delta", "0", "--seed", "1", "--n", "100000", "--tolerance", "nan"], None, 2),
 ])

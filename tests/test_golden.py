@@ -46,8 +46,8 @@ PARENT_DIGESTS = {
     (1.0, "exact"): "ab043023685789d37d3340c284fdb3b3dd5f1f5ce64f8e5e51fb8bd983acd0a9",
     (2.5, "exact"): "b240a63e7617d4ddc4fa37f73216f80ed49d2c92a3fab76025a07a2eb2094cbf",
     (0.3, "exact"): "f28a5a8d23d7a030c7fab2bf4d70cc906fc8b1489b7bb0851838ae8550e607dc",
-    (-0.5, "exact"): "d5a53fafd64c2aaca2aa4e052b8d59880816e526a6afd474f9db7ba11d800234",
-    (-0.75, "paper_total"): "7c4a1a78041db3d08a63003485b3baec94bde646f55edffc0d426235327f10e8",
+    (-0.5, "exact"): "d7d07d546e7673233fc4301fcbc7a07c4336699575d7112d74bab50c0116bbd4",
+    (-0.75, "paper_total"): "773128c69ed313028424d5ae4dd7308297c8e6311d99448d5ed504186651aac9",
 }
 
 
@@ -64,8 +64,8 @@ WORDS_CONSUMED = {
     (1.0, "exact"): 9999,
     (2.5, "exact"): 9999,
     (0.3, "exact"): 29991,
-    (-0.5, "exact"): 10850,
-    (-0.75, "paper_total"): 30703,
+    (-0.5, "exact"): 9998,
+    (-0.75, "paper_total"): 29951,
 }
 
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from seritree.growth import (
+    CONVENTIONS,
     GrowthParams,
     TreeRecord,
     attach_probabilities,
@@ -15,6 +16,7 @@ from seritree.growth import (
     grow,
     history_probability,
     sample_target_naive,
+    token_bound,
     token_probability_vector,
     total_weight,
     vertex_weight,
@@ -152,10 +154,9 @@ def test_attach_probabilities_float_sum():
 
 def _sample_target_fast(tree, rng, convention="exact"):
     """One token-sampler draw on a finished tree, as `grow` draws each step."""
-    deg0, tsum0 = int(tree.degree[0]), int(tree.edge_time_sum[0])
     if _is_half_integer(tree.delta):
-        return int(_fast_target_int(tree.parent, tree.n, int(2 * tree.delta), convention, rng, deg0, tsum0))
-    return int(_fast_target_float(tree.parent, tree.n, float(tree.delta), convention, rng, deg0, tsum0))
+        return int(_fast_target_int(tree.parent, tree.n, int(2 * tree.delta), convention, rng))
+    return int(_fast_target_float(tree.parent, tree.n, float(tree.delta), convention, rng))
 
 
 def test_triangular_index_inverts_integer_cdf():
@@ -194,6 +195,37 @@ def test_token_vector_matches_attach_probabilities_exhaustive_small():
                     assert token_probability_vector(tree, conv) == attach_probabilities(tree, conv)
 
 
+class _FixedDraw:
+    """Stands in for CounterRng: `randbelow` returns `r` and records its bound."""
+
+    def __init__(self, r: int):
+        self.r = r
+        self.bound = None
+
+    def randbelow(self, bound: int) -> int:
+        self.bound = bound
+        return self.r
+
+
+@pytest.mark.parametrize("convention", CONVENTIONS)
+@pytest.mark.parametrize("delta", [Fraction(-1, 2), Fraction(0), Fraction(1, 2), Fraction(1), Fraction(5, 2)])
+def test_int_sampler_tokens_are_twice_the_weights(delta, convention):
+    # every draw below the bound, on every history with n <= 5: vertex i is
+    # the target of exactly 2 theta_i of them
+    d2 = int(2 * delta)
+    for n in range(1, 6):
+        bound = token_bound(delta, n + 1, convention)
+        for hist in enumerate_histories(n):
+            tree = TreeRecord.from_parents(hist, delta)
+            targets = []
+            for r in range(bound):
+                draw = _FixedDraw(r)
+                targets.append(int(_fast_target_int(tree.parent, n, d2, convention, draw)))
+                assert draw.bound == bound
+            counts = np.bincount(targets, minlength=n + 1).tolist()
+            assert counts == [2 * vertex_weight(tree, i, convention).theta for i in range(n + 1)], hist
+
+
 def test_naive_sampler_frequency_example():
     # (n=1, delta=1, exact): P(v0) = 3/5
     tree = TreeRecord.from_parents([0], 1.0)
@@ -226,6 +258,7 @@ def test_naive_sampler_deterministic_replay():
     (-0.5, "exact"),
     (-0.5, "paper_total"),
     (0.7, "exact"),      # float token path
+    (-0.3, "exact"),
     (-0.3, "paper_total"),
 ])
 def test_fast_sampler_matches_probabilities(delta, conv):
@@ -268,18 +301,13 @@ def _scalar_grow(params: GrowthParams, rng: CounterRng) -> list:
     else:
         draw, delta = _fast_target_float, float(params.delta)
     parent = [-1, 0]
-    deg0 = tsum0 = 1
     for m in range(2, params.n_final + 1):
-        target = draw(parent, m - 1, delta, convention, rng, deg0, tsum0)
-        if target == 0:
-            deg0 += 1
-            tsum0 += m
-        parent.append(target)
+        parent.append(draw(parent, m - 1, delta, convention, rng))
     return parent
 
 
 GROW_CASES = [(d, "exact") for d in (0.0, 0.5, 1.0, 2.5, 0.3, 1.7, -0.25, -0.5)] + [
-    (d, "paper_total") for d in (0.0, 0.3, -0.3, -0.75)
+    (d, "paper_total") for d in (0.0, 0.3, -0.3, -0.5, -0.75)
 ]
 
 
