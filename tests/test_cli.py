@@ -161,7 +161,7 @@ def test_missing_required_flag_exits_2():
     (["spectrum", "--delta", "0", "--seed", "1", "--n", "3000"], None, 3),
     # the last step's token bound 2n(n+1) reaches 2^64
     (["grow", "--delta", "0", "--seed", "1", "--n", "3037000501"], None, 2),
-    # these four slipped through: a wrong exit code, a silent pass, or no error
+    # these slipped through: a wrong exit code, a silent pass, a traceback or no error
     (["growth", "--delta", "0", "--seed", "1", "--n", "20000", "--vertex", "-1"], None, 2),
     (["growth", "--delta", "0", "--seed", "1", "--n", "20000", "--workers", "-4"], None, 2),
     (["growth", "--delta", "0", "--seed", "1", "--n", "500"], None, 2),  # default checkpoint n // 1000 = 0
