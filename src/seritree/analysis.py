@@ -65,21 +65,20 @@ class TailFit:
 
 TAIL_QUANTILE = 0.01  # ccdf level where the fit window opens; 0.1 admits too
 # much pre-asymptotic curvature for steep tails and biases the slope shallow
+TAIL_MIN_POINTS = 8  # ccdf points a fit window must hold
 
 
 def fit_power_tail(
     ccdf: Sequence[tuple[int, float]],
     n_samples: Optional[int] = None,
     window: Optional[tuple[int, int]] = None,
-    min_points: int = 8,
-    quantile: float = TAIL_QUANTILE,
 ) -> TailFit:
     """Least squares on (log k, log P(>=k)) over a tail window.
 
-    Default window policy: k_min is the smallest k with P(>=k) <= `quantile`
-    and k_max the largest k with at least 50 tail samples (requires
-    `n_samples`).  Pass `window` to override.  At least `min_points` ccdf
-    points must fall inside the window.
+    Default window policy: k_min is the smallest k with P(>=k) <=
+    `TAIL_QUANTILE` and k_max the largest k with at least 50 tail samples
+    (requires `n_samples`).  Pass `window` to override.  At least
+    `TAIL_MIN_POINTS` ccdf points must fall inside the window.
     """
     pairs = [(k, p) for k, p in ccdf if p > 0]
     if window is not None:
@@ -87,13 +86,13 @@ def fit_power_tail(
     else:
         if n_samples is None:
             raise ValueError("n_samples is required for the default window policy")
-        k_lo = next((k for k, p in pairs if p <= quantile), None)
+        k_lo = next((k for k, p in pairs if p <= TAIL_QUANTILE), None)
         k_hi = max((k for k, p in pairs if p * n_samples >= 50), default=None)
         if k_lo is None or k_hi is None:
             raise ValueError("tail window is empty under the default policy")
     sel = [(k, p) for k, p in pairs if k_lo <= k <= k_hi]
-    if len(sel) < min_points:
-        raise ValueError(f"window [{k_lo}, {k_hi}] holds {len(sel)} points; need >= {min_points}")
+    if len(sel) < TAIL_MIN_POINTS:
+        raise ValueError(f"window [{k_lo}, {k_hi}] holds {len(sel)} points; need >= {TAIL_MIN_POINTS}")
     x = np.log([k for k, _ in sel])
     y = np.log([p for _, p in sel])
     slope, intercept = np.polyfit(x, y, 1)
@@ -215,17 +214,18 @@ def _count_maps(p: Union[DegreePMF, FringeHistogram]) -> tuple[dict, int]:
     raise TypeError(f"unsupported distribution type {type(p)!r}")
 
 
+POOL_THRESHOLD = 5.0  # least expected count of a chi-square bin in each row
+
+
 def compare_distributions(
-    p: Union[DegreePMF, FringeHistogram],
-    q: Union[DegreePMF, FringeHistogram],
-    pool_threshold: float = 5.0,
+    p: Union[DegreePMF, FringeHistogram], q: Union[DegreePMF, FringeHistogram]
 ) -> tuple[float, float, float]:
     """Total-variation distance and two-sample chi-square between count data.
 
     Returns (tv_distance, chi_square_stat, p_value).  TV is half the L1 gap
     of the frequency vectors over the union support.  The chi-square is the
     2 x K homogeneity statistic with bins pooled (smallest expected count
-    first) until every pooled bin has expected count >= `pool_threshold`
+    first) until every pooled bin has expected count >= `POOL_THRESHOLD`
     in both rows.
     """
     if type(p) is not type(q):
@@ -243,7 +243,7 @@ def compare_distributions(
         col_tot = rows.sum(axis=0)
         expected = np.outer(rows.sum(axis=1), col_tot) / grand
         min_col = int(np.argmin(expected.min(axis=0)))
-        if expected[:, min_col].min() >= pool_threshold:
+        if expected[:, min_col].min() >= POOL_THRESHOLD:
             break
         other = int(np.argsort(expected.min(axis=0))[1])
         rows[:, other] += rows[:, min_col]
@@ -258,22 +258,22 @@ def compare_distributions(
     return tv, stat, p_value
 
 
+ZERO_TOL = 1e-8  # an eigenvalue this close to 0 counts toward the zero atom
+
+
 @dataclass
 class SpectrumResult:
-    """Sorted adjacency eigenvalues with coarse atom diagnostics."""
+    """Adjacency eigenvalues of a tree, sorted ascending."""
 
     eigenvalues: np.ndarray
-    n_vertices: int
-    atom_masses: dict[float, float]
 
 
-def adjacency_spectrum(tree: TreeRecord, atom_tol: float = 1e-8) -> SpectrumResult:
+def adjacency_spectrum(tree: TreeRecord) -> SpectrumResult:
     """Eigenvalues of the 0/1 adjacency matrix of a grown tree (dense path).
 
     Capped at 2048+1 vertices.  Uses the symmetric LAPACK eigensolver, which
     meets every stated tolerance with headroom; eigenvalues are returned
-    sorted ascending along with the relative masses of the largest atoms
-    (eigenvalues grouped within `atom_tol`).
+    sorted ascending.
     """
     n = tree.n
     if n > SPECTRUM_SIZE_CAP:
@@ -282,24 +282,9 @@ def adjacency_spectrum(tree: TreeRecord, atom_tol: float = 1e-8) -> SpectrumResu
     a = np.zeros((size, size))
     child = np.arange(1, size)
     a[np.r_[child, tree.parent[1:]], np.r_[tree.parent[1:], child]] = 1.0
-    eig = np.linalg.eigvalsh(a)
-    atoms: dict[float, int] = {}
-    i = 0
-    while i < size:
-        j = i
-        while j + 1 < size and eig[j + 1] - eig[i] <= atom_tol:
-            j += 1
-        if j > i:
-            atoms[float(np.mean(eig[i : j + 1]))] = j - i + 1
-        i = j + 1
-    top = dict(sorted(atoms.items(), key=lambda kv: -kv[1])[:8])
-    return SpectrumResult(
-        eigenvalues=eig,
-        n_vertices=size,
-        atom_masses={v: c / size for v, c in top.items()},
-    )
+    return SpectrumResult(eigenvalues=np.linalg.eigvalsh(a))
 
 
-def atom_mass_at_zero(spec: SpectrumResult, tol: float = 1e-8) -> float:
-    """Relative multiplicity of the zero eigenvalue."""
-    return float(np.mean(np.abs(spec.eigenvalues) <= tol))
+def atom_mass_at_zero(spec: SpectrumResult) -> float:
+    """Relative multiplicity of the zero eigenvalue, within `ZERO_TOL`."""
+    return float(np.mean(np.abs(spec.eigenvalues) <= ZERO_TOL))

@@ -189,13 +189,22 @@ def cmd_fringe_compare(args) -> int:
     tree, _ = _grow(args)
     empirical = treeops.empirical_fringe_distribution(tree, truncation=args.max_size)
     rng = CounterRng(args.seed).spawn(1)
+    # a genealogy only grows, so one past max_size nodes is (other) already;
+    # a cap above NODE_CAP still stops at NODE_CAP and exits 3
+    cap = args.max_size + 1
     counts: dict[str, int] = {}
     other = 0
     for _ in range(args.reps):
-        key = treeops.bp_fringe_sample(args.delta, rng)
-        if treeops.key_size(key) > args.max_size:
+        try:
+            bp = limits.sample_memory_bp(args.delta, rng, exp1=True, max_nodes=min(cap, limits.NODE_CAP))
+        except limits.NodeCapExceeded:
+            if cap > limits.NODE_CAP:
+                raise
+            bp = None
+        if bp is None or bp.size == cap:
             other += 1
         else:
+            key = treeops.fringe(bp, 0)
             counts[key] = counts.get(key, 0) + 1
     simulated = treeops.FringeHistogram(
         counts=counts, other=other, total=args.reps, truncation=args.max_size,
@@ -283,10 +292,10 @@ def cmd_selftest(args) -> int:
         for delta in (Fraction(-1, 2), Fraction(0), Fraction(1), Fraction(5, 2)):
             for n in range(1, 7):
                 for hist in growth.enumerate_histories(n):
-                    tree = growth.TreeRecord.from_parents(hist, delta)
+                    tree = growth.TreeRecord.from_parents(hist)
                     for conv in ("exact", "paper_total"):
-                        a = growth.attach_probabilities(tree, conv)
-                        b = growth.token_probability_vector(tree, conv)
+                        a = growth.attach_probabilities(tree, delta, conv)
+                        b = growth.token_probability_vector(tree, delta, conv)
                         if a != b:
                             worst = (delta, conv, hist)
         return worst is None, "exhaustive n <= 6" if worst is None else f"mismatch at {worst}"

@@ -105,36 +105,28 @@ class WeightView:
 
 @dataclass(frozen=True, eq=False)
 class TreeRecord:
-    """A grown tree: one int64 parent array and what it determines.
+    """A grown tree: one int64 parent array and the degrees it determines.
 
     Vertex m (m >= 1) is born at time m and carries edge m = (m, parent[m]);
     parent[0] = -1 marks the root v0.  The constructor takes a parent array
-    that is already valid and derives `degree[i]` and `edge_time_sum[i]`
-    (sum of birth times of edges incident to i) from it once, so every vertex
-    weight is O(1) to evaluate: degree part = (n+1)*degree[i] - edge_time_sum[i].
-    Outside input goes through `from_parents`, which checks it.
+    that is already valid and derives `degree` from it once.  Outside input
+    goes through `from_parents`, which checks it.  The attachment law's delta
+    is not part of the tree: the weight oracles below take it as an argument.
     """
 
     parent: np.ndarray
-    delta: float | Fraction = 0.0
     degree: np.ndarray = field(init=False)
-    edge_time_sum: np.ndarray = field(init=False)
 
     def __post_init__(self):
         parent = np.asarray(self.parent, dtype=np.int64)
-        chosen = parent[1:]
-        born = np.arange(1, len(parent))
-        degree = np.bincount(chosen, minlength=len(parent))
+        degree = np.bincount(parent[1:], minlength=len(parent))
         degree[1:] += 1
-        edge_time_sum = np.zeros(len(parent), dtype=np.int64)
-        np.add.at(edge_time_sum, chosen, born)
-        edge_time_sum[1:] += born
-        for name, a in (("parent", parent), ("degree", degree), ("edge_time_sum", edge_time_sum)):
+        for name, a in (("parent", parent), ("degree", degree)):
             a.flags.writeable = False
             object.__setattr__(self, name, a)
 
     @classmethod
-    def from_parents(cls, parents: Sequence[int], delta: float | Fraction = 0.0) -> "TreeRecord":
+    def from_parents(cls, parents: Sequence[int]) -> "TreeRecord":
         """Check the parent choices of vertices 1..n and build the record."""
         chosen = np.asarray(parents, dtype=np.int64)
         if chosen.ndim != 1 or chosen.size < 1 or chosen[0] != 0:
@@ -143,7 +135,7 @@ class TreeRecord:
         if bad.size:
             m = int(bad[0]) + 1
             raise ValueError(f"parent of vertex {m} must be < {m}")
-        return cls(np.concatenate(([-1], chosen)), delta)
+        return cls(np.concatenate(([-1], chosen)))
 
     @property
     def n(self) -> int:
@@ -182,10 +174,23 @@ def _delta_part(delta, birth: int, n: int, convention: str):
     raise ValueError(f"unknown convention {convention!r}")
 
 
-def _replay_weight(tree: TreeRecord, i: int, convention: str):
+def _edge_time_sums(tree: TreeRecord) -> list[int]:
+    """Sum of the birth times of the edges at each vertex, as Python ints.
+
+    Edge m is born at time m, so vertex i collects its own birth time (none
+    for v0) and those of its children; the degree part of its weight at
+    time n is (n+1)*degree[i] minus this sum.
+    """
+    born = np.arange(1, len(tree.parent))
+    sums = np.zeros(len(tree.parent), dtype=np.int64)
+    np.add.at(sums, tree.parent[1:], born)
+    sums[1:] += born
+    return sums.tolist()
+
+
+def _replay_weight(tree: TreeRecord, i: int, delta, convention: str):
     """Literal double sum over times m = i..n of (deg(v_i, m) + delta)."""
     n = tree.n
-    delta = tree.delta
     times = ([i] if i >= 1 else []) + np.flatnonzero(tree.parent == i).tolist()
     total = 0 * delta
     deg = 0
@@ -200,7 +205,7 @@ def _replay_weight(tree: TreeRecord, i: int, convention: str):
     return total
 
 
-def vertex_weight(tree: TreeRecord, i: int, convention: str = "exact") -> WeightView:
+def vertex_weight(tree: TreeRecord, i: int, delta, convention: str = "exact") -> WeightView:
     """Integrated weight theta(v_i, n), computed two independent ways.
 
     (a) by replaying the degree history and summing deg + delta over time,
@@ -213,11 +218,11 @@ def vertex_weight(tree: TreeRecord, i: int, convention: str = "exact") -> Weight
         raise ValueError("weights are defined only for n >= 1")
     if not 0 <= i <= n:
         raise IndexError(f"vertex {i} out of range 0..{n}")
-    degree_part = (n + 1) * int(tree.degree[i]) - int(tree.edge_time_sum[i])
-    delta_part = _delta_part(tree.delta, i, n, convention)
+    degree_part = (n + 1) * int(tree.degree[i]) - _edge_time_sums(tree)[i]
+    delta_part = _delta_part(delta, i, n, convention)
     theta = degree_part + delta_part
-    replay = _replay_weight(tree, i, convention)
-    if isinstance(tree.delta, Fraction) or float(tree.delta) * 2 == int(float(tree.delta) * 2):
+    replay = _replay_weight(tree, i, delta, convention)
+    if isinstance(delta, Fraction) or float(delta) * 2 == int(float(delta) * 2):
         agree = replay == theta
     else:
         agree = abs(replay - theta) <= 1e-12 * max(1.0, abs(theta))
@@ -235,19 +240,19 @@ def total_weight_closed(n: int, delta, convention: str = "exact"):
     raise ValueError(f"unknown convention {convention!r}")
 
 
-def _thetas(tree: TreeRecord, convention: str) -> list:
-    """All vertex weights at time n from the per-vertex bookkeeping.
+def _thetas(tree: TreeRecord, delta, convention: str) -> list:
+    """All vertex weights at time n from the degrees and edge-time sums.
 
     Python ints keep Fraction deltas exact (numpy int64 / int64 is a float).
     """
     n = tree.n
     return [
-        (n + 1) * d - t + _delta_part(tree.delta, i, n, convention)
-        for i, (d, t) in enumerate(zip(tree.degree.tolist(), tree.edge_time_sum.tolist()))
+        (n + 1) * d - t + _delta_part(delta, i, n, convention)
+        for i, (d, t) in enumerate(zip(tree.degree.tolist(), _edge_time_sums(tree)))
     ]
 
 
-def total_weight(tree: TreeRecord, convention: str = "exact"):
+def total_weight(tree: TreeRecord, delta, convention: str = "exact"):
     """Total weight at time n; equals the sum of all vertex weights.
 
     Under ``paper_total`` this is n(n+1)(1+delta/2); under ``exact`` it is
@@ -256,10 +261,10 @@ def total_weight(tree: TreeRecord, convention: str = "exact"):
     n = tree.n
     if n < 1:
         raise ValueError("total weight is defined only for n >= 1")
-    closed = total_weight_closed(n, tree.delta, convention)
-    # recompute from per-vertex bookkeeping as a cross-check
-    summed = sum(_thetas(tree, convention))
-    if isinstance(tree.delta, Fraction):
+    closed = total_weight_closed(n, delta, convention)
+    # recompute from the vertex weights as a cross-check
+    summed = sum(_thetas(tree, delta, convention))
+    if isinstance(delta, Fraction):
         agree = summed == closed
     else:
         agree = abs(summed - closed) <= 1e-9 * max(1.0, abs(closed))
@@ -268,11 +273,11 @@ def total_weight(tree: TreeRecord, convention: str = "exact"):
     return closed
 
 
-def attach_probabilities(tree: TreeRecord, convention: str = "exact") -> list:
+def attach_probabilities(tree: TreeRecord, delta, convention: str = "exact") -> list:
     """Attachment distribution over vertices 0..n: theta_i / sum theta_j."""
     if tree.n < 1:
         raise ValueError("attachment probabilities require n >= 1")
-    thetas = _thetas(tree, convention)
+    thetas = _thetas(tree, delta, convention)
     if min(thetas) < 0:
         raise ValueError(
             "negative attachment weight; the exact convention requires delta >= -1/2"
@@ -280,19 +285,19 @@ def attach_probabilities(tree: TreeRecord, convention: str = "exact") -> list:
     total = sum(thetas)
     probs = [t / total for t in thetas]
     s = sum(probs)
-    if not (s == 1 if isinstance(tree.delta, Fraction) else abs(s - 1.0) <= 1e-12):
+    if not (s == 1 if isinstance(delta, Fraction) else abs(s - 1.0) <= 1e-12):
         raise AssertionError(f"attachment probabilities sum to {s}")
     return probs
 
 
-def sample_target_naive(tree: TreeRecord, rng: CounterRng, convention: str = "exact") -> int:
-    """Reference O(n) sampler: one pass over the maintained vertex weights."""
+def sample_target_naive(tree: TreeRecord, rng: CounterRng, delta: float, convention: str = "exact") -> int:
+    """Reference O(n) sampler: one pass over the vertex weights."""
     n = tree.n
     if n < 1:
         raise ValueError("sampling requires n >= 1")
-    delta = float(tree.delta)
+    delta = float(delta)
     degree = tree.degree.tolist()
-    tsum = tree.edge_time_sum.tolist()
+    tsum = _edge_time_sums(tree)
     np1 = n + 1
     if convention == "exact":
         total = n * np1 + delta * np1 * (n + 2) / 2
@@ -394,7 +399,7 @@ def _fast_target_float(parent, n, delta, convention, rng: CounterRng) -> int:
     return m if v < 1.0 + delta else parent[m]
 
 
-def token_probability_vector(tree: TreeRecord, convention: str = "exact") -> list:
+def token_probability_vector(tree: TreeRecord, delta, convention: str = "exact") -> list:
     """Attachment distribution induced analytically by the fast sampler.
 
     Accumulates the token weights the fast sampler draws from and
@@ -408,7 +413,6 @@ def token_probability_vector(tree: TreeRecord, convention: str = "exact") -> lis
     mass, the one delta mass with no birth edge to absorb it.
     """
     n = tree.n
-    delta = tree.delta
     parent = tree.parent.tolist()
     zero = 0 * delta
     w = [zero] * (n + 1)
@@ -629,7 +633,7 @@ def grow(
         return draw(parent, m - 1, delta, convention, rng)
 
     drive_blocks(rng, parent, 2, words, block, fixup)
-    tree = TreeRecord(parent, params.delta)
+    tree = TreeRecord(parent)
 
     snapshots = []
     for n in cps:
@@ -660,6 +664,6 @@ def history_probability(parents: Sequence[int], delta, convention: str = "exact"
     """Exact probability of one attachment history under the growth law."""
     prob = 1 if isinstance(delta, Fraction) else 1.0
     for n in range(1, len(parents)):
-        probs = attach_probabilities(TreeRecord.from_parents(parents[:n], delta), convention)
+        probs = attach_probabilities(TreeRecord.from_parents(parents[:n]), delta, convention)
         prob *= probs[parents[n]]
     return prob

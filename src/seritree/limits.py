@@ -117,7 +117,8 @@ def hazard(sigmas: Sequence[float], x: float, delta: float) -> float:
     The root contributes (1+delta)/(1+delta/2) * (1 - e^-(sigma_{k-1} + x)),
     which is (1+delta)/(1+delta/2) * (1-e^-x) for the first arrival, and each
     previous arrival a (1 - e^-(sigma_{k-1} - sigma_j + x))/(1+delta/2) term.
-    The value always lies in [0, (k+delta)/(1+delta/2)).
+    The value always lies in [0, (k+delta)/(1+delta/2)).  This is the
+    definition; `_arrivals` evaluates the same sum in O(1) by a recurrence.
     """
     if x < 0:
         raise ValueError("x must be >= 0")
@@ -140,21 +141,28 @@ def _arrivals(
     never attains, so acceptance probabilities stay in [0, 1) and the sampled
     survival function is exp(-integral of the hazard) with no discretization
     error.  Stops after `max_arrivals`, if given.
+
+    The `hazard` after k arrivals, the last at age s, is
+    a(1 - e^-(s+x)) + b(k - e^-x E) with E = sum_j e^-(s - sigma_j), and an
+    arrival at x sets E to E e^-x + 1, so each proposal costs O(1).
     """
-    ages: list[float] = []
-    prev = 0.0
-    while max_arrivals is None or len(ages) < max_arrivals:
-        bound = (len(ages) + 1 + delta) * (1.0 / (1.0 + 0.5 * delta))
+    a = (1.0 + delta) / (1.0 + 0.5 * delta)
+    b = 1.0 / (1.0 + 0.5 * delta)
+    k, s, e = 0, 0.0, 0.0
+    while max_arrivals is None or k < max_arrivals:
+        bound = (k + 1 + delta) * b
         x = 0.0
         while True:
             x += rng.exponential(bound)
-            t = birth + prev + x
+            t = birth + s + x
             if t > t_max:
                 return  # proposals only increase; nothing left before the horizon
-            if rng.random() * bound <= hazard(ages, x, delta):
+            decay = math.exp(-x)
+            if rng.random() * bound <= a * (1.0 - math.exp(-(x + s))) + b * (k - decay * e):
                 break
-        prev += x
-        ages.append(prev)
+        k += 1
+        s += x
+        e = e * decay + 1.0
         yield t
 
 

@@ -1,4 +1,4 @@
-"""File formats: trees, manifests, pmfs, histograms, trajectories, spectra.
+"""File formats: trees, manifests, pmfs, histograms, spectra.
 
 Trees ship in two interchangeable formats:
 
@@ -26,7 +26,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .growth import TreeRecord
-from .limits import DegreePMF, YulePath
+from .limits import DegreePMF
 from .treeops import FringeHistogram
 
 FORMAT_VERSION = "1"
@@ -80,7 +80,7 @@ def write_tree_csv(tree: TreeRecord, path: Union[str, Path]) -> None:
         fh.write("vertex,parent\r\n" + "".join(rows))
 
 
-def read_tree_csv(path: Union[str, Path], delta: float = 0.0) -> TreeRecord:
+def read_tree_csv(path: Union[str, Path]) -> TreeRecord:
     with open(path, newline="") as fh:
         header = fh.readline().rstrip("\r\n").split(",")
         if header != ["vertex", "parent"]:
@@ -93,7 +93,7 @@ def read_tree_csv(path: Union[str, Path], delta: float = 0.0) -> TreeRecord:
     if out_of_order.size:
         row = rows[out_of_order[0]].tolist()
         raise ValueError(f"tree CSV rows must be ordered by vertex; saw {row}")
-    return TreeRecord.from_parents(rows[:, 1], delta)
+    return TreeRecord.from_parents(rows[:, 1])
 
 
 def write_tree_binary(tree: TreeRecord, path: Union[str, Path]) -> None:
@@ -104,7 +104,7 @@ def write_tree_binary(tree: TreeRecord, path: Union[str, Path]) -> None:
         fh.write(tree.parent[1:].astype("<u8").tobytes())
 
 
-def read_tree_binary(path: Union[str, Path], delta: float = 0.0) -> TreeRecord:
+def read_tree_binary(path: Union[str, Path]) -> TreeRecord:
     raw = Path(path).read_bytes()
     if len(raw) < 24 or raw[:10] != TREE_MAGIC:
         raise ValueError("not a tree binary (bad magic)")
@@ -124,7 +124,7 @@ def read_tree_binary(path: Union[str, Path], delta: float = 0.0) -> TreeRecord:
     parent = np.empty(n + 1, dtype=np.int64)
     parent[0] = -1
     parent[1:] = parents
-    return TreeRecord(parent, delta)
+    return TreeRecord(parent)
 
 
 def write_pmf_csv(pmf: DegreePMF, path: Union[str, Path]) -> None:
@@ -143,14 +143,6 @@ def write_histogram_csv(hist: FringeHistogram, path: Union[str, Path]) -> None:
             writer.writerow([key, hist.counts[key], repr(hist.counts[key] / hist.total)])
         if hist.other:
             writer.writerow(["(other)", hist.other, repr(hist.other / hist.total)])
-
-
-def write_trajectory_csv(path_obj: YulePath, path: Union[str, Path]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "Y", "D", "W"])
-        for t, y, d, w in zip(path_obj.t, path_obj.y, path_obj.d, path_obj.w):
-            writer.writerow([repr(float(t)), int(y), int(d), repr(float(w))])
 
 
 def write_spectrum_csv(eigenvalues: Sequence[float], path: Union[str, Path]) -> None:

@@ -190,22 +190,6 @@ class FringeHistogram:
             return self.other / self.total
         return self.counts.get(key, 0) / self.total
 
-    def merged(self, other: "FringeHistogram") -> "FringeHistogram":
-        """Associative, commutative merge of two compatible histograms."""
-        if (self.truncation, self.k) != (other.truncation, other.k):
-            raise ValueError("histograms must share truncation and k")
-        counts = dict(self.counts)
-        for key, c in other.counts.items():
-            counts[key] = counts.get(key, 0) + c
-        return FringeHistogram(
-            counts=counts,
-            other=self.other + other.other,
-            total=self.total + other.total,
-            truncation=self.truncation,
-            k=self.k,
-            excluded_shallow=self.excluded_shallow + other.excluded_shallow,
-        )
-
 
 def _class_ids(parent: np.ndarray, size: np.ndarray, truncation: int) -> tuple[np.ndarray, list[str]]:
     """Integer fringe class of every vertex whose fringe has <= `truncation` vertices.

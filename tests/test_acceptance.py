@@ -67,10 +67,10 @@ def test_criterion_01_exact_sampler_oracle():
     for delta in (Fraction(-1, 2), Fraction(0), Fraction(1), Fraction(5, 2)):
         for n in range(1, 7):
             for hist in enumerate_histories(n):
-                tree = TreeRecord.from_parents(hist, delta)
+                tree = TreeRecord.from_parents(hist)
                 for conv in ("exact", "paper_total"):
                     checked += 1
-                    assert token_probability_vector(tree, conv) == attach_probabilities(tree, conv), (
+                    assert token_probability_vector(tree, delta, conv) == attach_probabilities(tree, delta, conv), (
                         f"mismatch at delta={delta} conv={conv} hist={hist}"
                     )
     elapsed = time.monotonic() - start
@@ -272,10 +272,10 @@ def test_criterion_10_drift_matrix_and_yule():
 
 
 def test_criterion_11_spectrum_sanity():
-    path3 = TreeRecord.from_parents([0, 1], 0.0)
+    path3 = TreeRecord.from_parents([0, 1])
     eig = adjacency_spectrum(path3).eigenvalues
     path_ok = np.allclose(eig, [-math.sqrt(2), 0.0, math.sqrt(2)], atol=1e-9)
-    star = TreeRecord.from_parents([0, 0, 0], 0.0)
+    star = TreeRecord.from_parents([0, 0, 0])
     eig = adjacency_spectrum(star).eigenvalues
     star_ok = np.allclose(eig, [-math.sqrt(3), 0.0, 0.0, math.sqrt(3)], atol=1e-9)
     masses = {}

@@ -164,10 +164,10 @@ def test_compare_pools_sparse_bins():
 # --- spectra -----------------------------------------------------------------------
 
 def test_path_and_star_spectra():
-    path3 = TreeRecord.from_parents([0, 1], 0.0)
+    path3 = TreeRecord.from_parents([0, 1])
     eig = adjacency_spectrum(path3).eigenvalues
     assert np.allclose(eig, [-math.sqrt(2), 0.0, math.sqrt(2)], atol=1e-9)
-    star = TreeRecord.from_parents([0, 0, 0], 0.0)
+    star = TreeRecord.from_parents([0, 0, 0])
     eig = adjacency_spectrum(star).eigenvalues
     assert np.allclose(eig, [-math.sqrt(3), 0.0, 0.0, math.sqrt(3)], atol=1e-9)
 
@@ -181,10 +181,9 @@ def test_spectrum_symmetry_and_moments():
 
 
 def test_spectrum_zero_atom_and_cap():
-    star = TreeRecord.from_parents([0, 0, 0], 0.0)
+    star = TreeRecord.from_parents([0, 0, 0])
     spec = adjacency_spectrum(star)
     assert atom_mass_at_zero(spec) == 0.5
-    assert 0.0 in [round(v, 9) for v in spec.atom_masses]
-    big = TreeRecord.from_parents([0] * 3000, 0.0)  # a star beyond the size cap
+    big = TreeRecord.from_parents([0] * 3000)  # a star beyond the size cap
     with pytest.raises(ValueError):
         adjacency_spectrum(big)

@@ -1,5 +1,6 @@
 import math
 from collections import Counter
+from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
@@ -20,6 +21,7 @@ from seritree.growth import (
     token_probability_vector,
     total_weight,
     vertex_weight,
+    _edge_time_sums,
     _fast_target_float,
     _fast_target_int,
     _is_half_integer,
@@ -76,41 +78,53 @@ def test_params_reject_token_bound_of_2_64(delta, convention, bound):
 # --- weights: hand-worked small cases -----------------------------------------
 
 def test_vertex_weight_examples():
-    t0 = TreeRecord.from_parents([0], Fraction(0))
-    assert vertex_weight(t0, 0).theta == 1
-    t1 = TreeRecord.from_parents([0], Fraction(1))
-    w0 = vertex_weight(t1, 0, "exact")
+    t = TreeRecord.from_parents([0])
+    assert vertex_weight(t, 0, Fraction(0)).theta == 1
+    w0 = vertex_weight(t, 0, Fraction(1), "exact")
     assert (w0.theta, w0.degree_part, w0.delta_part) == (3, 1, 2)
-    assert vertex_weight(t1, 1, "exact").theta == 2
+    assert vertex_weight(t, 1, Fraction(1), "exact").theta == 2
     # paper_total: delta accrual starts the step after birth
-    assert vertex_weight(t1, 0, "paper_total").theta == 2
-    assert vertex_weight(t1, 1, "paper_total").theta == 1
+    assert vertex_weight(t, 0, Fraction(1), "paper_total").theta == 2
+    assert vertex_weight(t, 1, Fraction(1), "paper_total").theta == 1
 
 
 def test_vertex_weight_errors():
-    t = TreeRecord.from_parents([0], 0.0)
+    t = TreeRecord.from_parents([0])
     with pytest.raises(IndexError):
-        vertex_weight(t, 5)
-    bare = TreeRecord(parent=[-1], delta=0.0)
+        vertex_weight(t, 5, 0.0)
+    bare = TreeRecord(parent=[-1])
     with pytest.raises(ValueError):
-        vertex_weight(bare, 0)
+        vertex_weight(bare, 0, 0.0)
+
+
+def test_tree_record_holds_only_the_tree():
+    tree = TreeRecord.from_parents([0, 0, 1])
+    assert [f.name for f in fields(tree)] == ["parent", "degree"]
+    assert tree.parent.tolist() == [-1, 0, 0, 1]
+    assert tree.degree.tolist() == [2, 2, 1, 1]
+
+
+def test_edge_time_sums_from_parents():
+    # vertex i collects its own birth time and those of its children
+    tree = TreeRecord.from_parents([0, 0, 1, 3, 0])
+    assert _edge_time_sums(tree) == [1 + 2 + 5, 1 + 3, 2, 3 + 4, 4, 5]
 
 
 def test_total_weight_closed_forms():
-    t3 = TreeRecord.from_parents([0, 0, 1], Fraction(0))
-    assert total_weight(t3, "exact") == 12
-    assert total_weight(t3, "paper_total") == 12
-    t2 = TreeRecord.from_parents([0, 1], Fraction(1))
-    assert total_weight(t2, "paper_total") == 9   # n(n+1)(1 + delta/2)
-    assert total_weight(t2, "exact") == 12
+    t3 = TreeRecord.from_parents([0, 0, 1])
+    assert total_weight(t3, Fraction(0), "exact") == 12
+    assert total_weight(t3, Fraction(0), "paper_total") == 12
+    t2 = TreeRecord.from_parents([0, 1])
+    assert total_weight(t2, Fraction(1), "paper_total") == 9   # n(n+1)(1 + delta/2)
+    assert total_weight(t2, Fraction(1), "exact") == 12
 
 
 def test_convention_gap_is_delta_times_n_plus_one():
     delta = Fraction(3, 2)
     for hist in [(0,), (0, 0), (0, 1), (0, 0, 2, 1), (0, 1, 2, 3, 4)]:
-        tree = TreeRecord.from_parents(hist, delta)
+        tree = TreeRecord.from_parents(hist)
         n = tree.n
-        gap = total_weight(tree, "exact") - total_weight(tree, "paper_total")
+        gap = total_weight(tree, delta, "exact") - total_weight(tree, delta, "paper_total")
         assert gap == delta * (n + 1)
 
 
@@ -121,42 +135,41 @@ def test_weight_identity_replay_vs_event_form_n64():
     parents = [0]
     for _ in range(63):
         parents.append(rng.randbelow(len(parents) + 1))
-    tree = TreeRecord.from_parents(parents, delta)
+    tree = TreeRecord.from_parents(parents)
     assert tree.n == 64
     for i in (0, 1, 13, 37, 64):
         for conv in ("exact", "paper_total"):
-            view = vertex_weight(tree, i, conv)  # asserts internally
+            view = vertex_weight(tree, i, delta, conv)  # asserts internally
             assert view.theta == view.degree_part + view.delta_part
 
 
 def test_paper_total_weights_positive_for_all_delta():
     delta = Fraction(-9, 10)
-    tree = TreeRecord.from_parents([0, 0, 1, 2, 0], delta)
+    tree = TreeRecord.from_parents([0, 0, 1, 2, 0])
     for i in range(tree.n + 1):
-        assert vertex_weight(tree, i, "paper_total").theta > 0
+        assert vertex_weight(tree, i, delta, "paper_total").theta > 0
 
 
 def test_attach_probabilities_examples():
-    t0 = TreeRecord.from_parents([0], Fraction(0))
-    assert attach_probabilities(t0) == [Fraction(1, 2), Fraction(1, 2)]
-    t1 = TreeRecord.from_parents([0], Fraction(1))
-    assert attach_probabilities(t1, "exact") == [Fraction(3, 5), Fraction(2, 5)]
-    assert attach_probabilities(t1, "paper_total") == [Fraction(2, 3), Fraction(1, 3)]
+    t = TreeRecord.from_parents([0])
+    assert attach_probabilities(t, Fraction(0)) == [Fraction(1, 2), Fraction(1, 2)]
+    assert attach_probabilities(t, Fraction(1), "exact") == [Fraction(3, 5), Fraction(2, 5)]
+    assert attach_probabilities(t, Fraction(1), "paper_total") == [Fraction(2, 3), Fraction(1, 3)]
 
 
 def test_attach_probabilities_float_sum():
     tree, _ = grow(GrowthParams(delta=0.7, n_final=50, seed=9))
-    probs = attach_probabilities(tree)
+    probs = attach_probabilities(tree, 0.7)
     assert abs(sum(probs) - 1.0) <= 1e-12
 
 
 # --- samplers ---------------------------------------------------------------
 
-def _sample_target_fast(tree, rng, convention="exact"):
+def _sample_target_fast(tree, rng, delta, convention="exact"):
     """One token-sampler draw on a finished tree, as `grow` draws each step."""
-    if _is_half_integer(tree.delta):
-        return int(_fast_target_int(tree.parent, tree.n, int(2 * tree.delta), convention, rng))
-    return int(_fast_target_float(tree.parent, tree.n, float(tree.delta), convention, rng))
+    if _is_half_integer(delta):
+        return int(_fast_target_int(tree.parent, tree.n, int(2 * delta), convention, rng))
+    return int(_fast_target_float(tree.parent, tree.n, float(delta), convention, rng))
 
 
 def test_triangular_index_inverts_integer_cdf():
@@ -190,9 +203,9 @@ def test_token_vector_matches_attach_probabilities_exhaustive_small():
     for delta in (Fraction(0), Fraction(1), Fraction(-1, 2)):
         for n in range(1, 5):
             for hist in enumerate_histories(n):
-                tree = TreeRecord.from_parents(hist, delta)
+                tree = TreeRecord.from_parents(hist)
                 for conv in ("exact", "paper_total"):
-                    assert token_probability_vector(tree, conv) == attach_probabilities(tree, conv)
+                    assert token_probability_vector(tree, delta, conv) == attach_probabilities(tree, delta, conv)
 
 
 class _FixedDraw:
@@ -216,38 +229,38 @@ def test_int_sampler_tokens_are_twice_the_weights(delta, convention):
     for n in range(1, 6):
         bound = token_bound(delta, n + 1, convention)
         for hist in enumerate_histories(n):
-            tree = TreeRecord.from_parents(hist, delta)
+            tree = TreeRecord.from_parents(hist)
             targets = []
             for r in range(bound):
                 draw = _FixedDraw(r)
                 targets.append(int(_fast_target_int(tree.parent, n, d2, convention, draw)))
                 assert draw.bound == bound
             counts = np.bincount(targets, minlength=n + 1).tolist()
-            assert counts == [2 * vertex_weight(tree, i, convention).theta for i in range(n + 1)], hist
+            assert counts == [2 * vertex_weight(tree, i, delta, convention).theta for i in range(n + 1)], hist
 
 
 def test_naive_sampler_frequency_example():
     # (n=1, delta=1, exact): P(v0) = 3/5
-    tree = TreeRecord.from_parents([0], 1.0)
+    tree = TreeRecord.from_parents([0])
     rng = CounterRng(2)
     n = 100000
-    hits = sum(1 for _ in range(n) if sample_target_naive(tree, rng, "exact") == 0)
+    hits = sum(1 for _ in range(n) if sample_target_naive(tree, rng, 1.0, "exact") == 0)
     sigma = math.sqrt(0.6 * 0.4 / n)
     assert abs(hits / n - 0.6) <= 3 * sigma
 
 
 def test_naive_sampler_symmetric_case():
-    tree = TreeRecord.from_parents([0], 0.0)
+    tree = TreeRecord.from_parents([0])
     rng = CounterRng(3)
     n = 50000
-    hits = sum(1 for _ in range(n) if sample_target_naive(tree, rng) == 0)
+    hits = sum(1 for _ in range(n) if sample_target_naive(tree, rng, 0.0) == 0)
     assert abs(hits / n - 0.5) <= 3 * math.sqrt(0.25 / n)
 
 
 def test_naive_sampler_deterministic_replay():
-    tree = TreeRecord.from_parents([0, 0, 1, 3], 1.0)
-    seq1 = [sample_target_naive(tree, CounterRng(77).spawn(i)) for i in range(20)]
-    seq2 = [sample_target_naive(tree, CounterRng(77).spawn(i)) for i in range(20)]
+    tree = TreeRecord.from_parents([0, 0, 1, 3])
+    seq1 = [sample_target_naive(tree, CounterRng(77).spawn(i), 1.0) for i in range(20)]
+    seq2 = [sample_target_naive(tree, CounterRng(77).spawn(i), 1.0) for i in range(20)]
     assert seq1 == seq2
 
 
@@ -263,22 +276,22 @@ def test_naive_sampler_deterministic_replay():
 ])
 def test_fast_sampler_matches_probabilities(delta, conv):
     frac = Fraction(delta).limit_denominator(10)
-    tree = TreeRecord.from_parents([0, 0, 1, 2, 1], frac)
-    probs = [float(p) for p in attach_probabilities(tree, conv)]
+    tree = TreeRecord.from_parents([0, 0, 1, 2, 1])
+    probs = [float(p) for p in attach_probabilities(tree, frac, conv)]
     rng = CounterRng(123)
     n = 120000
-    counts = Counter(_sample_target_fast(tree, rng, conv) for _ in range(n))
+    counts = Counter(_sample_target_fast(tree, rng, frac, conv) for _ in range(n))
     for i, p in enumerate(probs):
         sigma = math.sqrt(max(p * (1 - p), 1e-12) / n)
         assert abs(counts[i] / n - p) <= 4 * sigma + 1e-3
 
 
 def test_fast_equals_naive_in_distribution():
-    tree = TreeRecord.from_parents([0, 1, 1, 0, 2], 1.0)
+    tree = TreeRecord.from_parents([0, 1, 1, 0, 2])
     n = 60000
     rng_fast, rng_naive = CounterRng(5), CounterRng(6)
-    fast = Counter(_sample_target_fast(tree, rng_fast) for _ in range(n))
-    naive = Counter(sample_target_naive(tree, rng_naive) for _ in range(n))
+    fast = Counter(_sample_target_fast(tree, rng_fast, 1.0) for _ in range(n))
+    naive = Counter(sample_target_naive(tree, rng_naive, 1.0) for _ in range(n))
     support = sorted(set(fast) | set(naive))
     table = np.array([[fast[i] for i in support], [naive[i] for i in support]])
     _, p_value, _, _ = stats.chi2_contingency(table)
@@ -388,7 +401,7 @@ def test_shape_distribution_chi_square_n5():
     delta = Fraction(0)
     exact_by_shape: dict[str, float] = {}
     for hist in enumerate_histories(5):
-        key = fringe(TreeRecord.from_parents(hist, delta), 0)
+        key = fringe(TreeRecord.from_parents(hist), 0)
         p = history_probability(hist, delta)
         exact_by_shape[key] = exact_by_shape.get(key, 0.0) + float(p)
     assert abs(sum(exact_by_shape.values()) - 1.0) < 1e-12

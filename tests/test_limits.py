@@ -110,6 +110,37 @@ def test_hazard_within_stated_bound():
         assert 0.0 <= h < (4 + 1.0) / 1.5
 
 
+def _arrivals_by_hazard(delta, rng, t_max):
+    """The arrival loop that evaluated `hazard` in O(k) at every proposal,
+    the reference for the O(1) recurrence in `limits._arrivals`."""
+    ages = []
+    prev = 0.0
+    while True:
+        bound = (len(ages) + 1 + delta) * (1.0 / (1.0 + 0.5 * delta))
+        x = 0.0
+        while True:
+            x += rng.exponential(bound)
+            t = prev + x
+            if t > t_max:
+                return ages
+            if rng.random() * bound <= hazard(ages, x, delta):
+                break
+        prev += x
+        ages.append(prev)
+
+
+@pytest.mark.parametrize("delta", [-0.9, -0.5, 0.0, 0.7, 2.5])
+def test_arrivals_recurrence_equals_hazard_loop(delta):
+    # the same times from the same words, under both horizons
+    for seed in range(300):
+        rng, ref = CounterRng(seed), CounterRng(seed)
+        assert sample_arrivals(delta, rng, t_max=3.0) == _arrivals_by_hazard(delta, ref, 3.0)
+        assert rng.counter == ref.counter
+        times = sample_arrivals(delta, rng, exp1=True)
+        assert times == _arrivals_by_hazard(delta, ref, ref.exponential())
+        assert rng.counter == ref.counter
+
+
 def test_malthusian_identity_on_delta_grid():
     # the discounted non-root rate integrates to exactly 1 at the growth rate
     for delta in (-0.5, 0.0, 1.0, 2.0, 5.0):
@@ -218,6 +249,20 @@ def test_memory_bp_node_cap():
     # the cap that stops a runaway fringe sample; bp_fringe_sample keeps the default
     with pytest.raises(NodeCapExceeded):
         sample_memory_bp(0.0, CounterRng(6), t_max=30.0, max_nodes=50)
+
+
+def test_memory_bp_cap_is_exact():
+    # a capped run raises exactly when the uncapped genealogy outgrows the
+    # cap, and otherwise returns that genealogy
+    for seed in range(3000):
+        full = sample_memory_bp(0.0, CounterRng(seed), exp1=True)
+        try:
+            capped = sample_memory_bp(0.0, CounterRng(seed), exp1=True, max_nodes=5)
+        except NodeCapExceeded:
+            assert full.size > 5, seed
+            continue
+        assert full.size <= 5, seed
+        assert (capped.parents, capped.birth_times) == (full.parents, full.birth_times)
 
 
 def test_edge_bp_size_matches_arrivals_plus_one():

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from seritree.growth import GrowthParams, grow
-from seritree.limits import DegreePMF, yule_marked_simulate
-from seritree.rng import CounterRng
+from seritree.limits import DegreePMF
 from seritree.serialize import (
     RunManifest,
     read_tree_binary,
@@ -13,7 +12,6 @@ from seritree.serialize import (
     write_histogram_csv,
     write_pmf_csv,
     write_spectrum_csv,
-    write_trajectory_csv,
     write_tree_binary,
     write_tree_csv,
 )
@@ -29,7 +27,7 @@ def tree():
 def test_tree_csv_roundtrip(tmp_path, tree):
     path = tmp_path / "tree.csv"
     write_tree_csv(tree, path)
-    back = read_tree_csv(path, delta=1.0)
+    back = read_tree_csv(path)
     assert np.array_equal(back.parent, tree.parent)
     assert np.array_equal(back.degree, tree.degree)
     header = path.read_text().splitlines()[0]
@@ -51,7 +49,7 @@ def test_tree_binary_roundtrip(tmp_path, tree):
     raw = path.read_bytes()
     assert raw[:10] == b"SERI-TREE\x00"
     assert len(raw) == 24 + 8 * tree.n
-    back = read_tree_binary(path, delta=1.0)
+    back = read_tree_binary(path)
     assert np.array_equal(back.parent, tree.parent)
 
 
@@ -106,13 +104,7 @@ def test_pmf_and_histogram_csv(tmp_path):
     assert any(line.startswith("(other)") for line in lines)
 
 
-def test_trajectory_and_spectrum_csv(tmp_path):
-    path_obj = yule_marked_simulate(0.0, 2.0, CounterRng(3))
-    write_trajectory_csv(path_obj, tmp_path / "traj.csv")
-    lines = (tmp_path / "traj.csv").read_text().splitlines()
-    assert lines[0] == "t,Y,D,W"
-    assert len(lines) == len(path_obj.t) + 1
-
+def test_spectrum_csv(tmp_path):
     write_spectrum_csv(np.array([-1.0, 0.0, 1.0]), tmp_path / "spec.csv")
     lines = (tmp_path / "spec.csv").read_text().splitlines()
     assert lines[0] == "eigenvalue"
