@@ -125,6 +125,17 @@ def test_fringe_compare_small(tmp_path):
     assert (out / "fringe_bp.csv").exists()
 
 
+def test_fringe_compare_cap_stops_at_the_node_cap(tmp_path, monkeypatch):
+    # a genealogy past --max-size is (other); one past the node cap still exits 3
+    monkeypatch.setattr(seritree.limits, "NODE_CAP", 3)
+    argv = ["fringe-compare", "--delta", "0", "--n", "100", "--reps", "200", "--seed", "1", "--tolerance", "1"]
+    assert run_cli(argv + ["--max-size", "2", "--out", str(tmp_path / "below")]) == 0
+    rows = (tmp_path / "below" / "fringe_bp.csv").read_text().splitlines()[1:]
+    assert {row.split(",")[0] for row in rows} == {"()", "(())", "(other)"}
+    assert run_cli(argv + ["--max-size", "3", "--out", str(tmp_path / "above")]) == 3
+    assert not (tmp_path / "above").exists()
+
+
 def test_selftest_passes(capsys):
     assert run_cli(["selftest"]) == 0
     out = capsys.readouterr().out
