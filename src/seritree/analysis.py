@@ -269,20 +269,49 @@ class SpectrumResult:
 
 
 def adjacency_spectrum(tree: TreeRecord) -> SpectrumResult:
-    """Eigenvalues of the 0/1 adjacency matrix of a grown tree (dense path).
+    """Eigenvalues of the 0/1 adjacency matrix of a grown tree, sorted ascending.
 
-    Capped at 2048+1 vertices.  Uses the symmetric LAPACK eigensolver, which
-    meets every stated tolerance with headroom; eigenvalues are returned
-    sorted ascending.
+    Capped at 2048+1 vertices.  Two exact orthogonal reductions come before
+    LAPACK.  First, c >= 2 leaves (non-root vertices of degree 1) that share
+    a parent are twins: they give c - 1 eigenvalues 0 and collapse to one
+    leaf on an edge of weight sqrt(c).  Second, a tree is bipartite, so with
+    its vertices coloured by depth parity the nonzero eigenvalues are +-s
+    for the singular values s of the even-by-odd block B of the reduced
+    tree.  The rest are |rows(B) - cols(B)| more zeros.  The twin zeros and
+    the structural ones are exactly 0, and the returned spectrum is exactly
+    symmetric about 0.
     """
     n = tree.n
     if n > SPECTRUM_SIZE_CAP:
-        raise ValueError(f"tree size {n} exceeds dense-spectrum cap {SPECTRUM_SIZE_CAP}")
-    size = n + 1
-    a = np.zeros((size, size))
-    child = np.arange(1, size)
-    a[np.r_[child, tree.parent[1:]], np.r_[tree.parent[1:], child]] = 1.0
-    return SpectrumResult(eigenvalues=np.linalg.eigvalsh(a))
+        raise ValueError(f"tree size {n} exceeds spectrum size cap {SPECTRUM_SIZE_CAP}")
+    parent = tree.parent
+    leaf = tree.degree == 1
+    leaf[0] = False
+    leaves = np.flatnonzero(leaf)
+    twins = np.bincount(parent[leaves], minlength=n + 1)
+    _, first = np.unique(parent[leaves], return_index=True)
+    kept = ~leaf  # the reduced tree: every inner vertex and one leaf per parent
+    kept[leaves[first]] = True
+    # depth parity by pointer jumping: each round doubles the hop length
+    odd = parent >= 0
+    up = np.maximum(parent, 0)
+    while up.any():
+        odd ^= odd[up]
+        up = up[up]
+    evens, odds = np.flatnonzero(kept & ~odd), np.flatnonzero(kept & odd)
+    index = np.empty(n + 1, dtype=np.int64)  # a kept vertex's row or column in B
+    index[evens] = np.arange(evens.size)
+    index[odds] = np.arange(odds.size)
+    child = np.flatnonzero(kept)[1:]
+    above = parent[child]
+    flip = odd[child]
+    b = np.zeros((evens.size, odds.size))
+    b[index[np.where(flip, above, child)], index[np.where(flip, child, above)]] = np.where(
+        leaf[child], np.sqrt(twins[above]), 1.0
+    )
+    s = np.sort(np.linalg.svd(b, compute_uv=False))
+    # 0.0 - s, not -s: a singular value of exactly 0 gives +0.0, as the zeros do
+    return SpectrumResult(eigenvalues=np.concatenate((0.0 - s[::-1], np.zeros(n + 1 - 2 * s.size), s)))
 
 
 def atom_mass_at_zero(spec: SpectrumResult) -> float:

@@ -21,6 +21,8 @@ from functools import partial
 from pathlib import Path
 from typing import Optional
 
+import numpy as np
+
 from . import __version__, analysis, growth, limits, serialize, treeops
 from .rng import CounterRng
 
@@ -227,7 +229,7 @@ def cmd_fringe_compare(args) -> int:
 def cmd_spectrum(args) -> int:
     if args.n > analysis.SPECTRUM_SIZE_CAP:
         raise CliError(
-            f"tree size {args.n} exceeds dense-spectrum cap {analysis.SPECTRUM_SIZE_CAP}",
+            f"tree size {args.n} exceeds spectrum size cap {analysis.SPECTRUM_SIZE_CAP}",
             code=EXIT_RESOURCE_CAP,
         )
     tree, _ = _grow(args)
@@ -300,6 +302,20 @@ def cmd_selftest(args) -> int:
                             worst = (delta, conv, hist)
         return worst is None, "exhaustive n <= 6" if worst is None else f"mismatch at {worst}"
 
+    def check_spectrum_vs_dense():
+        worst = 0.0
+        for n in range(1, 7):
+            for hist in growth.enumerate_histories(n):
+                tree = growth.TreeRecord.from_parents(hist)
+                a = np.zeros((n + 1, n + 1))
+                a[np.arange(1, n + 1), hist] = 1.0
+                dense = np.linalg.eigvalsh(a + a.T)
+                eig = analysis.adjacency_spectrum(tree).eigenvalues
+                if eig.shape != dense.shape:
+                    return False, f"{eig.size} eigenvalues, not {dense.size}, at {hist}"
+                worst = max(worst, float(np.max(np.abs(eig - dense))))
+        return worst <= 1e-10, f"max |eig - dense| = {worst:.2e}"
+
     def check_density_duality():
         rng = CounterRng(20240)
         worst = 0.0
@@ -325,6 +341,7 @@ def cmd_selftest(args) -> int:
         return worst <= 1e-10, f"max |integral - 1| = {worst:.2e}"
 
     run("sampler-equivalence (exhaustive n<=6)", check_sampler_equivalence)
+    run("spectrum-vs-dense (exhaustive n<=6)", check_spectrum_vs_dense)
     run("density-duality (200 marked trees)", check_density_duality)
     run("malthusian-identity (delta grid)", check_malthusian)
 

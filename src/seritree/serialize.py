@@ -73,11 +73,37 @@ class RunManifest:
         return cls.from_json(Path(path).read_text())
 
 
+def _put_digits(values: np.ndarray, out: np.ndarray) -> None:
+    """ASCII decimal digits of `values`, right-aligned down the rows of `out`.
+
+    The last row holds the ones digits, each row above it the next power of
+    ten; rows left of a value's leading digit hold the byte 0.
+    """
+    q = values
+    for i, row in enumerate(out[::-1]):
+        rest = q // 10
+        np.subtract(q, 10 * rest, out=row, casting="unsafe")
+        row += ord("0")
+        if i:
+            row *= q > 0
+        q = rest
+
+
 def write_tree_csv(tree: TreeRecord, path: Union[str, Path]) -> None:
     # the bytes csv.writer wrote: every row, the header included, ends in \r\n
-    rows = map("{},{}\r\n".format, range(1, tree.n + 1), tree.parent[1:].tolist())
-    with open(path, "w", newline="") as fh:
-        fh.write("vertex,parent\r\n" + "".join(rows))
+    n = tree.n
+    width = len(str(n))
+    dtype = np.min_scalar_type(n)  # the narrowest unsigned type that holds 0..n
+    # one column per row of the file, as fixed-width bytes with 0 as padding
+    cols = np.empty((2 * width + 3, n), dtype=np.uint8)
+    _put_digits(np.arange(1, n + 1, dtype=dtype), cols[:width])
+    cols[width] = ord(",")
+    _put_digits(tree.parent[1:].astype(dtype), cols[width + 1 : 2 * width + 1])
+    cols[-2], cols[-1] = ord("\r"), ord("\n")
+    rows = cols.T
+    with open(path, "wb") as fh:
+        fh.write(b"vertex,parent\r\n")
+        fh.write(rows[rows != 0])
 
 
 def read_tree_csv(path: Union[str, Path]) -> TreeRecord:
@@ -88,7 +114,9 @@ def read_tree_csv(path: Union[str, Path]) -> TreeRecord:
         first = fh.readline()
         if not first.strip():
             raise ValueError("tree CSV holds no vertices")
-        rows = np.loadtxt(chain([first], fh), delimiter=",", dtype=np.int64, ndmin=2, usecols=(0, 1))
+        rows = np.loadtxt(chain([first], fh), delimiter=",", dtype=np.int64, ndmin=2, comments=None)
+    if rows.shape[1] != 2:
+        raise ValueError(f"tree CSV rows must hold exactly two fields; saw {rows.shape[1]}")
     out_of_order = np.flatnonzero(rows[:, 0] != np.arange(1, len(rows) + 1))
     if out_of_order.size:
         row = rows[out_of_order[0]].tolist()

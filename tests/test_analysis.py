@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from seritree.analysis import (
+    SpectrumResult,
     adjacency_spectrum,
     atom_mass_at_zero,
     compare_distributions,
@@ -178,6 +179,40 @@ def test_spectrum_symmetry_and_moments():
     assert abs(eig.sum()) < 1e-8
     assert abs((eig**2).sum() - 2 * tree.n) < 1e-6
     assert np.max(np.abs(eig + eig[::-1])) < 1e-8  # bipartite symmetry about 0
+
+
+def _dense_spectrum(tree):
+    """The dense oracle: eigvalsh of the full (n+1) x (n+1) adjacency matrix."""
+    size = tree.n + 1
+    a = np.zeros((size, size))
+    child = np.arange(1, size)
+    a[np.r_[child, tree.parent[1:]], np.r_[tree.parent[1:], child]] = 1.0
+    return np.linalg.eigvalsh(a)
+
+
+def _oracle_trees():
+    yield "n=1", TreeRecord.from_parents([0])
+    yield "n=2 star", TreeRecord.from_parents([0, 0])
+    yield "root with a single child", TreeRecord.from_parents([0, 1, 1, 1, 2, 2])
+    for n in (3, 10, 100):
+        yield f"star n={n}", TreeRecord.from_parents([0] * n)
+        yield f"path n={n}", TreeRecord.from_parents(list(range(n)))
+    for n in (3, 64, 512, 2048):
+        for delta in (-0.5, 0.0, 2.0):
+            for seed in (1, 2, 3):
+                tree, _ = grow(GrowthParams(delta=delta, n_final=n, seed=seed))
+                yield f"grown n={n} delta={delta} seed={seed}", tree
+
+
+def test_spectrum_matches_dense_oracle():
+    for label, tree in _oracle_trees():
+        eig = adjacency_spectrum(tree).eigenvalues
+        dense = _dense_spectrum(tree)
+        assert eig.shape == dense.shape, label
+        assert np.max(np.abs(eig - dense)) <= 1e-10, label
+        assert atom_mass_at_zero(SpectrumResult(eig)) == atom_mass_at_zero(SpectrumResult(dense)), label
+        assert np.all(eig + eig[::-1] == 0), label
+        assert np.all(np.diff(eig) >= 0), label
 
 
 def test_spectrum_zero_atom_and_cap():

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import seritree.analysis
 import seritree.growth
 import seritree.limits
 from seritree.cli import main
@@ -139,7 +140,7 @@ def test_fringe_compare_cap_stops_at_the_node_cap(tmp_path, monkeypatch):
 def test_selftest_passes(capsys):
     assert run_cli(["selftest"]) == 0
     out = capsys.readouterr().out
-    assert out.count("PASS") == 3
+    assert out.count("PASS") == 4
     assert "FAIL" not in out
 
 
@@ -155,6 +156,21 @@ def test_selftest_negative_control(monkeypatch, capsys):
     monkeypatch.setattr(seritree.limits, "exponents", wrong)
     assert run_cli(["selftest"]) == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_selftest_spectrum_row_catches_a_wrong_spectrum(monkeypatch, capsys):
+    # drop the twin zeros: the spectrum comes out one eigenvalue short
+    real = seritree.analysis.adjacency_spectrum
+
+    def short(tree):
+        eig = real(tree).eigenvalues
+        return seritree.analysis.SpectrumResult(eigenvalues=eig[1:] if eig.size > 3 else eig)
+
+    monkeypatch.setattr(seritree.analysis, "adjacency_spectrum", short)
+    assert run_cli(["selftest"]) == 1
+    rows = {line.split("  ")[0]: line for line in capsys.readouterr().out.splitlines()}
+    assert "FAIL" in rows["spectrum-vs-dense (exhaustive n<=6)"]
+    assert "FAIL" not in rows["sampler-equivalence (exhaustive n<=6)"]
 
 
 def test_missing_required_flag_exits_2():

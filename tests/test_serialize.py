@@ -35,12 +35,34 @@ def test_tree_csv_roundtrip(tmp_path, tree):
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("text", ["vertex,parent\r\n", "v,p\r\n1,0\r\n", "vertex,parent\r\n2,0\r\n1,0\r\n"])
+@pytest.mark.parametrize("text", [
+    "vertex,parent\r\n",
+    "v,p\r\n1,0\r\n",
+    "vertex,parent\r\n2,0\r\n1,0\r\n",
+    "vertex,parent\r\n1,0,5\r\n",  # a third field
+    "vertex,parent\r\n1,0\r\n#2,0\r\n",  # not a comment: a row that is no number
+])
 def test_tree_csv_rejects_bad_input(tmp_path, text):
     path = tmp_path / "bad.csv"
     path.write_bytes(text.encode())
     with pytest.raises(ValueError):
         read_tree_csv(path)
+
+
+def _string_tree_csv(tree, path):
+    """The string-join writer, kept as the byte oracle of `write_tree_csv`."""
+    rows = map("{},{}\r\n".format, range(1, tree.n + 1), tree.parent[1:].tolist())
+    with open(path, "w", newline="") as fh:
+        fh.write("vertex,parent\r\n" + "".join(rows))
+
+
+@pytest.mark.parametrize("n", [1, 9, 10, 11, 99, 100, 101, 9999, 10000, 10**5])
+def test_tree_csv_bytes_match_string_writer(tmp_path, n):
+    # the digit-width edges, where a parent can be one digit narrower than n
+    tree, _ = grow(GrowthParams(delta=0.0, n_final=n, seed=n))
+    write_tree_csv(tree, tmp_path / "fast.csv")
+    _string_tree_csv(tree, tmp_path / "oracle.csv")
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
 
 
 def test_tree_binary_roundtrip(tmp_path, tree):
