@@ -288,10 +288,11 @@ def adjacency_spectrum(tree: TreeRecord) -> SpectrumResult:
     leaf = tree.degree == 1
     leaf[0] = False
     leaves = np.flatnonzero(leaf)
-    twins = np.bincount(parent[leaves], minlength=n + 1)
-    _, first = np.unique(parent[leaves], return_index=True)
+    _, first, twins = np.unique(parent[leaves], return_index=True, return_counts=True)
     kept = ~leaf  # the reduced tree: every inner vertex and one leaf per parent
     kept[leaves[first]] = True
+    weight = np.ones(n + 1)  # of the edge from a vertex up to its parent
+    weight[leaves[first]] = np.sqrt(twins)
     # depth parity by pointer jumping: each round doubles the hop length
     odd = parent >= 0
     up = np.maximum(parent, 0)
@@ -306,12 +307,10 @@ def adjacency_spectrum(tree: TreeRecord) -> SpectrumResult:
     above = parent[child]
     flip = odd[child]
     b = np.zeros((evens.size, odds.size))
-    b[index[np.where(flip, above, child)], index[np.where(flip, child, above)]] = np.where(
-        leaf[child], np.sqrt(twins[above]), 1.0
-    )
-    s = np.sort(np.linalg.svd(b, compute_uv=False))
+    b[index[np.where(flip, above, child)], index[np.where(flip, child, above)]] = weight[child]
+    s = np.linalg.svd(b, compute_uv=False)  # descending
     # 0.0 - s, not -s: a singular value of exactly 0 gives +0.0, as the zeros do
-    return SpectrumResult(eigenvalues=np.concatenate((0.0 - s[::-1], np.zeros(n + 1 - 2 * s.size), s)))
+    return SpectrumResult(eigenvalues=np.concatenate((0.0 - s, np.zeros(n + 1 - 2 * s.size), s[::-1])))
 
 
 def atom_mass_at_zero(spec: SpectrumResult) -> float:
