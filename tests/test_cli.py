@@ -159,7 +159,7 @@ def test_selftest_negative_control(monkeypatch, capsys):
 
 
 def test_selftest_spectrum_row_catches_a_wrong_spectrum(monkeypatch, capsys):
-    # drop the twin zeros: the spectrum comes out one eigenvalue short
+    # a spectrum one eigenvalue short on every tree of more than three vertices
     real = seritree.analysis.adjacency_spectrum
 
     def short(tree):
