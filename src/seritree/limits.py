@@ -19,8 +19,8 @@ converges to locally:
   (`exponents`);
 * discounted offspring integrals and their cumulants (`zeta_hat_cumulant`,
   `mc_zeta_hat`);
-* the limiting degree distribution (`limit_degree_pmf`) and its p(1) in
-  closed form through the incomplete gamma function (`p1_quadrature`);
+* the limiting degree distribution (`limit_degree_pmf`) and its p(1) as a
+  fast-converging series (`p1_quadrature`);
 * exact discrete and limiting densities of marked neighborhoods
   (`marked_neighborhood_log_prob`, `limit_neighborhood_density`);
 * the marked Yule process tracking a fixed vertex's degree in continuous
@@ -34,7 +34,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
-from scipy.special import gammainc, gammaln
 
 from .growth import total_weight_closed
 from .rng import CounterRng
@@ -388,16 +387,24 @@ def limit_degree_pmf(delta: float, reps: int, rng: CounterRng) -> DegreePMF:
 
 
 def p1_quadrature(delta: float) -> float:
-    """p(1), the first-arrival survival function integrated, in closed form.
+    """p(1), the first-arrival survival function integrated, as a series.
 
     p(1) = int_0^inf e^-t exp(-a (t - 1 + e^-t)) dt with
     a = (1+delta)/(1+delta/2).  Substituting x = e^-t turns it into
     e^a a^-(a+1) Gamma(a+1) P(a+1, a), where P is the regularized lower
-    incomplete gamma function.
+    incomplete gamma function, and P's power series makes that
+    sum_{j>=0} a^j / ((a+1)(a+2)...(a+j+1)).  Since 0 < a < 2 each term is
+    below 2/(j+3) times the one before it, and the sum stops when a term no
+    longer changes it, after 22 terms or fewer.  At delta = 0 it is e - 2.
     """
     _check_delta(delta)
     a = (1.0 + delta) / (1.0 + 0.5 * delta)
-    return float(math.exp(a - (a + 1.0) * math.log(a) + gammaln(a + 1.0)) * gammainc(a + 1.0, a))
+    total, term, j = 0.0, 1.0 / (a + 1.0), 2.0
+    while total + term != total:
+        total += term
+        term *= a / (a + j)
+        j += 1.0
+    return total
 
 
 # ---------------------------------------------------------------------------

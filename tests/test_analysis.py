@@ -1,13 +1,16 @@
 import concurrent.futures
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from scipy.special import chdtrc
 
 from seritree.analysis import (
     SpectrumResult,
     adjacency_spectrum,
     atom_mass_at_zero,
+    chi_square_tail,
     compare_distributions,
     fit_degree_growth,
     fit_power_tail,
@@ -160,6 +163,68 @@ def test_compare_pools_sparse_bins():
     b = DegreePMF(p={1: 0.9, 2: 0.08, 3: 0.015, 4: 0.004, 5: 0.001}, n_samples=1000)
     tv, stat, p = compare_distributions(a, b)
     assert tv == 0.0 and p == 1.0
+
+
+CHI2_STATS = np.geomspace(1e-3, 1e4, 241)
+
+
+def test_chi_square_tail_matches_scipy():
+    worst = 0.0
+    for dof in list(range(1, 61)) + [99, 100, 101]:
+        for stat in CHI2_STATS:
+            ref = chdtrc(dof, stat)
+            if ref > 1e-300:
+                worst = max(worst, abs(chi_square_tail(float(stat), dof) - ref) / ref)
+    assert worst <= 1e-12
+
+
+_PI = Decimal("3.14159265358979323846264338327950288419716939937510582097494459")
+
+
+def _chi_square_tail_sum(stat, dof):
+    """The parity sum of the chi-square tail in 60-digit decimals, term by term.
+
+    The odd-dof erfc(sqrt x) comes from the float math.erfc; where it is not
+    negligible beside the sum it is accurate to a few units in the last place.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 60
+        x = Decimal(stat) / 2
+        if dof % 2 == 0:  # x^j e^-x / j!, j = 0 .. dof/2 - 1
+            total, term, a = Decimal(0), (-x).exp(), Decimal(1)
+        else:  # x^(j-1/2) e^-x / Gamma(j+1/2), j = 1 .. (dof-1)/2
+            total = Decimal(math.erfc(math.sqrt(stat / 2)))
+            term, a = 2 * x.sqrt() * (-x).exp() / _PI.sqrt(), Decimal("1.5")
+        for _ in range((dof - 1) // 2 + (dof % 2 == 0)):
+            total += term
+            term = term * x / a
+            a += 1
+        return float(total)
+
+
+def test_chi_square_tail_at_large_dof():
+    # chdtrc itself strays up to 1.7e-12 from a 40-digit reference at dof 1001
+    # and 2000, so large dof is checked against the exact sum, on a grid that
+    # also crosses the bulk of the law.  Terms formed as exp(j log x - x -
+    # lgamma(j+1)) stray by 8.4e-13 here; the bound is 5e-13.
+    worst = 0.0
+    for dof in (99, 100, 101, 1001, 2000):
+        for stat in np.concatenate([CHI2_STATS[::2], dof * np.linspace(0.5, 3.0, 60)]):
+            ref = _chi_square_tail_sum(float(stat), dof)
+            if ref > 1e-300:
+                worst = max(worst, abs(chi_square_tail(float(stat), dof) - ref) / ref)
+    assert worst <= 5e-13
+    assert chi_square_tail(2.0, 2) == pytest.approx(math.exp(-1.0), rel=1e-15)
+
+
+def test_chi_square_tail_edges():
+    for dof in (1, 2, 7, 2000):
+        assert chi_square_tail(0.0, dof) == 1.0
+        assert chi_square_tail(math.inf, dof) == 0.0
+        with pytest.raises(ValueError):
+            chi_square_tail(math.nan, dof)
+        with pytest.raises(ValueError):
+            chi_square_tail(-1.0, dof)
 
 
 # --- spectra -----------------------------------------------------------------------

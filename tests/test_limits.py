@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 from seritree import limits
 from seritree.growth import TreeRecord, enumerate_histories, history_probability
@@ -398,6 +398,14 @@ def _p1_by_quadrature(delta):
 @pytest.mark.parametrize("delta", [-0.99, -0.9, -0.5, 0.0, 0.3, 1.0, 2.5, 10.0, 100.0, 1e4])
 def test_p1_closed_form_matches_quadrature(delta):
     assert abs(p1_quadrature(delta) - _p1_by_quadrature(delta)) <= 1e-12
+
+
+@pytest.mark.parametrize("delta", [-0.9, -0.5, 0.0, 0.3, 1.0, 2.0, 5.0, 100.0])
+def test_p1_series_matches_incomplete_gamma_form(delta):
+    # the closed form the series replaced: e^a a^-(a+1) Gamma(a+1) P(a+1, a)
+    a = (1.0 + delta) / (1.0 + 0.5 * delta)
+    closed = math.exp(a - (a + 1.0) * math.log(a) + special.gammaln(a + 1.0)) * special.gammainc(a + 1.0, a)
+    assert abs(p1_quadrature(delta) - closed) <= 1e-15
 
 
 def test_limit_pmf_consistency():

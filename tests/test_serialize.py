@@ -49,6 +49,19 @@ def test_tree_csv_rejects_bad_input(tmp_path, text):
         read_tree_csv(path)
 
 
+@pytest.mark.parametrize("newline, final", [("\n", "\n"), ("\r\n", ""), ("\n", "")])
+def test_tree_csv_reads_other_line_endings(tmp_path, tree, newline, final):
+    # LF-only rows, or no newline after the last row, read back as the CRLF file does
+    crlf = tmp_path / "tree.csv"
+    write_tree_csv(tree, crlf)
+    lines = crlf.read_bytes().decode().splitlines()
+    other = tmp_path / "other.csv"
+    other.write_bytes((newline.join(lines) + final).encode())
+    back = read_tree_csv(other)
+    assert np.array_equal(back.parent, read_tree_csv(crlf).parent)
+    assert np.array_equal(back.parent, tree.parent)
+
+
 def _string_tree_csv(tree, path):
     """The string-join writer, kept as the byte oracle of `write_tree_csv`."""
     rows = map("{},{}\r\n".format, range(1, tree.n + 1), tree.parent[1:].tolist())
