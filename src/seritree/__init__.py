@@ -25,16 +25,11 @@ from .growth import (
     GrowthParams,
     GrowthSnapshot,
     TreeRecord,
-    WeightView,
     attach_probabilities,
     enumerate_histories,
     grow,
-    history_probability,
-    sample_target_naive,
     token_probability_vector,
-    total_weight,
     total_weight_closed,
-    vertex_weight,
 )
 from .limits import (
     BranchingTree,
@@ -42,7 +37,6 @@ from .limits import (
     ExponentPack,
     MarkedTree,
     NodeCapExceeded,
-    YulePath,
     exponents,
     hazard,
     limit_degree_pmf,
@@ -54,7 +48,6 @@ from .limits import (
     sample_edge_bp,
     sample_memory_bp,
     yule_marked_ensemble,
-    yule_marked_simulate,
     zeta_hat_cumulant,
 )
 from .rng import CounterRng, mix64, stream_seed
@@ -63,12 +56,10 @@ from .treeops import (
     FringeHistogram,
     bp_fringe_sample,
     decode_key,
-    degree_counts,
     empirical_fringe_distribution,
     extended_fringe,
     fringe,
     key_size,
-    q_count,
 )
 
 __version__ = "0.1.0"

@@ -42,8 +42,8 @@ def _validate(args) -> None:
     """Range checks that argparse's type checks leave to the commands."""
     if not hasattr(args, "delta"):
         return
-    if not args.delta > -1:
-        raise CliError(f"--delta must be > -1, got {args.delta}")
+    if not -1 < args.delta < math.inf:
+        raise CliError(f"--delta must be finite and > -1, got {args.delta}")
     if not 0 <= args.seed < 1 << 64:
         raise CliError("--seed must fit in 64 unsigned bits")
     for flag, low in (("n", 1), ("reps", 1), ("seeds", 1), ("max_size", 1), ("vertex", 0), ("workers", 0)):

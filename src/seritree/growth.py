@@ -11,8 +11,8 @@ The weight admits an exact event decomposition: every edge born at time t
 contributes (n+1-t) to each endpoint, and the delta term of vertex i is an
 arithmetic function of its birth time.  That decomposition is what makes the
 O(1)-per-step token sampler that `grow` uses possible (`_fast_target_int`,
-`_fast_target_float`); the O(n) reference sampler (`sample_target_naive`) is
-kept as an oracle.
+`_fast_target_float`); the O(n) reference sampler and the literal replay of
+the weight sum are kept beside the tests, in `tests/oracles.py`.
 
 Two normalization conventions are supported:
 
@@ -93,16 +93,6 @@ def token_bound(delta, n_final: int, convention: str) -> int:
     return (4 + d2) * t_tri + (d2 * (n + 1) if convention == "exact" else 0)
 
 
-@dataclass
-class WeightView:
-    """Integrated weight of one vertex, split into its two components."""
-
-    vertex: int
-    theta: float
-    degree_part: float
-    delta_part: float
-
-
 @dataclass(frozen=True, eq=False)
 class TreeRecord:
     """A grown tree: one int64 parent array and the degrees it determines.
@@ -111,7 +101,7 @@ class TreeRecord:
     parent[0] = -1 marks the root v0.  The constructor takes a parent array
     that is already valid and derives `degree` from it once.  Outside input
     goes through `from_parents`, which checks it.  The attachment law's delta
-    is not part of the tree: the weight oracles below take it as an argument.
+    is not part of the tree: the weight functions below take it as an argument.
     """
 
     parent: np.ndarray
@@ -140,22 +130,6 @@ class TreeRecord:
     @property
     def n(self) -> int:
         return len(self.parent) - 1
-
-    def check_invariants(self) -> None:
-        n = self.n
-        if n < 1:
-            raise AssertionError("tree must contain at least one edge")
-        if self.parent[0] != -1 or self.parent[1] != 0:
-            raise AssertionError("parent[0] must be -1 and parent[1] must be 0")
-        chosen = self.parent[1:]
-        bad = np.flatnonzero((chosen < 0) | (chosen > np.arange(n)))
-        if bad.size:
-            m = int(bad[0]) + 1
-            raise AssertionError(f"parent[{m}] = {chosen[bad[0]]} violates parent[m] < m")
-        if int(self.degree.sum()) != 2 * n:
-            raise AssertionError("degree sum must equal 2n")
-        if self.degree.min() < 1:
-            raise AssertionError("all degrees must be >= 1")
 
 
 def value_counts(values: np.ndarray) -> dict[int, int]:
@@ -188,49 +162,6 @@ def _edge_time_sums(tree: TreeRecord) -> list[int]:
     return sums.tolist()
 
 
-def _replay_weight(tree: TreeRecord, i: int, delta, convention: str):
-    """Literal double sum over times m = i..n of (deg(v_i, m) + delta)."""
-    n = tree.n
-    times = ([i] if i >= 1 else []) + np.flatnonzero(tree.parent == i).tolist()
-    total = 0 * delta
-    deg = 0
-    t_idx = 0
-    for m in range(i, n + 1):
-        while t_idx < len(times) and times[t_idx] <= m:
-            deg += 1
-            t_idx += 1
-        total += deg
-        if convention == "exact" or m > i:
-            total += delta
-    return total
-
-
-def vertex_weight(tree: TreeRecord, i: int, delta, convention: str = "exact") -> WeightView:
-    """Integrated weight theta(v_i, n), computed two independent ways.
-
-    (a) by replaying the degree history and summing deg + delta over time,
-    (b) by the event identity sum_{e at i} (n+1 - t_e) + delta part.
-    The two must agree (exactly in rational mode, else to 1e-12 relative)
-    before the event-identity view is returned.
-    """
-    n = tree.n
-    if n < 1:
-        raise ValueError("weights are defined only for n >= 1")
-    if not 0 <= i <= n:
-        raise IndexError(f"vertex {i} out of range 0..{n}")
-    degree_part = (n + 1) * int(tree.degree[i]) - _edge_time_sums(tree)[i]
-    delta_part = _delta_part(delta, i, n, convention)
-    theta = degree_part + delta_part
-    replay = _replay_weight(tree, i, delta, convention)
-    if isinstance(delta, Fraction) or float(delta) * 2 == int(float(delta) * 2):
-        agree = replay == theta
-    else:
-        agree = abs(replay - theta) <= 1e-12 * max(1.0, abs(theta))
-    if not agree:
-        raise AssertionError(f"weight identity broken at vertex {i}: {replay} != {theta}")
-    return WeightView(vertex=i, theta=theta, degree_part=degree_part, delta_part=delta_part)
-
-
 def total_weight_closed(n: int, delta, convention: str = "exact"):
     """Closed form of the total weight at time n under either convention."""
     if convention == "exact":
@@ -252,27 +183,6 @@ def _thetas(tree: TreeRecord, delta, convention: str) -> list:
     ]
 
 
-def total_weight(tree: TreeRecord, delta, convention: str = "exact"):
-    """Total weight at time n; equals the sum of all vertex weights.
-
-    Under ``paper_total`` this is n(n+1)(1+delta/2); under ``exact`` it is
-    n(n+1) + delta(n+1)(n+2)/2.  The gap is delta*(n+1) for every n >= 1.
-    """
-    n = tree.n
-    if n < 1:
-        raise ValueError("total weight is defined only for n >= 1")
-    closed = total_weight_closed(n, delta, convention)
-    # recompute from the vertex weights as a cross-check
-    summed = sum(_thetas(tree, delta, convention))
-    if isinstance(delta, Fraction):
-        agree = summed == closed
-    else:
-        agree = abs(summed - closed) <= 1e-9 * max(1.0, abs(closed))
-    if not agree:
-        raise AssertionError(f"vertex weights sum to {summed}, closed form gives {closed}")
-    return closed
-
-
 def attach_probabilities(tree: TreeRecord, delta, convention: str = "exact") -> list:
     """Attachment distribution over vertices 0..n: theta_i / sum theta_j."""
     if tree.n < 1:
@@ -288,30 +198,6 @@ def attach_probabilities(tree: TreeRecord, delta, convention: str = "exact") -> 
     if not (s == 1 if isinstance(delta, Fraction) else abs(s - 1.0) <= 1e-12):
         raise AssertionError(f"attachment probabilities sum to {s}")
     return probs
-
-
-def sample_target_naive(tree: TreeRecord, rng: CounterRng, delta: float, convention: str = "exact") -> int:
-    """Reference O(n) sampler: one pass over the vertex weights."""
-    n = tree.n
-    if n < 1:
-        raise ValueError("sampling requires n >= 1")
-    delta = float(delta)
-    degree = tree.degree.tolist()
-    tsum = _edge_time_sums(tree)
-    np1 = n + 1
-    if convention == "exact":
-        total = n * np1 + delta * np1 * (n + 2) / 2
-        shift = np1
-    else:
-        total = n * np1 * (1 + delta / 2)
-        shift = n
-    u = rng.random() * total
-    acc = 0.0
-    for i in range(np1):
-        acc += np1 * degree[i] - tsum[i] + delta * (shift - i)
-        if u < acc:
-            return i
-    return n  # guard against float roundoff at the right edge
 
 
 def _triangular_index(r: int) -> int:
@@ -658,12 +544,3 @@ def enumerate_histories(n: int) -> Iterator[tuple[int, ...]]:
             yield from rec(prefix + (p,))
 
     yield from rec((0,))
-
-
-def history_probability(parents: Sequence[int], delta, convention: str = "exact"):
-    """Exact probability of one attachment history under the growth law."""
-    prob = 1 if isinstance(delta, Fraction) else 1.0
-    for n in range(1, len(parents)):
-        probs = attach_probabilities(TreeRecord.from_parents(parents[:n]), delta, convention)
-        prob *= probs[parents[n]]
-    return prob

@@ -24,7 +24,7 @@ converges to locally:
 * exact discrete and limiting densities of marked neighborhoods
   (`marked_neighborhood_log_prob`, `limit_neighborhood_density`);
 * the marked Yule process tracking a fixed vertex's degree in continuous
-  time (`yule_marked_simulate`, `yule_marked_ensemble`).
+  time, for many replicas at once (`yule_marked_ensemble`).
 """
 
 from __future__ import annotations
@@ -186,8 +186,8 @@ def sample_arrivals(
         raise ValueError("need a stop rule: t_max, max_arrivals, or exp1")
     if t_max is None:
         t_max = math.inf
-    elif math.isnan(t_max) or (t_max == math.inf and max_arrivals is None):
-        raise ValueError("t_max must not be NaN, and must be finite without max_arrivals")
+    elif not t_max >= 0 or (t_max == math.inf and max_arrivals is None):  # NaN fails too
+        raise ValueError("t_max must be >= 0, and finite without max_arrivals")
     return list(_arrivals(delta, rng, t_max, max_arrivals=max_arrivals))
 
 
@@ -236,8 +236,8 @@ def _genealogy(
         t_max = rng.exponential()
     if t_max is None:
         raise ValueError("need a stop rule: t_max or exp1")
-    if not math.isfinite(t_max):
-        raise ValueError("t_max must be finite")
+    if not 0.0 <= t_max < math.inf:
+        raise ValueError("t_max must be finite and >= 0")
     parents: list[Optional[int]] = [None]
     births = [0.0]
     for i, birth in enumerate(births):  # reaches the children appended below too
@@ -610,16 +610,6 @@ def limit_neighborhood_density(
 # ---------------------------------------------------------------------------
 # marked Yule process
 
-@dataclass
-class YulePath:
-    """Trajectory of (Y, D, W) at jump times of the marked Yule process."""
-
-    t: np.ndarray
-    y: np.ndarray
-    d: np.ndarray
-    w: np.ndarray
-
-
 def _check_variant(variant: str) -> None:
     if variant not in ("exact_chain", "simplified"):
         raise ValueError("variant must be 'exact_chain' or 'simplified'")
@@ -641,46 +631,6 @@ def _check_mark_probability(p: np.ndarray, q: np.ndarray) -> None:
         raise AssertionError("mark probability outside [0, 1]")
 
 
-def yule_marked_simulate(
-    delta: float,
-    t_max: float,
-    rng: CounterRng,
-    variant: str = "exact_chain",
-) -> YulePath:
-    """Simulate the rate-1 Yule process with degree marks up to time t_max.
-
-    Starts from Y(0)=2 with one marked individual (mark time 0, so W(0)=2).
-    Births occur at rate Y; each new individual is marked with probability
-    gamma*((D+delta)/(Y+1) - W/(Y(Y+1))) for the exact chain, or with Y in
-    place of Y+1 for the simplified variant.  On a mark, W increases by the
-    post-birth population.  The jump chain is exact in distribution
-    (exponential holding times with mean 1/Y).
-    """
-    _check_delta(delta)
-    if not 0.0 < t_max < math.inf:
-        raise ValueError("t_max must be positive and finite")
-    _check_variant(variant)
-    t, y, d, w = 0.0, 2, 1, 2.0
-    ts, ys, ds, ws = [t], [y], [d], [w]
-    while True:
-        t += rng.exponential(y)
-        if t > t_max:
-            break
-        p = _mark_probability(y, d, w, delta, variant)
-        if not -1e-12 <= p <= 1.0 + 1e-12:
-            raise AssertionError(f"mark probability {p} outside [0, 1]")
-        marked = rng.random() < p
-        y += 1
-        if marked:
-            d += 1
-            w += y
-        ts.append(t)
-        ys.append(y)
-        ds.append(d)
-        ws.append(w)
-    return YulePath(t=np.array(ts), y=np.array(ys), d=np.array(ds), w=np.array(ws))
-
-
 def yule_marked_ensemble(
     delta: float,
     t_grid: Sequence[float],
@@ -690,19 +640,26 @@ def yule_marked_ensemble(
 ) -> np.ndarray:
     """Marked-individual counts D(t) on a time grid for many replicas.
 
-    Exact skip-ahead, equal in law to `yule_marked_simulate`.  Y is a pure
-    Yule process, so Y at the grid times comes first: Y(t') - Y(t) given
-    Y(t) = y is NegBin(y, e^-(t'-t)) (Kendall 1948).  The births taken by
-    t_g are those whose pre-birth population is below Y(t_g).  Between marks
-    D and W are fixed, and the mark probability p is at most
-    q = min(1, gamma*(D+delta)/(y+1)) (y for the simplified variant), which
-    does not increase in y.  So the next candidate birth is a geometric(q)
-    skip, accepted with probability p/q (discrete thinning; Lewis & Shedler
-    1979), and q is recomputed after every candidate.  A replica stops at
-    the first candidate past its last grid time.  p must lie in [0, 1] at
-    every birth taken: it is checked against [0, q] at each candidate and at
-    the first birth after each mark, which suffices because (D+delta)y - W
-    increases in y.  Returns an array of shape (len(t_grid), reps).
+    The process is a rate-1 Yule process Y from Y(0) = 2, with one marked
+    individual (D(0) = 1, W(0) = 2).  A birth at pre-birth population y is
+    marked with probability p = gamma*((D+delta)/(y+1) - W/(y(y+1))), y in
+    place of y+1 for the simplified variant, and a mark adds the post-birth
+    population to W.  `tests/oracles.py` keeps its jump chain, path by path,
+    as the reference.
+
+    This is an exact skip-ahead.  Y is a pure Yule process, so Y at the grid
+    times comes first: Y(t') - Y(t) given Y(t) = y is NegBin(y, e^-(t'-t))
+    (Kendall 1948).  The births taken by t_g are those whose pre-birth
+    population is below Y(t_g).  Between marks D and W are fixed, and the
+    mark probability p is at most q = min(1, gamma*(D+delta)/(y+1)) (y for
+    the simplified variant), which does not increase in y.  So the next
+    candidate birth is a geometric(q) skip, accepted with probability p/q
+    (discrete thinning; Lewis & Shedler 1979), and q is recomputed after
+    every candidate.  A replica stops at the first candidate past its last
+    grid time.  p must lie in [0, 1] at every birth taken: it is checked
+    against [0, q] at each candidate and at the first birth after each mark,
+    which suffices because (D+delta)y - W increases in y.  Returns an array
+    of shape (len(t_grid), reps).
     """
     _check_delta(delta)
     grid = np.asarray(t_grid, dtype=float)

@@ -35,7 +35,7 @@ TREE_BINARY_VERSION = 1
 
 @dataclass
 class RunManifest:
-    """Flags and provenance of one CLI run; round-trips losslessly via JSON."""
+    """Flags and provenance of one CLI run, written as JSON."""
 
     command: str
     delta: float
@@ -58,18 +58,8 @@ class RunManifest:
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
 
-    @classmethod
-    def from_json(cls, text: str) -> "RunManifest":
-        fields = json.loads(text)
-        fields.pop("sampler", None)  # always null, in manifests from before it went
-        return cls(**fields)
-
     def write(self, path: Union[str, Path]) -> None:
         Path(path).write_text(self.to_json())
-
-    @classmethod
-    def read(cls, path: Union[str, Path]) -> "RunManifest":
-        return cls.from_json(Path(path).read_text())
 
 
 def _put_digits(values: np.ndarray, out: np.ndarray) -> None:

@@ -22,7 +22,7 @@ from typing import Iterable, Union
 
 import numpy as np
 
-from .growth import TreeRecord, value_counts
+from .growth import TreeRecord
 from .limits import BranchingTree, sample_memory_bp
 from .rng import CounterRng
 
@@ -131,11 +131,6 @@ def decode_key(key: str) -> list[str]:
     return parts
 
 
-def reencode_key(key: str) -> str:
-    """Canonical fixed point: decode and rebuild the key (validates it)."""
-    return "(" + "".join(sorted(reencode_key(c) for c in decode_key(key))) + ")"
-
-
 def fringe(tree: Tree, v: int) -> str:
     """Canonical key of the subtree of all descendants of v, rooted at v."""
     parent = _parent_array(tree).tolist()
@@ -149,8 +144,10 @@ def extended_fringe(tree: Tree, v: int, k: int) -> list[str]:
 
     f_0 is the descendant subtree of v; f_i is the subtree hanging off the
     i-th vertex on the path to the root once the branch containing v is
-    removed.  Requires depth(v) >= k.
+    removed.  Requires depth(v) >= k >= 0.
     """
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
     parent = _parent_array(tree).tolist()
     if not 0 <= v < len(parent):
         raise IndexError(f"vertex {v} not in tree")
@@ -162,12 +159,6 @@ def extended_fringe(tree: Tree, v: int, k: int) -> list[str]:
         path.append(p)
     keys = _keys(parent, range(len(parent) - 1, path[-1] - 1, -1))
     return [keys[v]] + [_cut(keys[u], keys[w]) for w, u in zip(path, path[1:])]
-
-
-def q_count(s: str, t: str) -> int:
-    """Number of root-children subtrees of s isomorphic to t."""
-    t_canon = reencode_key(t)
-    return sum(1 for c in decode_key(s) if reencode_key(c) == t_canon)
 
 
 @dataclass
@@ -247,6 +238,8 @@ def empirical_fringe_distribution(tree: Tree, k: int = 0, truncation: int = 12) 
     included, go to the overflow bin.  The rest are counted by class ids
     (`_class_ids`), and key strings are built only for the distinct ones.
     """
+    if k < 0 or truncation < 0:
+        raise ValueError(f"k and truncation must be >= 0, got k={k}, truncation={truncation}")
     parent = _parent_array(tree)
     depth, size = _depth_and_size(parent)
     ids, keys = _class_ids(parent, size, truncation)
@@ -295,8 +288,3 @@ def bp_fringe_sample(delta: float, rng: CounterRng) -> str:
     and returns the canonical key of its genealogy.
     """
     return fringe(sample_memory_bp(delta, rng, exp1=True), 0)
-
-
-def degree_counts(tree: TreeRecord) -> dict[int, int]:
-    """Empirical degree counts N_k: how many vertices have degree exactly k."""
-    return value_counts(tree.degree)

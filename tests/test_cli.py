@@ -194,6 +194,9 @@ def test_missing_required_flag_exits_2():
     (["growth", "--delta", "0", "--seed", "1", "--n", "500"], None, 2),  # default checkpoint n // 1000 = 0
     (["fringe-compare", "--delta", "0", "--seed", "1", "--n", "100", "--max-size", "-5"], None, 2),
     (["tail", "--delta", "0", "--seed", "1", "--n", "100000", "--tolerance", "nan"], None, 2),
+    # a traceback with exit 1, and a report holding NaN that failed as a check
+    (["limit-pmf", "--delta", "inf", "--seed", "1", "--reps", "10"], None, 2),
+    (["localcheck", "--delta", "inf", "--seed", "1"], None, 2),
 ])
 def test_invalid_input_exits_before_output(tmp_path, monkeypatch, capsys, argv, threads, code):
     if threads is None:

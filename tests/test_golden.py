@@ -19,11 +19,12 @@ from seritree.limits import (
     sample_edge_bp,
     sample_memory_bp,
     yule_marked_ensemble,
-    yule_marked_simulate,
 )
 from seritree.rng import CounterRng
 from seritree.serialize import write_tree_binary, write_tree_csv
 from seritree.treeops import bp_fringe_sample, empirical_fringe_distribution
+
+from oracles import yule_marked_simulate
 
 N = 10**4
 SEED = 20240611

@@ -15,21 +15,22 @@ from seritree.growth import (
     attach_probabilities,
     enumerate_histories,
     grow,
-    history_probability,
-    sample_target_naive,
     token_bound,
     token_probability_vector,
-    total_weight,
-    vertex_weight,
+    total_weight_closed,
+    _delta_part,
     _edge_time_sums,
     _fast_target_float,
     _fast_target_int,
     _is_half_integer,
+    _thetas,
     _triangular_index,
     _triangular_indices,
 )
 from seritree.rng import CounterRng
 from seritree.treeops import fringe
+
+from oracles import check_tree_invariants, history_probability, replay_weight, same_law_p, sample_target_naive
 
 
 # --- parameter validation -------------------------------------------------
@@ -79,22 +80,14 @@ def test_params_reject_token_bound_of_2_64(delta, convention, bound):
 
 def test_vertex_weight_examples():
     t = TreeRecord.from_parents([0])
-    assert vertex_weight(t, 0, Fraction(0)).theta == 1
-    w0 = vertex_weight(t, 0, Fraction(1), "exact")
-    assert (w0.theta, w0.degree_part, w0.delta_part) == (3, 1, 2)
-    assert vertex_weight(t, 1, Fraction(1), "exact").theta == 2
+    assert _thetas(t, Fraction(0), "exact") == [1, 1]
+    # v0: degree part 1, delta part 2
+    assert _thetas(t, Fraction(1), "exact") == [3, 2]
+    assert _delta_part(Fraction(1), 0, 1, "exact") == 2
     # paper_total: delta accrual starts the step after birth
-    assert vertex_weight(t, 0, Fraction(1), "paper_total").theta == 2
-    assert vertex_weight(t, 1, Fraction(1), "paper_total").theta == 1
-
-
-def test_vertex_weight_errors():
-    t = TreeRecord.from_parents([0])
-    with pytest.raises(IndexError):
-        vertex_weight(t, 5, 0.0)
-    bare = TreeRecord(parent=[-1])
-    with pytest.raises(ValueError):
-        vertex_weight(bare, 0, 0.0)
+    assert _thetas(t, Fraction(1), "paper_total") == [2, 1]
+    for delta, conv in ((Fraction(0), "exact"), (Fraction(1), "exact"), (Fraction(1), "paper_total")):
+        assert [replay_weight(t, i, delta, conv) for i in (0, 1)] == _thetas(t, delta, conv)
 
 
 def test_tree_record_holds_only_the_tree():
@@ -110,13 +103,20 @@ def test_edge_time_sums_from_parents():
     assert _edge_time_sums(tree) == [1 + 2 + 5, 1 + 3, 2, 3 + 4, 4, 5]
 
 
+def _total_weight(tree, delta, convention):
+    """Sum of the vertex weights, which must equal the closed form exactly."""
+    total = sum(_thetas(tree, delta, convention))
+    assert total == total_weight_closed(tree.n, delta, convention)
+    return total
+
+
 def test_total_weight_closed_forms():
     t3 = TreeRecord.from_parents([0, 0, 1])
-    assert total_weight(t3, Fraction(0), "exact") == 12
-    assert total_weight(t3, Fraction(0), "paper_total") == 12
+    assert _total_weight(t3, Fraction(0), "exact") == 12
+    assert _total_weight(t3, Fraction(0), "paper_total") == 12
     t2 = TreeRecord.from_parents([0, 1])
-    assert total_weight(t2, Fraction(1), "paper_total") == 9   # n(n+1)(1 + delta/2)
-    assert total_weight(t2, Fraction(1), "exact") == 12
+    assert _total_weight(t2, Fraction(1), "paper_total") == 9   # n(n+1)(1 + delta/2)
+    assert _total_weight(t2, Fraction(1), "exact") == 12
 
 
 def test_convention_gap_is_delta_times_n_plus_one():
@@ -124,7 +124,7 @@ def test_convention_gap_is_delta_times_n_plus_one():
     for hist in [(0,), (0, 0), (0, 1), (0, 0, 2, 1), (0, 1, 2, 3, 4)]:
         tree = TreeRecord.from_parents(hist)
         n = tree.n
-        gap = total_weight(tree, delta, "exact") - total_weight(tree, delta, "paper_total")
+        gap = _total_weight(tree, delta, "exact") - _total_weight(tree, delta, "paper_total")
         assert gap == delta * (n + 1)
 
 
@@ -137,17 +137,18 @@ def test_weight_identity_replay_vs_event_form_n64():
         parents.append(rng.randbelow(len(parents) + 1))
     tree = TreeRecord.from_parents(parents)
     assert tree.n == 64
-    for i in (0, 1, 13, 37, 64):
-        for conv in ("exact", "paper_total"):
-            view = vertex_weight(tree, i, delta, conv)  # asserts internally
-            assert view.theta == view.degree_part + view.delta_part
+    for conv in ("exact", "paper_total"):
+        thetas = _thetas(tree, delta, conv)
+        for i in (0, 1, 13, 37, 64):
+            assert replay_weight(tree, i, delta, conv) == thetas[i]
 
 
 def test_paper_total_weights_positive_for_all_delta():
     delta = Fraction(-9, 10)
     tree = TreeRecord.from_parents([0, 0, 1, 2, 0])
-    for i in range(tree.n + 1):
-        assert vertex_weight(tree, i, delta, "paper_total").theta > 0
+    thetas = _thetas(tree, delta, "paper_total")
+    assert thetas == [replay_weight(tree, i, delta, "paper_total") for i in range(tree.n + 1)]
+    assert min(thetas) > 0
 
 
 def test_attach_probabilities_examples():
@@ -236,7 +237,7 @@ def test_int_sampler_tokens_are_twice_the_weights(delta, convention):
                 targets.append(int(_fast_target_int(tree.parent, n, d2, convention, draw)))
                 assert draw.bound == bound
             counts = np.bincount(targets, minlength=n + 1).tolist()
-            assert counts == [2 * vertex_weight(tree, i, delta, convention).theta for i in range(n + 1)], hist
+            assert counts == [2 * theta for theta in _thetas(tree, delta, convention)], hist
 
 
 def test_naive_sampler_frequency_example():
@@ -292,10 +293,7 @@ def test_fast_equals_naive_in_distribution():
     rng_fast, rng_naive = CounterRng(5), CounterRng(6)
     fast = Counter(_sample_target_fast(tree, rng_fast, 1.0) for _ in range(n))
     naive = Counter(sample_target_naive(tree, rng_naive, 1.0) for _ in range(n))
-    support = sorted(set(fast) | set(naive))
-    table = np.array([[fast[i] for i in support], [naive[i] for i in support]])
-    _, p_value, _, _ = stats.chi2_contingency(table)
-    assert p_value > 0.001
+    assert same_law_p(fast, naive) > 0.001
 
 
 # --- grow -------------------------------------------------------------------
@@ -361,7 +359,7 @@ def test_grow_conservation_and_determinism():
     tree1, _ = grow(params)
     tree2, _ = grow(params)
     assert np.array_equal(tree1.parent, tree2.parent)
-    tree1.check_invariants()
+    check_tree_invariants(tree1)
     assert sum(tree1.degree) == 2 * tree1.n
 
 
@@ -381,9 +379,9 @@ def test_grow_checkpoints():
 
 def test_grow_negative_delta_paper_total():
     tree, _ = grow(GrowthParams(delta=-0.5, n_final=3000, seed=8, convention="paper_total"))
-    tree.check_invariants()
+    check_tree_invariants(tree)
     tree2, _ = grow(GrowthParams(delta=-0.5, n_final=3000, seed=8, convention="exact"))
-    tree2.check_invariants()
+    check_tree_invariants(tree2)
 
 
 @settings(max_examples=25, deadline=None)

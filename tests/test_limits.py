@@ -8,7 +8,7 @@ import pytest
 from scipy import integrate, special, stats
 
 from seritree import limits
-from seritree.growth import TreeRecord, enumerate_histories, history_probability
+from seritree.growth import enumerate_histories
 from seritree.limits import (
     _mark_probability,
     BranchingTree,
@@ -27,11 +27,12 @@ from seritree.limits import (
     sample_edge_bp,
     sample_memory_bp,
     yule_marked_ensemble,
-    yule_marked_simulate,
     zeta_hat_cumulant,
 )
 from seritree.rng import CounterRng
 from seritree.treeops import OTHER_KEY, fringe, key_size
+
+from oracles import history_probability, same_law_p, yule_marked_simulate
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -165,19 +166,27 @@ def test_sample_arrivals_stop_rules():
     assert len(sample_arrivals(0.0, rng, t_max=math.inf, max_arrivals=3)) == 3
 
 
-@pytest.mark.parametrize("kwargs", [{"t_max": math.nan}, {"t_max": math.inf}, {"t_max": math.nan, "max_arrivals": 3}])
+@pytest.mark.parametrize("kwargs", [
+    {"t_max": math.nan}, {"t_max": math.inf}, {"t_max": math.nan, "max_arrivals": 3}, {"t_max": -1.0},
+])
 def test_sample_arrivals_refuses_endless_horizons(kwargs):
-    # each of these used to loop forever
+    # the first three used to loop forever; a horizon before the birth
+    # used to draw a word and return no arrivals
+    rng = CounterRng(1)
     with pytest.raises(ValueError):
-        sample_arrivals(0.0, CounterRng(1), **kwargs)
+        sample_arrivals(0.0, rng, **kwargs)
+    assert rng.counter == 0
 
 
 @pytest.mark.parametrize("sampler", [sample_edge_bp, sample_memory_bp])
-@pytest.mark.parametrize("t_max", [math.nan, math.inf])
+@pytest.mark.parametrize("t_max", [math.nan, math.inf, -1.0])
 def test_branching_samplers_refuse_endless_horizons(sampler, t_max):
-    # without the check, NaN never stops or yields a one-node tree, and inf runs to the node cap
+    # without the check, NaN never stops or yields a one-node tree, inf runs
+    # to the node cap, and -1 gives a root born after the horizon
+    rng = CounterRng(1)
     with pytest.raises(ValueError):
-        sampler(0.0, CounterRng(1), t_max=t_max)
+        sampler(0.0, rng, t_max=t_max)
+    assert rng.counter == 0
 
 
 _SAMPLER_CALLS = {
@@ -271,11 +280,7 @@ def test_edge_bp_size_matches_arrivals_plus_one():
     n = 10000
     a = Counter(sample_edge_bp(0.0, rng, t_max=1.5).size for _ in range(n))
     b = Counter(len(sample_arrivals(0.0, rng, t_max=1.5)) + 1 for _ in range(n))
-    support = sorted(set(a) | set(b))
-    table = np.array([[a.get(k, 0) for k in support], [b.get(k, 0) for k in support]])
-    keep = table.sum(axis=0) > 0
-    _, p_value, _, _ = stats.chi2_contingency(table[:, keep])
-    assert p_value > 0.01
+    assert same_law_p(a, b) > 0.01
 
 
 @pytest.mark.parametrize("delta", [0.0, 1.0])
@@ -302,11 +307,7 @@ def test_memory_bp_root_offspring_matches_arrival_law():
         bp = sample_memory_bp(0.0, rng, t_max=1.2)
         kids.append(sum(1 for p in bp.parents if p == 0))
     direct = [len(sample_arrivals(0.0, rng, t_max=1.2)) for _ in range(n)]
-    a, b = Counter(kids), Counter(direct)
-    support = sorted(set(a) | set(b))
-    table = np.array([[a.get(k, 0) for k in support], [b.get(k, 0) for k in support]])
-    _, p_value, _, _ = stats.chi2_contingency(table)
-    assert p_value > 0.01
+    assert same_law_p(Counter(kids), Counter(direct)) > 0.01
 
 
 def _heap_memory_bp(delta, rng, t_max):
@@ -351,10 +352,7 @@ def test_memory_bp_genealogy_matches_heap_engine():
 
     a = Counter(key(sample_memory_bp(0.0, rng, t_max=t_max)) for _ in range(n))
     b = Counter(key(_heap_memory_bp(0.0, rng, t_max)) for _ in range(n))
-    support = sorted(set(a) | set(b))
-    table = np.array([[a.get(k, 0) for k in support], [b.get(k, 0) for k in support]])
-    _, p_value, _, _ = stats.chi2_contingency(table)
-    assert p_value > 0.01
+    assert same_law_p(a, b) > 0.01
 
 
 # --- cumulants -----------------------------------------------------------------

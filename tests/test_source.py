@@ -43,3 +43,33 @@ def test_import_leaves_scipy_stats_out():
     code = "import sys, seritree, seritree.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+# public definitions that the tests check the package's faster forms against
+UNCALLED_EXPORTS = {
+    "hazard": "the O(k) hazard sum, the definition the O(1) recurrence in `_arrivals` is tested against",
+    "extended_fringe": "the per-vertex fringe decomposition that the histogram's keys are tested against",
+    "zeta_hat_cumulant": "the closed-form cumulants that `mc_zeta_hat` is tested against",
+}
+
+
+def test_every_export_has_a_caller():
+    # code that only the tests call belongs in tests/oracles.py, not the package
+    init = SOURCE / "__init__.py"
+    exported = {
+        alias.asname or alias.name
+        for node in ast.parse(init.read_text()).body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    callers = [path for path in SOURCE.glob("*.py") if path != init]
+    callers.append(Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py")
+    referenced = {
+        node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else node.name
+        for path in callers
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.Name, ast.Attribute, ast.alias))
+    }
+    uncalled = sorted(exported - referenced - set(UNCALLED_EXPORTS))
+    assert not uncalled, f"exported, but called by no command, module or benchmark: {uncalled}"
+    assert set(UNCALLED_EXPORTS) <= exported

@@ -5,21 +5,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from seritree.growth import GrowthParams, TreeRecord, enumerate_histories, grow
+from seritree.growth import GrowthParams, TreeRecord, enumerate_histories, grow, value_counts
 from seritree.limits import sample_memory_bp
 from seritree.rng import CounterRng
 from seritree.treeops import (
     FringeHistogram,
     bp_fringe_sample,
     decode_key,
-    degree_counts,
     empirical_fringe_distribution,
     extended_fringe,
     fringe,
     key_size,
-    q_count,
-    reencode_key,
 )
+
+from oracles import reencode_key
 
 
 def _brute_isomorphic(children_a, ra, children_b, rb):
@@ -177,21 +176,19 @@ def test_extended_fringe_against_direct_reconstruction():
 # --- Q counts -------------------------------------------------------------------
 
 def test_q_count_examples():
-    assert q_count("(()())", "()") == 2
-    assert q_count("((()))", "()") == 0
-    assert q_count("((()))", "(())") == 1
-    assert q_count("()", "()") == 0  # leaf root has no children
-
-
-def test_q_count_sums_to_root_degree():
+    # criterion 8 counts the root children of a key isomorphic to a target as
+    # decode_key(key).count(target), which holds because both are canonical
+    assert decode_key("(()())").count("()") == 2
+    assert decode_key("((()))").count("()") == 0
+    assert decode_key("((()))").count("(())") == 1
+    assert decode_key("()").count("()") == 0  # leaf root has no children
     rng = CounterRng(22)
     for _ in range(50):
         n = 2 + rng.randbelow(6)
         hist = [0] + [rng.randbelow(i) for i in range(2, n + 1)]
-        tree = TreeRecord.from_parents(hist)
-        key = fringe(tree, 0)
-        subkeys = set(decode_key(key))
-        assert sum(q_count(key, t) for t in subkeys) == len(decode_key(key))
+        children = decode_key(fringe(TreeRecord.from_parents(hist), 0))
+        for target in ("()", "(())", "(()())"):
+            assert children.count(target) == sum(reencode_key(c) == target for c in children)
 
 
 # --- histograms -----------------------------------------------------------------
@@ -209,8 +206,17 @@ def test_empirical_fringe_truncation_and_merge():
     h = empirical_fringe_distribution(tree, truncation=3)
     assert all(key_size(k) <= 3 for k in h.counts)
     assert sum(h.counts.values()) + h.other == h.total == tree.n + 1
+    # no fringe has 0 vertices, so every vertex overflows
+    assert empirical_fringe_distribution(tree, truncation=0).other == tree.n + 1
     with pytest.raises(ValueError):
         FringeHistogram(counts={"()": 2}, other=0, total=3, truncation=4)
+    # these used to give the k = 0 histogram labelled k = -1, [f_0], and an
+    # all-overflow histogram
+    for kwargs in ({"k": -1}, {"truncation": -1}):
+        with pytest.raises(ValueError, match=">= 0"):
+            empirical_fringe_distribution(tree, **kwargs)
+    with pytest.raises(ValueError, match=">= 0"):
+        extended_fringe(tree, 1, -1)
 
 
 def test_extended_histogram_excludes_shallow():
@@ -361,10 +367,10 @@ def test_bp_fringe_single_vertex_probability():
 
 def test_degree_counts_examples():
     star = TreeRecord.from_parents([0, 0, 0])
-    assert degree_counts(star) == {1: 3, 3: 1}
+    assert value_counts(star.degree) == {1: 3, 3: 1}
     edge = TreeRecord.from_parents([0])
-    assert degree_counts(edge) == {1: 2}
+    assert value_counts(edge.degree) == {1: 2}
     tree, _ = grow(GrowthParams(delta=1.0, n_final=500, seed=9))
-    counts = degree_counts(tree)
+    counts = value_counts(tree.degree)
     assert sum(counts.values()) == tree.n + 1
     assert sum(k * c for k, c in counts.items()) == 2 * tree.n
