@@ -268,10 +268,15 @@ def compare_distributions(
     of the frequency vectors over the union support.  The chi-square is the
     2 x K homogeneity statistic with bins pooled (smallest expected count
     first) until every pooled bin has expected count >= `POOL_THRESHOLD`
-    in both rows.
+    in both rows.  Two fringe histograms must share `truncation` and `k`:
+    otherwise a fringe is a key on one side and ``(other)`` on the other.
     """
     if type(p) is not type(q):
         raise TypeError("distributions must be of the same kind")
+    if isinstance(p, FringeHistogram) and (p.truncation, p.k) != (q.truncation, q.k):
+        raise ValueError(
+            f"fringe histograms differ: truncation {p.truncation} vs {q.truncation}, k {p.k} vs {q.k}"
+        )
     pc, pn = _count_maps(p)
     qc, qn = _count_maps(q)
     if pn == 0 or qn == 0:

@@ -316,6 +316,35 @@ def cmd_selftest(args) -> int:
                 worst = max(worst, float(np.max(np.abs(eig - dense))))
         return worst <= 1e-10, f"max |eig - dense| = {worst:.2e}"
 
+    def check_fringe_histogram():
+        # counts vertex by vertex from `fringe` and `extended_fringe`;
+        # truncation 4 sends the root of every tree of 5 or more vertices to (other)
+        truncation = 4
+        for n in range(1, 7):
+            for hist in growth.enumerate_histories(n):
+                tree = growth.TreeRecord.from_parents(hist)
+                parents = [-1] + list(hist)
+                depth = [0]
+                for p in hist:
+                    depth.append(depth[p] + 1)
+                for k in (0, 1, 2):
+                    counts: dict[str, int] = {}
+                    other = 0
+                    scanned = [v for v in range(n + 1) if depth[v] >= k]
+                    for v in scanned:
+                        top = v
+                        for _ in range(k):
+                            top = parents[top]
+                        if treeops.key_size(treeops.fringe(tree, top)) > truncation:
+                            other += 1
+                        else:
+                            key = "|".join(treeops.extended_fringe(tree, v, k))
+                            counts[key] = counts.get(key, 0) + 1
+                    got = treeops.empirical_fringe_distribution(tree, k=k, truncation=truncation)
+                    if (got.counts, got.other, got.total) != (counts, other, len(scanned)):
+                        return False, f"mismatch at k={k}, {hist}"
+        return True, "k in {0, 1, 2}, truncation 4"
+
     def check_density_duality():
         rng = CounterRng(20240)
         worst = 0.0
@@ -342,6 +371,7 @@ def cmd_selftest(args) -> int:
 
     run("sampler-equivalence (exhaustive n<=6)", check_sampler_equivalence)
     run("spectrum-vs-dense (exhaustive n<=6)", check_spectrum_vs_dense)
+    run("fringe-histogram-vs-per-vertex (exhaustive n<=6)", check_fringe_histogram)
     run("density-duality (200 marked trees)", check_density_duality)
     run("malthusian-identity (delta grid)", check_malthusian)
 

@@ -165,6 +165,18 @@ def _arrivals(
         yield t
 
 
+def _exp1_horizon(rng: CounterRng, t_max: Optional[float], exp1: bool) -> Optional[float]:
+    """`t_max`, or with ``exp1=True`` an exponential(1) horizon drawn from `rng`.
+
+    ``exp1=True`` together with a `t_max` is refused before a word is drawn.
+    """
+    if not exp1:
+        return t_max
+    if t_max is not None:
+        raise ValueError("exp1=True draws the horizon; pass t_max or exp1, not both")
+    return rng.exponential()
+
+
 def sample_arrivals(
     delta: float,
     rng: CounterRng,
@@ -177,11 +189,11 @@ def sample_arrivals(
 
     The times come from `_arrivals`, the offspring of one individual in
     `sample_memory_bp`.  Stop at `t_max`, after `max_arrivals`, or (with
-    ``exp1=True``) at an exponential(1) horizon drawn from `rng` first.
+    ``exp1=True``) at an exponential(1) horizon drawn from `rng` first, in
+    place of `t_max`.
     """
     _check_delta(delta)
-    if exp1:
-        t_max = rng.exponential()
+    t_max = _exp1_horizon(rng, t_max, exp1)
     if t_max is None and max_arrivals is None:
         raise ValueError("need a stop rule: t_max, max_arrivals, or exp1")
     if t_max is None:
@@ -232,8 +244,7 @@ def _genealogy(
     index order, which is breadth first, and each one's children are appended
     as they come.  Raises `NodeCapExceeded` rather than silently truncating.
     """
-    if exp1:
-        t_max = rng.exponential()
+    t_max = _exp1_horizon(rng, t_max, exp1)
     if t_max is None:
         raise ValueError("need a stop rule: t_max or exp1")
     if not 0.0 <= t_max < math.inf:

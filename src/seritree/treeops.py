@@ -11,8 +11,11 @@ forest given as an int64 parent array (-1 at each root).  Each gives every
 child a larger index than its parent, so depths and subtree sizes follow from
 the parent array without a per-vertex loop.  The key of one vertex comes from
 one sweep over decreasing indices (`_keys`).  Histograms over all vertices
-label the fringe classes with integers instead (`_class_ids`) and build one
-key string per distinct class.
+fold the leaves into their parents first (`_deflate_leaves`): a leaf has the
+one-vertex fringe and no structure, and leaves are most of a grown tree
+(about 72% at delta = 0).  Depths, sizes and integer fringe classes
+(`_ahu_classes`) then come from the internal vertices alone, each with its
+leaf count, and one key string is built per distinct class.
 """
 
 from __future__ import annotations
@@ -74,28 +77,6 @@ def _cut(key: str, child: str) -> str:
     parts = decode_key(key)
     parts.remove(child)
     return "(" + "".join(parts) + ")"
-
-
-def _depth_and_size(parent: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Depth of every vertex and size of its descendant subtree.
-
-    Depths come from pointer jumping (each round doubles the hop length);
-    sizes are summed into parents level by level, deepest level first.
-    """
-    depth = (parent >= 0).astype(np.int64)
-    up = np.maximum(parent, 0)
-    while up.any():
-        depth += depth[up]
-        up = up[up]
-    max_depth = int(depth.max())
-    # a stable sort of integers of at most 16 bits is a radix sort
-    order = np.argsort(depth.astype(np.min_scalar_type(max_depth)), kind="stable")
-    bounds = np.searchsorted(depth[order], np.arange(max_depth + 2))
-    size = np.ones(len(parent), dtype=np.int64)
-    for d in range(max_depth, 0, -1):
-        level = order[bounds[d] : bounds[d + 1]]
-        np.add.at(size, parent[level], size[level])
-    return depth, size
 
 
 def key_size(key: str) -> int:
@@ -182,49 +163,104 @@ class FringeHistogram:
         return self.counts.get(key, 0) / self.total
 
 
-def _class_ids(parent: np.ndarray, size: np.ndarray, truncation: int) -> tuple[np.ndarray, list[str]]:
-    """Integer fringe class of every vertex whose fringe has <= `truncation` vertices.
+def _deflate_leaves(parent: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The forest of internal vertices (those with a child) and their leaf counts.
 
-    AHU labels (Aho, Hopcroft & Ullman 1974), level by subtree size.  Leaves
-    get id 0.  The children of the size-s vertices are smaller, so they
-    already have ids; each size-s vertex's sorted row of child ids is folded,
-    position by position, into int64 codes (prefix state * width + child id)
-    that `np.unique` renumbers, so rows are compared exactly, and every
-    distinct row gets a new id.  Larger vertices keep -1.  `keys[i]` is the
-    canonical key of id i, built once from one vertex of the class.
+    Returns the parents of the internal vertices, relabelled 0..m-1 in vertex
+    order with -1 at each root, and each one's number of leaf children.  The
+    parent of an internal vertex is internal, so it has a new label too, and
+    every child still comes after its parent.
     """
-    ids = np.where(size == 1, 0, -1)
+    kids = np.bincount(parent + 1, minlength=len(parent) + 1)[1:]
+    inner = np.flatnonzero(kids)
+    # the last vertex has no child, so label[-1] stays -1 and roots keep -1
+    label = np.full(len(parent), -1, dtype=np.int64)
+    label[inner] = np.arange(len(inner))
+    up = label[parent[inner]]
+    leaves = kids[inner] - np.bincount(up + 1, minlength=len(up) + 1)[1:]
+    return up, leaves
+
+
+def _depths_and_sizes(up: np.ndarray, leaves: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Depth of every internal vertex and size of its descendant subtree.
+
+    Depths come from pointer jumping (each round doubles the hop length);
+    sizes start at 1 + the leaf count and are summed into parents level by
+    level, deepest level first.
+    """
+    depth = (up >= 0).astype(np.int64)
+    hop = np.maximum(up, 0)
+    while hop.any():
+        depth += depth[hop]
+        hop = hop[hop]
+    max_depth = int(depth.max(initial=0))
+    # a stable sort of integers of at most 16 bits is a radix sort
+    order = np.argsort(depth.astype(np.min_scalar_type(max_depth)), kind="stable")
+    bounds = np.searchsorted(depth[order], np.arange(max_depth + 2))
+    size = leaves + 1
+    for d in range(max_depth, 0, -1):
+        level = order[bounds[d] : bounds[d + 1]]
+        np.add.at(size, up[level], size[level])
+    return depth, size
+
+
+def _ahu_classes(
+    up: np.ndarray, size: np.ndarray, leaves: np.ndarray, truncation: int
+) -> tuple[np.ndarray, list[str]]:
+    """Integer fringe class of every internal vertex of at most `truncation` vertices.
+
+    AHU labels (Aho, Hopcroft & Ullman 1974), level by subtree size; class 0
+    is the leaf.  The internal children of the size-s vertices are smaller,
+    so they already have classes.  Each size-s vertex's row of sorted
+    internal child classes is folded, position by position, into int64 codes
+    (prefix state * width + child class) that `np.unique` renumbers from 1,
+    so rows are compared exactly, and every distinct row gets a new class.
+    The leaf children need no place in the row: two size-s rows with the same
+    internal children have the same number of leaves, s - 1 minus the
+    children's sizes, and a row of leaves alone keeps state 0.  Larger
+    vertices keep -1.  `keys[i]` is the canonical key of class i, built once
+    from one vertex of the class: its sorted internal child keys, then one
+    ``()`` per leaf child, which is their sorted order, since ``()`` sorts
+    after every other key.
+    """
+    ids = np.full(len(up), -1, dtype=np.int64)
     keys = [LEAF_KEY]
-    child = np.flatnonzero(parent >= 0)
-    level = size[parent[child]]
-    keep = level <= truncation
-    child, level = child[keep], level[keep]
-    order = np.argsort(level.astype(np.min_scalar_type(level.max(initial=0))), kind="stable")
-    child, level = child[order], level[order]
-    bounds = np.flatnonzero(np.diff(level, prepend=-1, append=-1))
-    for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
-        up, kid = parent[child[a:b]], ids[child[a:b]]
-        order = np.argsort(up * len(keys) + kid)
-        up, kid = up[order], kid[order]
-        new_row = np.diff(up, prepend=-1) != 0
-        first = np.flatnonzero(new_row)
-        row = np.cumsum(new_row) - 1
-        rank = np.arange(len(up)) - first[row]
-        state = np.zeros(len(first), dtype=np.int64)
-        width, offset = len(keys), 0
-        for j in range(int(rank.max()) + 1):
+    rows = np.flatnonzero(size <= truncation)
+    child = np.flatnonzero(up >= 0)
+    child = child[size[up[child]] <= truncation]
+    level, child_level = size[rows], size[up[child]]
+    narrow = np.min_scalar_type(level.max(initial=0))
+    # stable sorts keep each level's rows in vertex order
+    order = np.argsort(level.astype(narrow), kind="stable")
+    rows, level = rows[order], level[order]
+    order = np.argsort(child_level.astype(narrow), kind="stable")
+    child, child_level = child[order], child_level[order]
+    starts = np.flatnonzero(np.diff(level, prepend=-1, append=-1))
+    sizes = level[starts[:-1]]
+    lo, hi = np.searchsorted(child_level, sizes), np.searchsorted(child_level, sizes, "right")
+    for a, b, c, d in zip(starts[:-1].tolist(), starts[1:].tolist(), lo.tolist(), hi.tolist()):
+        vertex, width = rows[a:b], len(keys)
+        owner, kid = up[child[c:d]], ids[child[c:d]]
+        order = np.argsort(owner * width + kid)
+        owner, kid = owner[order], kid[order]
+        new_row = np.diff(owner, prepend=-1) != 0
+        rank = np.arange(len(owner)) - np.flatnonzero(new_row)[np.cumsum(new_row) - 1]
+        row = np.searchsorted(vertex, owner)
+        state, offset = np.zeros(len(vertex), dtype=np.int64), 1
+        for j in range(int(rank.max(initial=-1)) + 1):
             at = rank == j
             r = row[at]
             distinct, inverse = np.unique(state[r] * width + kid[at], return_inverse=True)
             state[r] = inverse + offset
             offset += len(distinct)
         distinct, label = np.unique(state, return_inverse=True)
-        ids[up[first]] = label + width
-        rep = np.empty(len(distinct), dtype=np.int64)  # one row of each class
-        rep[label] = np.arange(len(first))
-        last = np.append(first[1:], len(up))
-        for i in rep.tolist():
-            keys.append("(" + "".join(sorted(keys[c] for c in kid[first[i] : last[i]].tolist())) + ")")
+        ids[vertex] = label + width
+        rep = np.empty(len(distinct), dtype=np.int64)  # one vertex of each class
+        rep[label] = vertex
+        begin, end = np.searchsorted(owner, rep), np.searchsorted(owner, rep, "right")
+        for v, i, j in zip(rep.tolist(), begin.tolist(), end.tolist()):
+            inner = "".join(sorted(keys[c] for c in kid[i:j].tolist()))
+            keys.append("(" + inner + LEAF_KEY * int(leaves[v]) + ")")
     return ids, keys
 
 
@@ -235,49 +271,71 @@ def empirical_fringe_distribution(tree: Tree, k: int = 0, truncation: int = 12) 
     k = 0 its fringe key.  Vertices of depth < k are excluded and counted in
     `excluded_shallow` (their padded decompositions carry o(1) mass), and
     those whose k-th ancestor has more than `truncation` descendants, itself
-    included, go to the overflow bin.  The rest are counted by class ids
-    (`_class_ids`), and key strings are built only for the distinct ones.
+    included, go to the overflow bin.
+
+    The leaves are folded into their parents (`_deflate_leaves`): depths,
+    sizes and AHU classes (`_ahu_classes`) come from the internal vertices
+    alone, and key strings are built only for the distinct classes.  Each
+    internal vertex is counted once, by its path of classes up to its k-th
+    ancestor; the leaf children of an internal vertex u share one path
+    (the leaf class, then u's path up to its (k-1)-th ancestor) and are
+    counted together, as many as u has.
     """
     if k < 0 or truncation < 0:
         raise ValueError(f"k and truncation must be >= 0, got k={k}, truncation={truncation}")
     parent = _parent_array(tree)
-    depth, size = _depth_and_size(parent)
-    ids, keys = _class_ids(parent, size, truncation)
-    scanned = np.flatnonzero(depth >= k)
-    top = scanned
-    for _ in range(k):
-        top = parent[top]
-    inside = scanned[size[top] <= truncation]
+    up, leaves = _deflate_leaves(parent)
+    depth, size = _depths_and_sizes(up, leaves)
+    ids, keys = _ahu_classes(up, size, leaves, truncation)
+    # one entry per scanned internal vertex and one per group of sibling
+    # leaves: the class it starts with, the vertex above, how many vertices
+    # it stands for, and the size of their k-th ancestor
+    if k == 0:
+        # every leaf, a lone root too, has class 0 and size 1
+        first = np.append(ids, 0)
+        weight = np.append(np.ones(len(up), dtype=np.int64), len(parent) - len(up))
+        top_size = np.append(size, 1)
+    else:
+        inner = np.flatnonzero(depth >= k)
+        twigs = np.flatnonzero((depth >= k - 1) & (leaves > 0))
+        first = np.concatenate([ids[inner], np.zeros(len(twigs), dtype=np.int64)])
+        weight = np.concatenate([np.ones(len(inner), dtype=np.int64), leaves[twigs]])
+        above = top = np.concatenate([up[inner], twigs])
+        for _ in range(k - 1):
+            top = up[top]
+        top_size = size[top]
+    scanned = int(weight.sum())
+    inside = top_size <= truncation
     # the decomposition of v and the classes on its path up to the k-th
-    # ancestor determine each other, so count the paths of class ids, folded
-    # step by step into one code per vertex as `_class_ids` folds its rows;
-    # every code occurs (for k = 0 they are the ids, each made from a vertex)
-    width = len(keys)
-    code, w = ids[inside], inside
-    for _ in range(k):
-        w = parent[w]
-        _, code = np.unique(code * width + ids[w], return_inverse=True)
-    found = np.bincount(code).tolist()
-    rep = np.empty(len(found), dtype=np.int64)
-    rep[code] = inside
-    path = [ids[rep]]
-    for _ in range(k):
-        rep = parent[rep]
-        path.append(ids[rep])
-    path = np.stack(path, axis=1)
+    # ancestor determine each other, so count the paths of classes, folded
+    # step by step into one code per entry as `_ahu_classes` folds its rows;
+    # every code occurs (for k = 0 they are the classes, each made from a vertex)
+    code, weight = first[inside], weight[inside]
+    width, folds = len(keys), []
+    for j in range(k):
+        w = above[inside] if j == 0 else up[w]
+        distinct, code = np.unique(code * width + ids[w], return_inverse=True)
+        folds.append(distinct)
+    found = np.bincount(code, weights=weight).astype(np.int64)
+    # unfold each code back into its path of classes, f_0 first
+    path = np.empty((len(found), k + 1), dtype=np.int64)
+    step = np.arange(len(found))
+    for j in range(k, 0, -1):
+        step, path[:, j] = np.divmod(folds[j - 1][step], width)
+    path[:, 0] = step
     pair, cut_at = np.unique(path[:, 1:] * width + path[:, :-1], return_inverse=True)
     cuts = [_cut(keys[u], keys[c]) for u, c in zip(*(x.tolist() for x in np.divmod(pair, width)))]
     counts = {
         "|".join([keys[f0]] + [cuts[i] for i in at]): c
-        for f0, at, c in zip(path[:, 0].tolist(), cut_at.reshape(len(path), k).tolist(), found)
+        for f0, at, c in zip(path[:, 0].tolist(), cut_at.reshape(len(path), k).tolist(), found.tolist())
     }
     return FringeHistogram(
         counts=counts,
-        other=len(scanned) - len(inside),
-        total=len(scanned),
+        other=scanned - int(weight.sum()),
+        total=scanned,
         truncation=truncation,
         k=k,
-        excluded_shallow=len(parent) - len(scanned),
+        excluded_shallow=len(parent) - scanned,
     )
 
 

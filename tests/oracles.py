@@ -4,9 +4,11 @@ Each is the literal, slow form of something the package computes another
 way: the replayed weight sum behind `growth._thetas`, the O(n) sampler
 behind the token sampler, history probabilities by repeated
 `attach_probabilities`, the tree invariants, the per-path marked Yule chain
-behind `yule_marked_ensemble`, and the canonical key rebuilt from its parts;
-beside them, the two-sample chi-square that compares samplers in law.  Test
-files import them with ``from oracles import ...``.
+behind `yule_marked_ensemble`, the canonical key rebuilt from its parts, and
+the fringe histogram that labels every vertex, leaves included, behind the
+leaf-deflated `empirical_fringe_distribution`; beside them, the two-sample
+chi-square that compares samplers in law.  Test files import them with
+``from oracles import ...``.
 """
 
 import math
@@ -21,7 +23,7 @@ from scipy import stats
 from seritree.growth import TreeRecord, _edge_time_sums, attach_probabilities
 from seritree.limits import _check_delta, _check_variant, _mark_probability
 from seritree.rng import CounterRng
-from seritree.treeops import decode_key
+from seritree.treeops import LEAF_KEY, FringeHistogram, Tree, _cut, _parent_array, decode_key
 
 
 def replay_weight(tree: TreeRecord, i: int, delta, convention: str):
@@ -145,6 +147,127 @@ def yule_marked_simulate(
 def reencode_key(key: str) -> str:
     """Canonical fixed point: decode and rebuild the key (validates it)."""
     return "(" + "".join(sorted(reencode_key(c) for c in decode_key(key))) + ")"
+
+
+def depth_and_size(parent: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Depth of every vertex and size of its descendant subtree.
+
+    Depths come from pointer jumping (each round doubles the hop length);
+    sizes are summed into parents level by level, deepest level first.
+    """
+    depth = (parent >= 0).astype(np.int64)
+    up = np.maximum(parent, 0)
+    while up.any():
+        depth += depth[up]
+        up = up[up]
+    max_depth = int(depth.max())
+    # a stable sort of integers of at most 16 bits is a radix sort
+    order = np.argsort(depth.astype(np.min_scalar_type(max_depth)), kind="stable")
+    bounds = np.searchsorted(depth[order], np.arange(max_depth + 2))
+    size = np.ones(len(parent), dtype=np.int64)
+    for d in range(max_depth, 0, -1):
+        level = order[bounds[d] : bounds[d + 1]]
+        np.add.at(size, parent[level], size[level])
+    return depth, size
+
+
+def class_ids(parent: np.ndarray, size: np.ndarray, truncation: int) -> tuple[np.ndarray, list[str]]:
+    """Integer fringe class of every vertex whose fringe has <= `truncation` vertices.
+
+    AHU labels (Aho, Hopcroft & Ullman 1974), level by subtree size.  Leaves
+    get id 0.  The children of the size-s vertices are smaller, so they
+    already have ids; each size-s vertex's sorted row of child ids is folded,
+    position by position, into int64 codes (prefix state * width + child id)
+    that `np.unique` renumbers, so rows are compared exactly, and every
+    distinct row gets a new id.  Larger vertices keep -1.  `keys[i]` is the
+    canonical key of id i, built once from one vertex of the class.
+    """
+    ids = np.where(size == 1, 0, -1)
+    keys = [LEAF_KEY]
+    child = np.flatnonzero(parent >= 0)
+    level = size[parent[child]]
+    keep = level <= truncation
+    child, level = child[keep], level[keep]
+    order = np.argsort(level.astype(np.min_scalar_type(level.max(initial=0))), kind="stable")
+    child, level = child[order], level[order]
+    bounds = np.flatnonzero(np.diff(level, prepend=-1, append=-1))
+    for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        up, kid = parent[child[a:b]], ids[child[a:b]]
+        order = np.argsort(up * len(keys) + kid)
+        up, kid = up[order], kid[order]
+        new_row = np.diff(up, prepend=-1) != 0
+        first = np.flatnonzero(new_row)
+        row = np.cumsum(new_row) - 1
+        rank = np.arange(len(up)) - first[row]
+        state = np.zeros(len(first), dtype=np.int64)
+        width, offset = len(keys), 0
+        for j in range(int(rank.max()) + 1):
+            at = rank == j
+            r = row[at]
+            distinct, inverse = np.unique(state[r] * width + kid[at], return_inverse=True)
+            state[r] = inverse + offset
+            offset += len(distinct)
+        distinct, label = np.unique(state, return_inverse=True)
+        ids[up[first]] = label + width
+        rep = np.empty(len(distinct), dtype=np.int64)  # one row of each class
+        rep[label] = np.arange(len(first))
+        last = np.append(first[1:], len(up))
+        for i in rep.tolist():
+            keys.append("(" + "".join(sorted(keys[c] for c in kid[first[i] : last[i]].tolist())) + ")")
+    return ids, keys
+
+
+def empirical_fringe_reference(tree: Tree, k: int = 0, truncation: int = 12) -> FringeHistogram:
+    """Histogram of (extended) fringe keys over all vertices of the tree.
+
+    The key of a vertex is the '|'-joined decomposition (f_0|...|f_k), for
+    k = 0 its fringe key.  Vertices of depth < k are excluded and counted in
+    `excluded_shallow` (their padded decompositions carry o(1) mass), and
+    those whose k-th ancestor has more than `truncation` descendants, itself
+    included, go to the overflow bin.  The rest are counted by class ids
+    (`class_ids`), and key strings are built only for the distinct ones.
+    """
+    if k < 0 or truncation < 0:
+        raise ValueError(f"k and truncation must be >= 0, got k={k}, truncation={truncation}")
+    parent = _parent_array(tree)
+    depth, size = depth_and_size(parent)
+    ids, keys = class_ids(parent, size, truncation)
+    scanned = np.flatnonzero(depth >= k)
+    top = scanned
+    for _ in range(k):
+        top = parent[top]
+    inside = scanned[size[top] <= truncation]
+    # the decomposition of v and the classes on its path up to the k-th
+    # ancestor determine each other, so count the paths of class ids, folded
+    # step by step into one code per vertex as `class_ids` folds its rows;
+    # every code occurs (for k = 0 they are the ids, each made from a vertex)
+    width = len(keys)
+    code, w = ids[inside], inside
+    for _ in range(k):
+        w = parent[w]
+        _, code = np.unique(code * width + ids[w], return_inverse=True)
+    found = np.bincount(code).tolist()
+    rep = np.empty(len(found), dtype=np.int64)
+    rep[code] = inside
+    path = [ids[rep]]
+    for _ in range(k):
+        rep = parent[rep]
+        path.append(ids[rep])
+    path = np.stack(path, axis=1)
+    pair, cut_at = np.unique(path[:, 1:] * width + path[:, :-1], return_inverse=True)
+    cuts = [_cut(keys[u], keys[c]) for u, c in zip(*(x.tolist() for x in np.divmod(pair, width)))]
+    counts = {
+        "|".join([keys[f0]] + [cuts[i] for i in at]): c
+        for f0, at, c in zip(path[:, 0].tolist(), cut_at.reshape(len(path), k).tolist(), found)
+    }
+    return FringeHistogram(
+        counts=counts,
+        other=len(scanned) - len(inside),
+        total=len(scanned),
+        truncation=truncation,
+        k=k,
+        excluded_shallow=len(parent) - len(scanned),
+    )
 
 
 def same_law_p(a: Counter, b: Counter) -> float:

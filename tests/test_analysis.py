@@ -150,6 +150,15 @@ def test_compare_requires_same_kind():
         compare_distributions(pmf, hist)
 
 
+@pytest.mark.parametrize("other", [{"truncation": 5}, {"k": 1}])
+def test_compare_refuses_mismatched_histograms(other):
+    # with truncations 4 and 5, a 5-vertex fringe is (other) on one side and
+    # a key on the other; with different k the keys are not comparable
+    base = {"counts": {"()": 6, "(()())": 2}, "other": 2, "total": 10, "truncation": 4}
+    with pytest.raises(ValueError, match="fringe histograms differ"):
+        compare_distributions(FringeHistogram(**base), FringeHistogram(**{**base, **other}))
+
+
 def test_compare_close_empirical_distributions():
     a = DegreePMF(p={1: 0.7, 2: 0.2, 3: 0.1}, n_samples=10000)
     b = DegreePMF(p={1: 0.705, 2: 0.195, 3: 0.1}, n_samples=10000)

@@ -140,7 +140,7 @@ def test_fringe_compare_cap_stops_at_the_node_cap(tmp_path, monkeypatch):
 def test_selftest_passes(capsys):
     assert run_cli(["selftest"]) == 0
     out = capsys.readouterr().out
-    assert out.count("PASS") == 4
+    assert out.count("PASS") == 5
     assert "FAIL" not in out
 
 
@@ -171,6 +171,24 @@ def test_selftest_spectrum_row_catches_a_wrong_spectrum(monkeypatch, capsys):
     rows = {line.split("  ")[0]: line for line in capsys.readouterr().out.splitlines()}
     assert "FAIL" in rows["spectrum-vs-dense (exhaustive n<=6)"]
     assert "FAIL" not in rows["sampler-equivalence (exhaustive n<=6)"]
+
+
+def test_selftest_fringe_row_catches_a_wrong_histogram(monkeypatch, capsys):
+    # a histogram that moves one counted vertex of every tree to (other)
+    real = seritree.treeops.empirical_fringe_distribution
+
+    def lossy(tree, k=0, truncation=12):
+        hist = real(tree, k=k, truncation=truncation)
+        if hist.counts:
+            hist.counts[min(hist.counts)] -= 1
+            hist.other += 1
+        return hist
+
+    monkeypatch.setattr(seritree.treeops, "empirical_fringe_distribution", lossy)
+    assert run_cli(["selftest"]) == 1
+    rows = {line.split("  ")[0]: line for line in capsys.readouterr().out.splitlines()}
+    assert "FAIL" in rows["fringe-histogram-vs-per-vertex (exhaustive n<=6)"]
+    assert "FAIL" not in rows["spectrum-vs-dense (exhaustive n<=6)"]
 
 
 def test_missing_required_flag_exits_2():

@@ -178,6 +178,22 @@ def test_sample_arrivals_refuses_endless_horizons(kwargs):
     assert rng.counter == 0
 
 
+@pytest.mark.parametrize("sampler", [sample_arrivals, sample_edge_bp, sample_memory_bp])
+@pytest.mark.parametrize("t_max", [-5.0, 0.5, math.inf])
+def test_exp1_refuses_a_t_max_too(sampler, t_max):
+    # exp1 draws its own horizon; the t_max beside it, even an invalid one,
+    # used to be dropped without a word
+    rng = CounterRng(1)
+    with pytest.raises(ValueError, match="not both"):
+        sampler(0.0, rng, t_max=t_max, exp1=True)
+    assert rng.counter == 0
+
+
+def test_exp1_with_max_arrivals_is_allowed():
+    times = sample_arrivals(0.0, CounterRng(1), exp1=True, max_arrivals=1)
+    assert len(times) <= 1
+
+
 @pytest.mark.parametrize("sampler", [sample_edge_bp, sample_memory_bp])
 @pytest.mark.parametrize("t_max", [math.nan, math.inf, -1.0])
 def test_branching_samplers_refuse_endless_horizons(sampler, t_max):

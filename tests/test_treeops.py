@@ -18,7 +18,7 @@ from seritree.treeops import (
     key_size,
 )
 
-from oracles import reencode_key
+from oracles import empirical_fringe_reference, reencode_key
 
 
 def _brute_isomorphic(children_a, ra, children_b, rb):
@@ -289,17 +289,28 @@ def _per_vertex_histogram(tree, parents, k, truncation):
     return dict(counts), other
 
 
-@pytest.mark.parametrize("k,truncation", [(0, 4), (0, 12), (1, 6), (2, 12)])
-def test_forest_histogram_is_sum_of_tree_histograms(k, truncation):
+def _interleaved_forest():
+    """Three grown trees interleaved at random, each keeping its vertex order."""
     trees = [grow(GrowthParams(delta=0.0, n_final=n, seed=seed))[0] for n, seed in ((150, 41), (1, 42), (90, 43))]
-    # interleave the three trees at random, each keeping its vertex order, so
-    # two roots sit in the middle of the forest
     owner = np.repeat(np.arange(3), [t.n + 1 for t in trees])
     np.random.default_rng(44).shuffle(owner)
     forest = np.empty(len(owner), dtype=np.int64)
     for i, tree in enumerate(trees):
         at = np.flatnonzero(owner == i)
         forest[at] = np.where(tree.parent >= 0, at[tree.parent], -1)
+    return forest, trees
+
+
+def _caterpillar(spine=40):
+    """A path with one leaf on every path vertex: parents with None at the root, and the forest."""
+    parents = [None] + list(range(spine - 1)) + list(range(spine))
+    return parents, np.array([-1] + parents[1:], dtype=np.int64)
+
+
+@pytest.mark.parametrize("k,truncation", [(0, 4), (0, 12), (1, 6), (2, 12)])
+def test_forest_histogram_is_sum_of_tree_histograms(k, truncation):
+    forest, trees = _interleaved_forest()
+    # two roots sit in the middle of the forest
     roots = np.flatnonzero(forest < 0)
     assert len(roots) == 3 and roots[-1] > 2
     hist = empirical_fringe_distribution(forest, k=k, truncation=truncation)
@@ -328,16 +339,40 @@ def test_genealogy_histogram_matches_per_vertex_fringes(seed):
 
 
 def test_deep_extended_histogram_matches_per_vertex_reference():
-    # a caterpillar: a path with one leaf on every path vertex, scanned along
-    # root paths far longer than the random trees above have
-    spine = 40
-    parents = [None] + list(range(spine - 1)) + list(range(spine))
-    forest = np.array([-1] + parents[1:], dtype=np.int64)
+    # a caterpillar, scanned along root paths far longer than the random
+    # trees above have
+    parents, forest = _caterpillar()
     for k in (20, 30):
         h = empirical_fringe_distribution(forest, k=k, truncation=len(parents))
         counts, other = _per_vertex_histogram(forest, parents, k, len(parents))
         assert (h.counts, h.other) == (counts, other)
         assert len(h.counts) > 1
+
+
+def _reference_inputs():
+    """Every kind of input the histogram takes, by name."""
+    for delta in (-0.5, 0.0, 2.0):
+        for n in (1, 2, 10, 1000, 100000):
+            yield f"grown delta={delta} n={n}", grow(GrowthParams(delta=delta, n_final=n, seed=48))[0]
+    yield "interleaved forest", _interleaved_forest()[0]
+    # lone roots at 2 and at the end, a root with one child at 5
+    yield "forest with lone roots", np.array([-1, 0, -1, 1, 1, -1, 5, 0, -1], dtype=np.int64)
+    for seed in (45, 46, 47):
+        yield f"genealogy seed={seed}", sample_memory_bp(0.0, CounterRng(seed), t_max=6.0)
+    yield "caterpillar", _caterpillar()[1]
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_histogram_matches_every_vertex_reference(k):
+    # the leaf-deflated histogram against the reference that labels every
+    # vertex, leaves included
+    for name, tree in _reference_inputs():
+        for truncation in (0, 1, 2, 4, 6, 12):
+            got = empirical_fringe_distribution(tree, k=k, truncation=truncation)
+            ref = empirical_fringe_reference(tree, k=k, truncation=truncation)
+            assert (got.counts, got.other, got.total, got.excluded_shallow) == (
+                ref.counts, ref.other, ref.total, ref.excluded_shallow
+            ), (name, truncation)
 
 
 def test_leaf_fraction_near_limit():
