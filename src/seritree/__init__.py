@@ -51,7 +51,6 @@ from .limits import (
     zeta_hat_cumulant,
 )
 from .rng import CounterRng, mix64, stream_seed
-from .serialize import RunManifest
 from .treeops import (
     FringeHistogram,
     bp_fringe_sample,

@@ -1,7 +1,7 @@
 """Statistical post-processing: tails, growth fits, distances, spectra.
 
-Everything here consumes immutable simulation output (degree pmfs, fringe
-histograms, grown trees) and produces plain fit/report objects, so the
+Everything here consumes immutable simulation output (grown trees, degree
+samples, fringe histograms) and produces plain fit/report objects, so the
 functions parallelize trivially at the replica level.
 """
 
@@ -14,30 +14,18 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .growth import GrowthParams, TreeRecord, grow
-from .limits import DegreePMF
 from .rng import CounterRng
-from .treeops import FringeHistogram
+from .treeops import OTHER_KEY, FringeHistogram
 
 SPECTRUM_SIZE_CAP = 2048
 
 
-def tail_ccdf(source: Union[DegreePMF, Sequence[int], TreeRecord]) -> list[tuple[int, float]]:
+def tail_ccdf(source: Union[Sequence[int], TreeRecord]) -> list[tuple[int, float]]:
     """Degree tail P(deg >= k) for k = 1..max, nonincreasing with P(>=1) = 1.
 
-    Count-backed sources (trees, raw degree samples) use exact integer
-    arithmetic, so P(>=1) is exactly 1.
+    The degrees of a tree or a raw degree sample are counted with exact
+    integer arithmetic, so P(>=1) is exactly 1.
     """
-    if isinstance(source, DegreePMF):
-        pmf = source.p
-        ks = sorted(pmf)
-        if not ks or ks[0] < 1:
-            raise ValueError("degrees must be >= 1")
-        out = []
-        tail = math.fsum(pmf.values())
-        for k in range(1, ks[-1] + 1):
-            out.append((k, tail))
-            tail -= pmf.get(k, 0.0)
-        return out
     degrees = np.asarray(source.degree if isinstance(source, TreeRecord) else source, dtype=np.int64)
     if degrees.size == 0:
         raise ValueError("empty degree sample")
@@ -202,15 +190,11 @@ def fit_degree_growth(
     )
 
 
-def _count_maps(p: Union[DegreePMF, FringeHistogram]) -> tuple[dict, int]:
-    if isinstance(p, DegreePMF):
-        return {k: round(v * p.n_samples) for k, v in p.p.items()}, p.n_samples
-    if isinstance(p, FringeHistogram):
-        counts = dict(p.counts)
-        if p.other:
-            counts["(other)"] = counts.get("(other)", 0) + p.other
-        return counts, p.total
-    raise TypeError(f"unsupported distribution type {type(p)!r}")
+def _count_map(hist: FringeHistogram) -> dict[str, int]:
+    counts = dict(hist.counts)
+    if hist.other:
+        counts[OTHER_KEY] = counts.get(OTHER_KEY, 0) + hist.other
+    return counts
 
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -259,26 +243,22 @@ def chi_square_tail(stat: float, dof: int) -> float:
 POOL_THRESHOLD = 5.0  # least expected count of a chi-square bin in each row
 
 
-def compare_distributions(
-    p: Union[DegreePMF, FringeHistogram], q: Union[DegreePMF, FringeHistogram]
-) -> tuple[float, float, float]:
-    """Total-variation distance and two-sample chi-square between count data.
+def compare_distributions(p: FringeHistogram, q: FringeHistogram) -> tuple[float, float, float]:
+    """Total-variation distance and two-sample chi-square between fringe histograms.
 
     Returns (tv_distance, chi_square_stat, p_value).  TV is half the L1 gap
     of the frequency vectors over the union support.  The chi-square is the
     2 x K homogeneity statistic with bins pooled (smallest expected count
     first) until every pooled bin has expected count >= `POOL_THRESHOLD`
-    in both rows.  Two fringe histograms must share `truncation` and `k`:
+    in both rows.  The histograms must share `truncation` and `k`:
     otherwise a fringe is a key on one side and ``(other)`` on the other.
     """
-    if type(p) is not type(q):
-        raise TypeError("distributions must be of the same kind")
-    if isinstance(p, FringeHistogram) and (p.truncation, p.k) != (q.truncation, q.k):
+    if (p.truncation, p.k) != (q.truncation, q.k):
         raise ValueError(
             f"fringe histograms differ: truncation {p.truncation} vs {q.truncation}, k {p.k} vs {q.k}"
         )
-    pc, pn = _count_maps(p)
-    qc, qn = _count_maps(q)
+    pc, pn = _count_map(p), p.total
+    qc, qn = _count_map(q), q.total
     if pn == 0 or qn == 0:
         raise ValueError("empty distribution")
     support = sorted(set(pc) | set(qc), key=str)

@@ -1,10 +1,12 @@
 """Command-line front end.
 
 Subcommands run the growth / limit / analysis pipelines with deterministic
-seeding and write CSV/JSON artifacts plus one run manifest per invocation.
-All randomized output is a pure function of (flags, seed); the worker count
-(``--workers`` or the SERI_THREADS environment variable) never changes
-results because replica streams are indexed and reduced in a fixed order.
+seeding.  Each run's files, its ``report.json`` and its ``manifest.json``
+(the flags, timestamp and tool version) are written by ``_finish`` alone.
+All randomized output is a pure function of (flags, seed); ``--workers``
+never changes results because replica streams are indexed and reduced in a
+fixed order.  ``selftest`` runs the checks listed in ``SELFTEST_ROWS``, each
+a function that returns ``(ok, detail)``.
 
 Exit codes: 0 success, 1 check failure, 2 usage/validation error,
 3 resource cap exceeded.
@@ -13,10 +15,11 @@ Exit codes: 0 success, 1 check failure, 2 usage/validation error,
 from __future__ import annotations
 
 import argparse
+import datetime
 import json
 import math
-import os
 import sys
+from fractions import Fraction
 from functools import partial
 from pathlib import Path
 from typing import Optional
@@ -30,6 +33,8 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE_CAP = 3
+
+MANIFEST_FORMAT_VERSION = "1"
 
 
 class CliError(Exception):
@@ -46,22 +51,12 @@ def _validate(args) -> None:
         raise CliError(f"--delta must be finite and > -1, got {args.delta}")
     if not 0 <= args.seed < 1 << 64:
         raise CliError("--seed must fit in 64 unsigned bits")
-    for flag, low in (("n", 1), ("reps", 1), ("seeds", 1), ("max_size", 1), ("vertex", 0), ("workers", 0)):
+    for flag, low in (("n", 1), ("reps", 1), ("seeds", 1), ("max_size", 1), ("vertex", 0), ("workers", 1)):
         if getattr(args, flag, low) < low:
             raise CliError(f"--{flag.replace('_', '-')} must be >= {low}, got {getattr(args, flag)}")
     tolerance = getattr(args, "tolerance", None)
     if tolerance is not None and not tolerance >= 0:  # NaN fails this too
         raise CliError(f"--tolerance must be >= 0, got {tolerance}")
-
-
-def _workers(flag_value: int) -> int:
-    if flag_value:
-        return flag_value
-    env = os.environ.get("SERI_THREADS", "")
-    try:
-        return max(1, int(env)) if env else 1
-    except ValueError:
-        raise CliError(f"SERI_THREADS must be an integer, got {env!r}") from None
 
 
 def _convention(args) -> str:
@@ -91,11 +86,20 @@ def _finish(args, report: Optional[dict] = None, files: Optional[dict] = None, r
         write(out / name)
     if report is not None:
         report = {"command": args.command, **report}
-        (out / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    serialize.RunManifest(
-        command=args.command, delta=args.delta, seed=args.seed, convention=_convention(args),
-        n=getattr(args, "n", None), reps=getattr(args, "reps", None) if reps is None else reps,
-    ).write(out / "manifest.json")
+    manifest = {
+        "command": args.command,
+        "convention": _convention(args),
+        "delta": args.delta,
+        "format_version": MANIFEST_FORMAT_VERSION,
+        "n": getattr(args, "n", None),
+        "reps": getattr(args, "reps", None) if reps is None else reps,
+        "seed": args.seed,
+        "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+        "tool_version": __version__,
+    }
+    for name, record in (("report.json", report), ("manifest.json", manifest)):
+        if record is not None:
+            (out / name).write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
     return EXIT_OK if report is None or report["pass"] else EXIT_CHECK_FAILED
 
 
@@ -166,11 +170,10 @@ def cmd_growth_fit(args) -> int:
     checkpoints = _parse_checkpoints(args.checkpoints, args.n) or (
         args.n // 1000, args.n // 100, args.n // 10, args.n,
     )
-    workers = _workers(args.workers)
     try:
         fit = analysis.fit_degree_growth(
             args.delta, args.vertex, checkpoints, args.seeds,
-            master_seed=args.seed, convention=_convention(args), workers=workers,
+            master_seed=args.seed, convention=_convention(args), workers=args.workers,
         )
     except ValueError as exc:
         raise CliError(str(exc)) from exc
@@ -259,13 +262,7 @@ def cmd_localcheck(args) -> int:
         raise CliError(f"--n {n} is too small for the discrete check: {exc}") from exc
     dens = limits.limit_neighborhood_density(two, args.delta)
     rel_gap = abs(n ** two.size * math.exp(logp) / n - dens) / dens
-    rng = CounterRng(args.seed)
-    worst = 0.0
-    for _ in range(args.reps):
-        tree = limits.random_marked_tree(rng, max_vertices=5)
-        d1 = limits.limit_neighborhood_density(tree, args.delta, form="discrete_limit")
-        d2 = limits.limit_neighborhood_density(tree, args.delta, form="hazard_product")
-        worst = max(worst, abs(d1 - d2) / max(1.0, abs(d1)))
+    worst = _max_form_gap(args.delta, args.reps, CounterRng(args.seed))
     return _finish(args, {
         "max_form_gap": worst,
         "discrete_limit_rel_gap": rel_gap,
@@ -276,110 +273,120 @@ def cmd_localcheck(args) -> int:
     })
 
 
+def _max_form_gap(delta: float, reps: int, rng: CounterRng) -> float:
+    """Largest gap between the two closed forms of the local-limit density.
+
+    Over `reps` random marked trees of at most 5 vertices, the gap of the
+    `discrete_limit` and `hazard_product` densities, relative to the first
+    one where it exceeds 1.
+    """
+    worst = 0.0
+    for _ in range(reps):
+        tree = limits.random_marked_tree(rng, max_vertices=5)
+        d1 = limits.limit_neighborhood_density(tree, delta, form="discrete_limit")
+        d2 = limits.limit_neighborhood_density(tree, delta, form="hazard_product")
+        worst = max(worst, abs(d1 - d2) / max(1.0, abs(d1)))
+    return worst
+
+
+def _check_sampler_equivalence() -> tuple[bool, str]:
+    worst = None
+    for delta in (Fraction(-1, 2), Fraction(0), Fraction(1), Fraction(5, 2)):
+        for n in range(1, 7):
+            for hist in growth.enumerate_histories(n):
+                tree = growth.TreeRecord.from_parents(hist)
+                for conv in ("exact", "paper_total"):
+                    a = growth.attach_probabilities(tree, delta, conv)
+                    b = growth.token_probability_vector(tree, delta, conv)
+                    if a != b:
+                        worst = (delta, conv, hist)
+    return worst is None, "exhaustive n <= 6" if worst is None else f"mismatch at {worst}"
+
+
+def _check_spectrum_vs_dense() -> tuple[bool, str]:
+    worst = 0.0
+    for n in range(1, 7):
+        for hist in growth.enumerate_histories(n):
+            tree = growth.TreeRecord.from_parents(hist)
+            a = np.zeros((n + 1, n + 1))
+            a[np.arange(1, n + 1), hist] = 1.0
+            dense = np.linalg.eigvalsh(a + a.T)
+            eig = analysis.adjacency_spectrum(tree).eigenvalues
+            if eig.shape != dense.shape:
+                return False, f"{eig.size} eigenvalues, not {dense.size}, at {hist}"
+            worst = max(worst, float(np.max(np.abs(eig - dense))))
+    return worst <= 1e-10, f"max |eig - dense| = {worst:.2e}"
+
+
+def _check_fringe_histogram() -> tuple[bool, str]:
+    # counts vertex by vertex from `fringe` and `extended_fringe`;
+    # truncation 4 sends the root of every tree of 5 or more vertices to (other)
+    truncation = 4
+    for n in range(1, 7):
+        for hist in growth.enumerate_histories(n):
+            tree = growth.TreeRecord.from_parents(hist)
+            parents = [-1] + list(hist)
+            depth = [0]
+            for p in hist:
+                depth.append(depth[p] + 1)
+            for k in (0, 1, 2):
+                counts: dict[str, int] = {}
+                other = 0
+                scanned = [v for v in range(n + 1) if depth[v] >= k]
+                for v in scanned:
+                    top = v
+                    for _ in range(k):
+                        top = parents[top]
+                    if treeops.key_size(treeops.fringe(tree, top)) > truncation:
+                        other += 1
+                    else:
+                        key = "|".join(treeops.extended_fringe(tree, v, k))
+                        counts[key] = counts.get(key, 0) + 1
+                got = treeops.empirical_fringe_distribution(tree, k=k, truncation=truncation)
+                if (got.counts, got.other, got.total) != (counts, other, len(scanned)):
+                    return False, f"mismatch at k={k}, {hist}"
+    return True, "k in {0, 1, 2}, truncation 4"
+
+
+def _check_density_duality() -> tuple[bool, str]:
+    worst = _max_form_gap(0.0, 200, CounterRng(20240))
+    return worst <= 1e-10, f"max gap {worst:.2e}"
+
+
+def _check_malthusian() -> tuple[bool, str]:
+    from scipy import integrate as _integrate
+
+    worst = 0.0
+    for delta in (-0.5, 0.0, 1.0, 2.0, 5.0):
+        lam = limits.exponents(delta).lam
+        horizon = max(60.0, 45.0 / lam)  # tail mass (c/lam) e^(-lam T) << 1e-12
+        val, _ = _integrate.quad(
+            lambda t: math.exp(-lam * t) * limits.rate_nonroot(t, delta), 0.0, horizon,
+            epsabs=1e-13, epsrel=1e-13, limit=400,
+        )
+        worst = max(worst, abs(val - 1.0))
+    return worst <= 1e-10, f"max |integral - 1| = {worst:.2e}"
+
+
+SELFTEST_ROWS = (
+    ("sampler-equivalence (exhaustive n<=6)", _check_sampler_equivalence),
+    ("spectrum-vs-dense (exhaustive n<=6)", _check_spectrum_vs_dense),
+    ("fringe-histogram-vs-per-vertex (exhaustive n<=6)", _check_fringe_histogram),
+    ("density-duality (200 marked trees)", _check_density_duality),
+    ("malthusian-identity (delta grid)", _check_malthusian),
+)
+
+
 def cmd_selftest(args) -> int:
     """Fast internal consistency checks; exit 0 only if every row passes."""
-    rows = []
-
-    def run(name, fn):
+    width = max(len(name) for name, _ in SELFTEST_ROWS)
+    all_ok = True
+    for name, check in SELFTEST_ROWS:
         try:
-            ok, detail = fn()
+            ok, detail = check()
         except Exception as exc:  # a crashed check is a failed check
             ok, detail = False, f"error: {exc}"
-        rows.append((name, ok, detail))
-
-    def check_sampler_equivalence():
-        from fractions import Fraction
-
-        worst = None
-        for delta in (Fraction(-1, 2), Fraction(0), Fraction(1), Fraction(5, 2)):
-            for n in range(1, 7):
-                for hist in growth.enumerate_histories(n):
-                    tree = growth.TreeRecord.from_parents(hist)
-                    for conv in ("exact", "paper_total"):
-                        a = growth.attach_probabilities(tree, delta, conv)
-                        b = growth.token_probability_vector(tree, delta, conv)
-                        if a != b:
-                            worst = (delta, conv, hist)
-        return worst is None, "exhaustive n <= 6" if worst is None else f"mismatch at {worst}"
-
-    def check_spectrum_vs_dense():
-        worst = 0.0
-        for n in range(1, 7):
-            for hist in growth.enumerate_histories(n):
-                tree = growth.TreeRecord.from_parents(hist)
-                a = np.zeros((n + 1, n + 1))
-                a[np.arange(1, n + 1), hist] = 1.0
-                dense = np.linalg.eigvalsh(a + a.T)
-                eig = analysis.adjacency_spectrum(tree).eigenvalues
-                if eig.shape != dense.shape:
-                    return False, f"{eig.size} eigenvalues, not {dense.size}, at {hist}"
-                worst = max(worst, float(np.max(np.abs(eig - dense))))
-        return worst <= 1e-10, f"max |eig - dense| = {worst:.2e}"
-
-    def check_fringe_histogram():
-        # counts vertex by vertex from `fringe` and `extended_fringe`;
-        # truncation 4 sends the root of every tree of 5 or more vertices to (other)
-        truncation = 4
-        for n in range(1, 7):
-            for hist in growth.enumerate_histories(n):
-                tree = growth.TreeRecord.from_parents(hist)
-                parents = [-1] + list(hist)
-                depth = [0]
-                for p in hist:
-                    depth.append(depth[p] + 1)
-                for k in (0, 1, 2):
-                    counts: dict[str, int] = {}
-                    other = 0
-                    scanned = [v for v in range(n + 1) if depth[v] >= k]
-                    for v in scanned:
-                        top = v
-                        for _ in range(k):
-                            top = parents[top]
-                        if treeops.key_size(treeops.fringe(tree, top)) > truncation:
-                            other += 1
-                        else:
-                            key = "|".join(treeops.extended_fringe(tree, v, k))
-                            counts[key] = counts.get(key, 0) + 1
-                    got = treeops.empirical_fringe_distribution(tree, k=k, truncation=truncation)
-                    if (got.counts, got.other, got.total) != (counts, other, len(scanned)):
-                        return False, f"mismatch at k={k}, {hist}"
-        return True, "k in {0, 1, 2}, truncation 4"
-
-    def check_density_duality():
-        rng = CounterRng(20240)
-        worst = 0.0
-        for _ in range(200):
-            tree = limits.random_marked_tree(rng, max_vertices=5)
-            d1 = limits.limit_neighborhood_density(tree, 0.0, form="discrete_limit")
-            d2 = limits.limit_neighborhood_density(tree, 0.0, form="hazard_product")
-            worst = max(worst, abs(d1 - d2) / max(1.0, abs(d1)))
-        return worst <= 1e-10, f"max gap {worst:.2e}"
-
-    def check_malthusian():
-        from scipy import integrate as _integrate
-
-        worst = 0.0
-        for delta in (-0.5, 0.0, 1.0, 2.0, 5.0):
-            lam = limits.exponents(delta).lam
-            horizon = max(60.0, 45.0 / lam)  # tail mass (c/lam) e^(-lam T) << 1e-12
-            val, _ = _integrate.quad(
-                lambda t: math.exp(-lam * t) * limits.rate_nonroot(t, delta), 0.0, horizon,
-                epsabs=1e-13, epsrel=1e-13, limit=400,
-            )
-            worst = max(worst, abs(val - 1.0))
-        return worst <= 1e-10, f"max |integral - 1| = {worst:.2e}"
-
-    run("sampler-equivalence (exhaustive n<=6)", check_sampler_equivalence)
-    run("spectrum-vs-dense (exhaustive n<=6)", check_spectrum_vs_dense)
-    run("fringe-histogram-vs-per-vertex (exhaustive n<=6)", check_fringe_histogram)
-    run("density-duality (200 marked trees)", check_density_duality)
-    run("malthusian-identity (delta grid)", check_malthusian)
-
-    width = max(len(name) for name, _, _ in rows)
-    all_ok = True
-    for name, ok, detail in rows:
-        status = "PASS" if ok else "FAIL"
-        print(f"{name:<{width}}  {status}  {detail}")
+        print(f"{name:<{width}}  {'PASS' if ok else 'FAIL'}  {detail}")
         all_ok &= ok
     return EXIT_OK if all_ok else EXIT_CHECK_FAILED
 
@@ -425,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", type=int, default=20, help="number of replica seeds")
     p.add_argument("--checkpoints", default="", help="comma-separated checkpoint times")
     p.add_argument("--tolerance", type=float, default=0.05)
-    p.add_argument("--workers", type=int, default=0, help="0 = use SERI_THREADS or 1")
+    p.add_argument("--workers", type=int, default=1, help="worker processes, at most one per seed")
     p.set_defaults(func=cmd_growth_fit)
 
     p = sub.add_parser("fringe-compare", help="empirical fringes vs branching-process law")

@@ -165,13 +165,13 @@ class CounterRng:
         """Independent child stream; deterministic in (self.seed, stream)."""
         return CounterRng(stream_seed(self.seed, stream))
 
-    def numpy_rng(self, stream: int = 0) -> np.random.Generator:
-        """Philox-backed numpy Generator keyed off this stream.
+    def numpy_rng(self) -> np.random.Generator:
+        """Philox-backed numpy Generator keyed off child stream 0 of this seed.
 
         Used by vectorized Monte Carlo estimators; Philox is itself a
         counter-based 64-bit generator, so determinism guarantees carry over.
         """
-        return np.random.Generator(np.random.Philox(key=stream_seed(self.seed, stream)))
+        return np.random.Generator(np.random.Philox(key=stream_seed(self.seed, 0)))
 
 
 def drive_blocks(

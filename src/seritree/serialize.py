@@ -1,4 +1,4 @@
-"""File formats: trees, manifests, pmfs, histograms, spectra.
+"""File formats: trees, pmfs, histograms, spectra.
 
 Trees ship in two interchangeable formats:
 
@@ -7,20 +7,16 @@ Trees ship in two interchangeable formats:
   zero bytes), a little-endian uint64 vertex count n, then n little-endian
   uint64 parents for vertices 1..n.
 
-Every run directory gets exactly one JSON manifest describing the flags that
-produced it; a manifest plus the same binary reproduces the run bit for bit
-(timestamps aside).
+The CLI writes each run's ``report.json`` and ``manifest.json`` itself, in
+``cli._finish``.
 """
 
 from __future__ import annotations
 
 import csv
-import datetime
-import json
 import struct
-from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -28,38 +24,8 @@ from .growth import TreeRecord
 from .limits import DegreePMF
 from .treeops import FringeHistogram
 
-FORMAT_VERSION = "1"
 TREE_MAGIC = b"SERI-TREE\x00"
 TREE_BINARY_VERSION = 1
-
-
-@dataclass
-class RunManifest:
-    """Flags and provenance of one CLI run, written as JSON."""
-
-    command: str
-    delta: float
-    seed: int
-    convention: str
-    format_version: str = FORMAT_VERSION
-    n: Optional[int] = None
-    reps: Optional[int] = None
-    timestamp: str = ""
-    tool_version: str = ""
-
-    def __post_init__(self):
-        if not self.timestamp:
-            self.timestamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
-        if not self.tool_version:
-            from . import __version__
-
-            self.tool_version = __version__
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
-
-    def write(self, path: Union[str, Path]) -> None:
-        Path(path).write_text(self.to_json())
 
 
 def _put_digits(values: np.ndarray, out: np.ndarray) -> None:

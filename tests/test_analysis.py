@@ -18,16 +18,10 @@ from seritree.analysis import (
     tail_window_sensitivity,
 )
 from seritree.growth import GrowthParams, TreeRecord, grow
-from seritree.limits import DegreePMF
 from seritree.treeops import FringeHistogram
 
 
 # --- ccdf ----------------------------------------------------------------------
-
-def test_tail_ccdf_from_pmf():
-    pmf = DegreePMF(p={1: 0.5, 2: 0.5}, n_samples=100)
-    assert tail_ccdf(pmf) == [(1, 1.0), (2, 0.5)]
-
 
 def test_tail_ccdf_monotone_and_starts_at_one():
     tree, _ = grow(GrowthParams(delta=0.0, n_final=5000, seed=1))
@@ -127,27 +121,24 @@ def test_fit_degree_growth_pool_has_at_most_one_worker_per_seed(monkeypatch):
 
 # --- distribution comparison ----------------------------------------------------------
 
+def _histogram(counts, other=0):
+    return FringeHistogram(counts=counts, other=other, total=sum(counts.values()) + other, truncation=4)
+
+
 def test_compare_identical_distributions():
-    pmf = DegreePMF(p={1: 0.6, 2: 0.4}, n_samples=1000)
-    tv, stat, p = compare_distributions(pmf, pmf)
+    hist = _histogram({"()": 600, "(())": 400})
+    tv, stat, p = compare_distributions(hist, hist)
     assert tv == 0.0
     assert stat == 0.0
     assert p == 1.0
 
 
 def test_compare_disjoint_supports():
-    a = DegreePMF(p={1: 1.0}, n_samples=500)
-    b = DegreePMF(p={2: 1.0}, n_samples=500)
+    a = _histogram({"()": 500})
+    b = _histogram({"(())": 500})
     tv, _, p = compare_distributions(a, b)
     assert tv == 1.0
     assert p < 1e-6
-
-
-def test_compare_requires_same_kind():
-    pmf = DegreePMF(p={1: 1.0}, n_samples=10)
-    hist = FringeHistogram(counts={"()": 10}, other=0, total=10, truncation=4)
-    with pytest.raises(TypeError):
-        compare_distributions(pmf, hist)
 
 
 @pytest.mark.parametrize("other", [{"truncation": 5}, {"k": 1}])
@@ -160,16 +151,17 @@ def test_compare_refuses_mismatched_histograms(other):
 
 
 def test_compare_close_empirical_distributions():
-    a = DegreePMF(p={1: 0.7, 2: 0.2, 3: 0.1}, n_samples=10000)
-    b = DegreePMF(p={1: 0.705, 2: 0.195, 3: 0.1}, n_samples=10000)
+    a = _histogram({"()": 7000, "(())": 2000, "(()())": 1000})
+    b = _histogram({"()": 7050, "(())": 1950, "(()())": 1000})
     tv, _, p = compare_distributions(a, b)
     assert tv == pytest.approx(0.005)
     assert p > 0.01
 
 
 def test_compare_pools_sparse_bins():
-    a = DegreePMF(p={1: 0.9, 2: 0.08, 3: 0.015, 4: 0.004, 5: 0.001}, n_samples=1000)
-    b = DegreePMF(p={1: 0.9, 2: 0.08, 3: 0.015, 4: 0.004, 5: 0.001}, n_samples=1000)
+    counts = {"()": 900, "(())": 80, "(()())": 15, "((()))": 4}
+    a = _histogram(counts, other=1)
+    b = _histogram(counts, other=1)
     tv, stat, p = compare_distributions(a, b)
     assert tv == 0.0 and p == 1.0
 

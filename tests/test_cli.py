@@ -3,6 +3,7 @@ import json
 import pytest
 
 import seritree.analysis
+import seritree.cli
 import seritree.growth
 import seritree.limits
 from seritree.cli import main
@@ -144,8 +145,16 @@ def test_selftest_passes(capsys):
     assert "FAIL" not in out
 
 
+def _only_rows(monkeypatch, *names):
+    """Make `selftest` run only the named rows, in their usual order."""
+    rows = tuple(row for row in seritree.cli.SELFTEST_ROWS if row[0] in names)
+    assert len(rows) == len(names)
+    monkeypatch.setattr(seritree.cli, "SELFTEST_ROWS", rows)
+
+
 def test_selftest_negative_control(monkeypatch, capsys):
     # corrupt the exponent closed form; the Malthusian identity must then fail
+    _only_rows(monkeypatch, "malthusian-identity (delta grid)")
     real = seritree.limits.exponents
 
     def wrong(delta):
@@ -160,6 +169,7 @@ def test_selftest_negative_control(monkeypatch, capsys):
 
 def test_selftest_spectrum_row_catches_a_wrong_spectrum(monkeypatch, capsys):
     # a spectrum one eigenvalue short on every tree of more than three vertices
+    _only_rows(monkeypatch, "sampler-equivalence (exhaustive n<=6)", "spectrum-vs-dense (exhaustive n<=6)")
     real = seritree.analysis.adjacency_spectrum
 
     def short(tree):
@@ -175,6 +185,7 @@ def test_selftest_spectrum_row_catches_a_wrong_spectrum(monkeypatch, capsys):
 
 def test_selftest_fringe_row_catches_a_wrong_histogram(monkeypatch, capsys):
     # a histogram that moves one counted vertex of every tree to (other)
+    _only_rows(monkeypatch, "spectrum-vs-dense (exhaustive n<=6)", "fringe-histogram-vs-per-vertex (exhaustive n<=6)")
     real = seritree.treeops.empirical_fringe_distribution
 
     def lossy(tree, k=0, truncation=12):
@@ -197,30 +208,32 @@ def test_missing_required_flag_exits_2():
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("argv,threads,code", [
-    (["limit-pmf", "--delta", "0", "--seed", "1", "--reps", "0"], None, 2),
-    (["fringe-compare", "--delta", "0", "--seed", "1", "--n", "100", "--reps", "0"], None, 2),
-    (["tail", "--delta", "0", "--seed", "1", "--n", "20"], None, 2),
-    (["localcheck", "--delta", "0", "--seed", "1", "--n", "0"], None, 2),
-    (["growth", "--delta", "0", "--seed", "1", "--n", "20000", "--seeds", "2"], "abc", 2),
-    (["spectrum", "--delta", "0", "--seed", "1", "--n", "3000"], None, 3),
+INVALID_INPUTS = [
+    (["limit-pmf", "--delta", "0", "--seed", "1", "--reps", "0"], 2),
+    (["fringe-compare", "--delta", "0", "--seed", "1", "--n", "100", "--reps", "0"], 2),
+    (["tail", "--delta", "0", "--seed", "1", "--n", "20"], 2),
+    (["localcheck", "--delta", "0", "--seed", "1", "--n", "0"], 2),
+    (["growth", "--delta", "0", "--seed", "1", "--n", "20000", "--seeds", "2", "--workers", "0"], 2),
+    (["spectrum", "--delta", "0", "--seed", "1", "--n", "3000"], 3),
     # the last step's token bound 2n(n+1) reaches 2^64
-    (["grow", "--delta", "0", "--seed", "1", "--n", "3037000501"], None, 2),
+    (["grow", "--delta", "0", "--seed", "1", "--n", "3037000501"], 2),
     # these slipped through: a wrong exit code, a silent pass, a traceback or no error
-    (["growth", "--delta", "0", "--seed", "1", "--n", "20000", "--vertex", "-1"], None, 2),
-    (["growth", "--delta", "0", "--seed", "1", "--n", "20000", "--workers", "-4"], None, 2),
-    (["growth", "--delta", "0", "--seed", "1", "--n", "500"], None, 2),  # default checkpoint n // 1000 = 0
-    (["fringe-compare", "--delta", "0", "--seed", "1", "--n", "100", "--max-size", "-5"], None, 2),
-    (["tail", "--delta", "0", "--seed", "1", "--n", "100000", "--tolerance", "nan"], None, 2),
+    (["growth", "--delta", "0", "--seed", "1", "--n", "20000", "--vertex", "-1"], 2),
+    (["growth", "--delta", "0", "--seed", "1", "--n", "20000", "--workers", "-4"], 2),
+    (["growth", "--delta", "0", "--seed", "1", "--n", "500"], 2),  # default checkpoint n // 1000 = 0
+    (["fringe-compare", "--delta", "0", "--seed", "1", "--n", "100", "--max-size", "-5"], 2),
+    (["tail", "--delta", "0", "--seed", "1", "--n", "100000", "--tolerance", "nan"], 2),
     # a traceback with exit 1, and a report holding NaN that failed as a check
-    (["limit-pmf", "--delta", "inf", "--seed", "1", "--reps", "10"], None, 2),
-    (["localcheck", "--delta", "inf", "--seed", "1"], None, 2),
-])
-def test_invalid_input_exits_before_output(tmp_path, monkeypatch, capsys, argv, threads, code):
-    if threads is None:
-        monkeypatch.delenv("SERI_THREADS", raising=False)
-    else:
-        monkeypatch.setenv("SERI_THREADS", threads)
+    (["limit-pmf", "--delta", "inf", "--seed", "1", "--reps", "10"], 2),
+    (["localcheck", "--delta", "inf", "--seed", "1"], 2),
+]
+
+
+# the ids keep the names these cases had while a middle column set SERI_THREADS
+@pytest.mark.parametrize(
+    "argv,code", INVALID_INPUTS, ids=[f"argv{i}-None-{code}" for i, (_, code) in enumerate(INVALID_INPUTS)]
+)
+def test_invalid_input_exits_before_output(tmp_path, monkeypatch, capsys, argv, code):
     grown = []
     real_grow = seritree.growth.grow
     monkeypatch.setattr(seritree.growth, "grow", lambda *a, **kw: grown.append(1) or real_grow(*a, **kw))

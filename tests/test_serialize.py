@@ -1,12 +1,14 @@
+import datetime
 import json
 
 import numpy as np
 import pytest
 
+import seritree
+from seritree.cli import main
 from seritree.growth import GrowthParams, grow
 from seritree.limits import DegreePMF
 from seritree.serialize import (
-    RunManifest,
     read_tree_binary,
     read_tree_csv,
     write_histogram_csv,
@@ -111,14 +113,15 @@ def test_tree_binary_rejects_bad_parents(tmp_path):
 
 
 def test_manifest_roundtrip(tmp_path):
-    m = RunManifest(command="grow", delta=0.5, seed=9, convention="exact", n=100)
-    path = tmp_path / "manifest.json"
-    m.write(path)
-    payload = json.loads(path.read_text())
-    assert RunManifest(**payload) == m
-    assert payload["format_version"] == "1"
-    assert payload["tool_version"]
-    assert payload["timestamp"]
+    # the CLI's manifest.json holds the flags that produced the run
+    assert main(["grow", "--delta", "0.5", "--seed", "9", "--n", "100", "--out", str(tmp_path)]) == 0
+    payload = json.loads((tmp_path / "manifest.json").read_text())
+    timestamp = payload.pop("timestamp")
+    assert payload == {
+        "command": "grow", "convention": "exact", "delta": 0.5, "format_version": "1",
+        "n": 100, "reps": None, "seed": 9, "tool_version": seritree.__version__,
+    }
+    assert datetime.datetime.fromisoformat(timestamp).tzinfo is not None
 
 
 def test_pmf_and_histogram_csv(tmp_path):
