@@ -54,7 +54,6 @@ from .rng import CounterRng, mix64, stream_seed
 from .treeops import (
     FringeHistogram,
     bp_fringe_sample,
-    decode_key,
     empirical_fringe_distribution,
     extended_fringe,
     fringe,

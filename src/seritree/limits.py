@@ -365,10 +365,9 @@ def mc_zeta_hat(delta: float, reps: int, rng: CounterRng) -> np.ndarray:
 
 @dataclass
 class DegreePMF:
-    """Probability mass function over degrees k >= 1 with sampling metadata."""
+    """Probability mass function over degrees k >= 1 with its Monte Carlo standard errors."""
 
     p: dict[int, float]
-    n_samples: int
     stderr: dict[int, float] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -394,7 +393,7 @@ def limit_degree_pmf(delta: float, reps: int, rng: CounterRng) -> DegreePMF:
         counts[k] = counts.get(k, 0) + 1
     p = {k: c / reps for k, c in sorted(counts.items())}
     stderr = {k: math.sqrt(v * (1.0 - v) / reps) for k, v in p.items()}
-    return DegreePMF(p=p, n_samples=reps, stderr=stderr)
+    return DegreePMF(p=p, stderr=stderr)
 
 
 def p1_quadrature(delta: float) -> float:

@@ -192,8 +192,6 @@ def drive_blocks(
     itself and returns the value; so do the last steps when fewer than
     _SCALAR_STEPS are left.  Block lengths adapt to the accepted runs.
     """
-    buf = np.empty(0, dtype=np.uint64)
-    buf_at = 0  # stream position of buf[0]
     size = _MIN_BLOCK
     i = first
     while i < len(out):
@@ -202,13 +200,7 @@ def drive_blocks(
             out[i] = fixup(i)
             i += 1
             continue
-        need = size * words_per_step
-        at = rng.counter - buf_at
-        if at < 0 or at + need > len(buf):
-            buf_at = rng.counter
-            buf = splitmix64(rng.seed, buf_at, min(_MAX_BLOCK, len(out) - i) * words_per_step)
-            at = 0
-        values, irregular = block(i, buf[at : at + need])
+        values, irregular = block(i, splitmix64(rng.seed, rng.counter, size * words_per_step))
         run = int(irregular.argmax())
         if not irregular[run]:
             run = size

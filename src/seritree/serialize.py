@@ -22,7 +22,7 @@ import numpy as np
 
 from .growth import TreeRecord
 from .limits import DegreePMF
-from .treeops import FringeHistogram
+from .treeops import OTHER_KEY, FringeHistogram
 
 TREE_MAGIC = b"SERI-TREE\x00"
 TREE_BINARY_VERSION = 1
@@ -125,7 +125,7 @@ def write_histogram_csv(hist: FringeHistogram, path: Union[str, Path]) -> None:
         for key in sorted(hist.counts):
             writer.writerow([key, hist.counts[key], repr(hist.counts[key] / hist.total)])
         if hist.other:
-            writer.writerow(["(other)", hist.other, repr(hist.other / hist.total)])
+            writer.writerow([OTHER_KEY, hist.other, repr(hist.other / hist.total)])
 
 
 def write_spectrum_csv(eigenvalues: Sequence[float], path: Union[str, Path]) -> None:

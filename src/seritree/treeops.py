@@ -16,6 +16,12 @@ one-vertex fringe and no structure, and leaves are most of a grown tree
 (about 72% at delta = 0).  Depths, sizes and integer fringe classes
 (`_ahu_classes`) then come from the internal vertices alone, each with its
 leaf count, and one key string is built per distinct class.
+
+No key is ever parsed.  Every key wraps a row of child keys, and a cut key
+(an ancestor with the branch toward a vertex removed, `_cut`) is that row
+with the branch's key removed once: `extended_fringe` takes the rows of its
+path vertices from the parent array, and the histogram takes them from its
+classes.
 """
 
 from __future__ import annotations
@@ -72,9 +78,9 @@ def _keys(parent: list[int], vertices: Iterable[int]) -> dict[int, str]:
     return keys
 
 
-def _cut(key: str, child: str) -> str:
-    """`key` with one root child of key `child` removed."""
-    parts = decode_key(key)
+def _cut(row: list[str], child: str) -> str:
+    """Key of a vertex with sorted child keys `row` once one child of key `child` is removed."""
+    parts = row.copy()
     parts.remove(child)
     return "(" + "".join(parts) + ")"
 
@@ -84,32 +90,6 @@ def key_size(key: str) -> int:
     if len(key) % 2 or not key:
         raise ValueError(f"malformed key {key!r}")
     return len(key) // 2
-
-
-def decode_key(key: str) -> list[str]:
-    """Top-level child keys of a canonical key (empty list for a leaf)."""
-    if not key.startswith("(") or not key.endswith(")"):
-        raise ValueError(f"malformed key {key!r}")
-    inner = key[1:-1]
-    parts = []
-    depth = 0
-    start = 0
-    for i, ch in enumerate(inner):
-        if ch == "(":
-            if depth == 0:
-                start = i
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth == 0:
-                parts.append(inner[start : i + 1])
-            if depth < 0:
-                raise ValueError(f"malformed key {key!r}")
-        else:
-            raise ValueError(f"malformed key {key!r}")
-    if depth != 0:
-        raise ValueError(f"malformed key {key!r}")
-    return parts
 
 
 def fringe(tree: Tree, v: int) -> str:
@@ -129,7 +109,8 @@ def extended_fringe(tree: Tree, v: int, k: int) -> list[str]:
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    parent = _parent_array(tree).tolist()
+    parents = _parent_array(tree)
+    parent = parents.tolist()
     if not 0 <= v < len(parent):
         raise IndexError(f"vertex {v} not in tree")
     path = [v]
@@ -139,7 +120,8 @@ def extended_fringe(tree: Tree, v: int, k: int) -> list[str]:
             raise ValueError(f"vertex {v} has depth {len(path) - 1} < k={k}")
         path.append(p)
     keys = _keys(parent, range(len(parent) - 1, path[-1] - 1, -1))
-    return [keys[v]] + [_cut(keys[u], keys[w]) for w, u in zip(path, path[1:])]
+    rows = [sorted(keys[c] for c in np.flatnonzero(parents == u).tolist()) for u in path[1:]]
+    return [keys[v]] + [_cut(row, keys[w]) for w, row in zip(path, rows)]
 
 
 @dataclass
@@ -206,7 +188,7 @@ def _depths_and_sizes(up: np.ndarray, leaves: np.ndarray) -> tuple[np.ndarray, n
 
 def _ahu_classes(
     up: np.ndarray, size: np.ndarray, leaves: np.ndarray, truncation: int
-) -> tuple[np.ndarray, list[str]]:
+) -> tuple[np.ndarray, list[str], list[list[str]]]:
     """Integer fringe class of every internal vertex of at most `truncation` vertices.
 
     AHU labels (Aho, Hopcroft & Ullman 1974), level by subtree size; class 0
@@ -218,28 +200,28 @@ def _ahu_classes(
     The leaf children need no place in the row: two size-s rows with the same
     internal children have the same number of leaves, s - 1 minus the
     children's sizes, and a row of leaves alone keeps state 0.  Larger
-    vertices keep -1.  `keys[i]` is the canonical key of class i, built once
+    vertices keep -1.  `rows[i]` lists the child keys of class i, taken once
     from one vertex of the class: its sorted internal child keys, then one
     ``()`` per leaf child, which is their sorted order, since ``()`` sorts
-    after every other key.
+    after every other key.  `keys[i]` wraps `rows[i]`.
     """
     ids = np.full(len(up), -1, dtype=np.int64)
-    keys = [LEAF_KEY]
-    rows = np.flatnonzero(size <= truncation)
+    keys, rows = [LEAF_KEY], [[]]
+    small = np.flatnonzero(size <= truncation)
     child = np.flatnonzero(up >= 0)
     child = child[size[up[child]] <= truncation]
-    level, child_level = size[rows], size[up[child]]
+    level, child_level = size[small], size[up[child]]
     narrow = np.min_scalar_type(level.max(initial=0))
     # stable sorts keep each level's rows in vertex order
     order = np.argsort(level.astype(narrow), kind="stable")
-    rows, level = rows[order], level[order]
+    small, level = small[order], level[order]
     order = np.argsort(child_level.astype(narrow), kind="stable")
     child, child_level = child[order], child_level[order]
     starts = np.flatnonzero(np.diff(level, prepend=-1, append=-1))
     sizes = level[starts[:-1]]
     lo, hi = np.searchsorted(child_level, sizes), np.searchsorted(child_level, sizes, "right")
     for a, b, c, d in zip(starts[:-1].tolist(), starts[1:].tolist(), lo.tolist(), hi.tolist()):
-        vertex, width = rows[a:b], len(keys)
+        vertex, width = small[a:b], len(keys)
         owner, kid = up[child[c:d]], ids[child[c:d]]
         order = np.argsort(owner * width + kid)
         owner, kid = owner[order], kid[order]
@@ -259,9 +241,9 @@ def _ahu_classes(
         rep[label] = vertex
         begin, end = np.searchsorted(owner, rep), np.searchsorted(owner, rep, "right")
         for v, i, j in zip(rep.tolist(), begin.tolist(), end.tolist()):
-            inner = "".join(sorted(keys[c] for c in kid[i:j].tolist()))
-            keys.append("(" + inner + LEAF_KEY * int(leaves[v]) + ")")
-    return ids, keys
+            rows.append(sorted(keys[c] for c in kid[i:j].tolist()) + [LEAF_KEY] * int(leaves[v]))
+            keys.append("(" + "".join(rows[-1]) + ")")
+    return ids, keys, rows
 
 
 def empirical_fringe_distribution(tree: Tree, k: int = 0, truncation: int = 12) -> FringeHistogram:
@@ -286,7 +268,7 @@ def empirical_fringe_distribution(tree: Tree, k: int = 0, truncation: int = 12) 
     parent = _parent_array(tree)
     up, leaves = _deflate_leaves(parent)
     depth, size = _depths_and_sizes(up, leaves)
-    ids, keys = _ahu_classes(up, size, leaves, truncation)
+    ids, keys, rows = _ahu_classes(up, size, leaves, truncation)
     # one entry per scanned internal vertex and one per group of sibling
     # leaves: the class it starts with, the vertex above, how many vertices
     # it stands for, and the size of their k-th ancestor
@@ -309,26 +291,19 @@ def empirical_fringe_distribution(tree: Tree, k: int = 0, truncation: int = 12) 
     # the decomposition of v and the classes on its path up to the k-th
     # ancestor determine each other, so count the paths of classes, folded
     # step by step into one code per entry as `_ahu_classes` folds its rows;
-    # every code occurs (for k = 0 they are the classes, each made from a vertex)
+    # each new code's label is its previous code's label and the cut of the
+    # new ancestor's row by the previous top class (for k = 0 the codes are
+    # the classes, and every class is made from a vertex, so occurs)
     code, weight = first[inside], weight[inside]
-    width, folds = len(keys), []
+    width, labels, top_class = len(keys), keys, range(len(keys))
     for j in range(k):
         w = above[inside] if j == 0 else up[w]
         distinct, code = np.unique(code * width + ids[w], return_inverse=True)
-        folds.append(distinct)
+        prev, anc = (x.tolist() for x in np.divmod(distinct, width))
+        labels = [labels[p] + "|" + _cut(rows[a], keys[top_class[p]]) for p, a in zip(prev, anc)]
+        top_class = anc
     found = np.bincount(code, weights=weight).astype(np.int64)
-    # unfold each code back into its path of classes, f_0 first
-    path = np.empty((len(found), k + 1), dtype=np.int64)
-    step = np.arange(len(found))
-    for j in range(k, 0, -1):
-        step, path[:, j] = np.divmod(folds[j - 1][step], width)
-    path[:, 0] = step
-    pair, cut_at = np.unique(path[:, 1:] * width + path[:, :-1], return_inverse=True)
-    cuts = [_cut(keys[u], keys[c]) for u, c in zip(*(x.tolist() for x in np.divmod(pair, width)))]
-    counts = {
-        "|".join([keys[f0]] + [cuts[i] for i in at]): c
-        for f0, at, c in zip(path[:, 0].tolist(), cut_at.reshape(len(path), k).tolist(), found.tolist())
-    }
+    counts = dict(zip(labels, found.tolist()))
     return FringeHistogram(
         counts=counts,
         other=scanned - int(weight.sum()),

@@ -4,9 +4,11 @@ Each is the literal, slow form of something the package computes another
 way: the replayed weight sum behind `growth._thetas`, the O(n) sampler
 behind the token sampler, history probabilities by repeated
 `attach_probabilities`, the tree invariants, the per-path marked Yule chain
-behind `yule_marked_ensemble`, the canonical key rebuilt from its parts, and
-the fringe histogram that labels every vertex, leaves included, behind the
-leaf-deflated `empirical_fringe_distribution`; beside them, the two-sample
+behind `yule_marked_ensemble`, the key parser `decode_key` and the canonical
+key rebuilt from its parts, the fringe decomposition and the fringe
+histogram that cut parsed keys, behind `extended_fringe` and the
+leaf-deflated `empirical_fringe_distribution` (the histogram reference also
+labels every vertex, leaves included); beside them, the two-sample
 chi-square that compares samplers in law.  Test files import them with
 ``from oracles import ...``.
 """
@@ -23,7 +25,7 @@ from scipy import stats
 from seritree.growth import TreeRecord, _edge_time_sums, attach_probabilities
 from seritree.limits import _check_delta, _check_variant, _mark_probability
 from seritree.rng import CounterRng
-from seritree.treeops import LEAF_KEY, FringeHistogram, Tree, _cut, _parent_array, decode_key
+from seritree.treeops import LEAF_KEY, FringeHistogram, Tree, _keys, _parent_array
 
 
 def replay_weight(tree: TreeRecord, i: int, delta, convention: str):
@@ -144,6 +146,62 @@ def yule_marked_simulate(
     return YulePath(t=np.array(ts), y=np.array(ys), d=np.array(ds), w=np.array(ws))
 
 
+def decode_key(key: str) -> list[str]:
+    """Top-level child keys of a canonical key (empty list for a leaf)."""
+    if not key.startswith("(") or not key.endswith(")"):
+        raise ValueError(f"malformed key {key!r}")
+    inner = key[1:-1]
+    parts = []
+    depth = 0
+    start = 0
+    for i, ch in enumerate(inner):
+        if ch == "(":
+            if depth == 0:
+                start = i
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+            if depth == 0:
+                parts.append(inner[start : i + 1])
+            if depth < 0:
+                raise ValueError(f"malformed key {key!r}")
+        else:
+            raise ValueError(f"malformed key {key!r}")
+    if depth != 0:
+        raise ValueError(f"malformed key {key!r}")
+    return parts
+
+
+def cut_key(key: str, child: str) -> str:
+    """`key` with one root child of key `child` removed."""
+    parts = decode_key(key)
+    parts.remove(child)
+    return "(" + "".join(parts) + ")"
+
+
+def extended_fringe_reference(tree: Tree, v: int, k: int) -> list[str]:
+    """Keys (f_0, ..., f_k) of the fringe decomposition along the root path.
+
+    f_0 is the descendant subtree of v; f_i is the subtree hanging off the
+    i-th vertex on the path to the root once the branch containing v is
+    removed, cut from the i-th vertex's key by `cut_key`.  Requires
+    depth(v) >= k >= 0.
+    """
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
+    parent = _parent_array(tree).tolist()
+    if not 0 <= v < len(parent):
+        raise IndexError(f"vertex {v} not in tree")
+    path = [v]
+    while len(path) <= k:
+        p = parent[path[-1]]
+        if p < 0:
+            raise ValueError(f"vertex {v} has depth {len(path) - 1} < k={k}")
+        path.append(p)
+    keys = _keys(parent, range(len(parent) - 1, path[-1] - 1, -1))
+    return [keys[v]] + [cut_key(keys[u], keys[w]) for w, u in zip(path, path[1:])]
+
+
 def reencode_key(key: str) -> str:
     """Canonical fixed point: decode and rebuild the key (validates it)."""
     return "(" + "".join(sorted(reencode_key(c) for c in decode_key(key))) + ")"
@@ -255,7 +313,7 @@ def empirical_fringe_reference(tree: Tree, k: int = 0, truncation: int = 12) -> 
         path.append(ids[rep])
     path = np.stack(path, axis=1)
     pair, cut_at = np.unique(path[:, 1:] * width + path[:, :-1], return_inverse=True)
-    cuts = [_cut(keys[u], keys[c]) for u, c in zip(*(x.tolist() for x in np.divmod(pair, width)))]
+    cuts = [cut_key(keys[u], keys[c]) for u, c in zip(*(x.tolist() for x in np.divmod(pair, width)))]
     counts = {
         "|".join([keys[f0]] + [cuts[i] for i in at]): c
         for f0, at, c in zip(path[:, 0].tolist(), cut_at.reshape(len(path), k).tolist(), found)

@@ -46,12 +46,11 @@ from seritree.limits import (
 from seritree.rng import CounterRng
 from seritree.treeops import (
     bp_fringe_sample,
-    decode_key,
     empirical_fringe_distribution,
     key_size,
 )
 
-from oracles import same_law_p
+from oracles import decode_key, same_law_p
 
 E_MINUS_2 = math.e - 2.0
 

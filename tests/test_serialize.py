@@ -125,7 +125,7 @@ def test_manifest_roundtrip(tmp_path):
 
 
 def test_pmf_and_histogram_csv(tmp_path):
-    pmf = DegreePMF(p={1: 0.75, 2: 0.25}, n_samples=4, stderr={1: 0.1, 2: 0.1})
+    pmf = DegreePMF(p={1: 0.75, 2: 0.25}, stderr={1: 0.1, 2: 0.1})
     write_pmf_csv(pmf, tmp_path / "pmf.csv")
     lines = (tmp_path / "pmf.csv").read_text().splitlines()
     assert lines[0] == "k,probability,stderr"

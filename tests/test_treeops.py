@@ -10,15 +10,15 @@ from seritree.limits import sample_memory_bp
 from seritree.rng import CounterRng
 from seritree.treeops import (
     FringeHistogram,
+    _parent_array,
     bp_fringe_sample,
-    decode_key,
     empirical_fringe_distribution,
     extended_fringe,
     fringe,
     key_size,
 )
 
-from oracles import empirical_fringe_reference, reencode_key
+from oracles import decode_key, depth_and_size, empirical_fringe_reference, extended_fringe_reference, reencode_key
 
 
 def _brute_isomorphic(children_a, ra, children_b, rb):
@@ -349,10 +349,10 @@ def test_deep_extended_histogram_matches_per_vertex_reference():
         assert len(h.counts) > 1
 
 
-def _reference_inputs():
-    """Every kind of input the histogram takes, by name."""
+def _reference_inputs(max_n=100000):
+    """Every kind of input the histogram takes, by name, grown trees up to `max_n` edges."""
     for delta in (-0.5, 0.0, 2.0):
-        for n in (1, 2, 10, 1000, 100000):
+        for n in (n for n in (1, 2, 10, 1000, 100000) if n <= max_n):
             yield f"grown delta={delta} n={n}", grow(GrowthParams(delta=delta, n_final=n, seed=48))[0]
     yield "interleaved forest", _interleaved_forest()[0]
     # lone roots at 2 and at the end, a root with one child at 5
@@ -373,6 +373,17 @@ def test_histogram_matches_every_vertex_reference(k):
             assert (got.counts, got.other, got.total, got.excluded_shallow) == (
                 ref.counts, ref.other, ref.total, ref.excluded_shallow
             ), (name, truncation)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_extended_fringe_matches_reference_on_every_vertex(k):
+    # the cuts from child-key rows against the old cuts of parsed keys; the
+    # caterpillar's spine vertices have a leaf and a spine child, and its
+    # last spine vertex two leaves, so a cut must remove just one of them
+    for name, tree in _reference_inputs(max_n=1000):
+        depth, _ = depth_and_size(_parent_array(tree))
+        for v in np.flatnonzero(depth >= k).tolist():
+            assert extended_fringe(tree, v, k) == extended_fringe_reference(tree, v, k), (name, v)
 
 
 def test_leaf_fraction_near_limit():
