@@ -377,9 +377,7 @@ def test_histogram_matches_every_vertex_reference(k):
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
 def test_extended_fringe_matches_reference_on_every_vertex(k):
-    # the cuts from child-key rows against the old cuts of parsed keys; the
-    # caterpillar's spine vertices have a leaf and a spine child, and its
-    # last spine vertex two leaves, so a cut must remove just one of them
+    # the cuts from child-key rows against the old cuts of parsed keys
     for name, tree in _reference_inputs(max_n=1000):
         depth, _ = depth_and_size(_parent_array(tree))
         for v in np.flatnonzero(depth >= k).tolist():
