@@ -29,6 +29,7 @@ converges to locally:
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -333,6 +334,26 @@ def zeta_hat_cumulant(delta: float, order: int) -> float:
     return c / (ll * (ll + 1.0))
 
 
+_ZETA_CHUNK = 4096  # replicas per block of mc_zeta_hat's thinning draws
+
+
+def _skip_words(gen: np.random.Generator, words: int) -> None:
+    """Move the Philox-backed `gen` `words` 64-bit words ahead, as random_raw(words) would.
+
+    The words still waiting in Philox's 4-word buffer go first, then whole
+    blocks of four by `advance`, then the rest one by one.
+    """
+    bits = gen.bit_generator
+    state = bits.state
+    head = min(words, 4 - state["buffer_pos"])
+    state["buffer_pos"] += head
+    bits.state = state
+    words -= head
+    if words:
+        bits.advance(words // 4)
+        bits.random_raw(words % 4)
+
+
 def mc_zeta_hat(delta: float, reps: int, rng: CounterRng) -> np.ndarray:
     """Monte Carlo samples of the discounted integral over the offspring process.
 
@@ -342,6 +363,15 @@ def mc_zeta_hat(delta: float, reps: int, rng: CounterRng) -> np.ndarray:
     1e-9.  The points come by thinning: Poisson(c T) uniform points on
     [0, T], each kept when a standard exponential draw falls below it, which
     happens with probability 1 - e^-t.
+
+    One Philox stream gives the Poisson counts, then one word per uniform
+    (all the uniforms, in replica order), then the exponentials.  Two
+    cursors read it in blocks of _ZETA_CHUNK replicas: the generator itself
+    reads a block's uniforms, and a copy moved past every uniform reads its
+    exponentials.  The words, the arithmetic and the order in which each
+    replica's points are summed are those of drawing all points at once, so
+    the output is the same bit for bit, while the working memory stays that
+    of one block.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
@@ -350,14 +380,20 @@ def mc_zeta_hat(delta: float, reps: int, rng: CounterRng) -> np.ndarray:
     horizon = math.log(c / (lam * 1e-9)) / lam
     gen = rng.numpy_rng()
     counts = gen.poisson(c * horizon, size=reps)
-    total = int(counts.sum())
-    t = gen.random(total)
-    t *= horizon
-    keep = gen.standard_exponential(total) < t
-    t = t[keep]
-    np.exp(np.multiply(t, -lam, out=t), out=t)  # e^(-lam t), in place
-    rep_idx = np.repeat(np.arange(reps), counts)[keep]
-    return np.bincount(rep_idx, weights=t, minlength=reps)
+    ahead = copy.deepcopy(gen)
+    _skip_words(ahead, int(counts.sum()))
+    out = np.empty(reps)
+    for a in range(0, reps, _ZETA_CHUNK):
+        block = counts[a : a + _ZETA_CHUNK]
+        total = int(block.sum())
+        t = gen.random(total)
+        t *= horizon
+        keep = ahead.standard_exponential(total) < t
+        t = t[keep]
+        np.exp(np.multiply(t, -lam, out=t), out=t)  # e^(-lam t), in place
+        rep_idx = np.repeat(np.arange(len(block)), block)[keep]
+        out[a : a + len(block)] = np.bincount(rep_idx, weights=t, minlength=len(block))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -44,21 +44,28 @@ def _put_digits(values: np.ndarray, out: np.ndarray) -> None:
         q = rest
 
 
+_CSV_CHUNK = 65536  # rows of the tree CSV built and written per block
+
+
 def write_tree_csv(tree: TreeRecord, path: Union[str, Path]) -> None:
     # the bytes csv.writer wrote: every row, the header included, ends in \r\n
     n = tree.n
     width = len(str(n))
     dtype = np.min_scalar_type(n)  # the narrowest unsigned type that holds 0..n
-    # one column per row of the file, as fixed-width bytes with 0 as padding
-    cols = np.empty((2 * width + 3, n), dtype=np.uint8)
-    _put_digits(np.arange(1, n + 1, dtype=dtype), cols[:width])
+    # one column per row of the file, as fixed-width bytes with 0 as padding;
+    # one matrix of _CSV_CHUNK columns is refilled for each block of rows
+    cols = np.empty((2 * width + 3, min(n, _CSV_CHUNK)), dtype=np.uint8)
     cols[width] = ord(",")
-    _put_digits(tree.parent[1:].astype(dtype), cols[width + 1 : 2 * width + 1])
     cols[-2], cols[-1] = ord("\r"), ord("\n")
-    rows = cols.T
     with open(path, "wb") as fh:
         fh.write(b"vertex,parent\r\n")
-        fh.write(rows[rows != 0])
+        for a in range(1, n + 1, _CSV_CHUNK):
+            b = min(a + _CSV_CHUNK, n + 1)
+            block = cols[:, : b - a]
+            _put_digits(np.arange(a, b, dtype=dtype), block[:width])
+            _put_digits(tree.parent[a:b].astype(dtype), block[width + 1 : 2 * width + 1])
+            rows = block.T
+            fh.write(rows[rows != 0])
 
 
 def read_tree_csv(path: Union[str, Path]) -> TreeRecord:

@@ -109,8 +109,7 @@ def extended_fringe(tree: Tree, v: int, k: int) -> list[str]:
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    parents = _parent_array(tree)
-    parent = parents.tolist()
+    parent = _parent_array(tree).tolist()
     if not 0 <= v < len(parent):
         raise IndexError(f"vertex {v} not in tree")
     path = [v]
@@ -119,9 +118,20 @@ def extended_fringe(tree: Tree, v: int, k: int) -> list[str]:
         if p < 0:
             raise ValueError(f"vertex {v} has depth {len(path) - 1} < k={k}")
         path.append(p)
-    keys = _keys(parent, range(len(parent) - 1, path[-1] - 1, -1))
-    rows = [sorted(keys[c] for c in np.flatnonzero(parents == u).tolist()) for u in path[1:]]
-    return [keys[v]] + [_cut(row, keys[w]) for w, row in zip(path, rows)]
+    # one forward pass collects the top vertex's descendants (every child
+    # comes after its parent) and the children of each path vertex above v
+    top = path[-1]
+    below, inside = [top], {top}
+    kids: dict[int, list[int]] = {u: [] for u in path[1:]}
+    for u in range(top + 1, len(parent)):
+        p = parent[u]
+        if p in inside:
+            inside.add(u)
+            below.append(u)
+            if p in kids:
+                kids[p].append(u)
+    keys = _keys(parent, reversed(below))
+    return [keys[v]] + [_cut(sorted(keys[c] for c in kids[u]), keys[w]) for w, u in zip(path, path[1:])]
 
 
 @dataclass

@@ -4,7 +4,8 @@ Each is the literal, slow form of something the package computes another
 way: the replayed weight sum behind `growth._thetas`, the O(n) sampler
 behind the token sampler, history probabilities by repeated
 `attach_probabilities`, the tree invariants, the per-path marked Yule chain
-behind `yule_marked_ensemble`, the key parser `decode_key` and the canonical
+behind `yule_marked_ensemble`, every thinning point of `mc_zeta_hat` drawn
+at once behind its blocks of replicas, the key parser `decode_key` and the canonical
 key rebuilt from its parts, the fringe decomposition and the fringe
 histogram that cut parsed keys, behind `extended_fringe` and the
 leaf-deflated `empirical_fringe_distribution` (the histogram reference also
@@ -23,7 +24,7 @@ import numpy as np
 from scipy import stats
 
 from seritree.growth import TreeRecord, _edge_time_sums, attach_probabilities
-from seritree.limits import _check_delta, _check_variant, _mark_probability
+from seritree.limits import _check_delta, _check_variant, _mark_probability, exponents
 from seritree.rng import CounterRng
 from seritree.treeops import LEAF_KEY, FringeHistogram, Tree, _keys, _parent_array
 
@@ -144,6 +145,25 @@ def yule_marked_simulate(
         ds.append(d)
         ws.append(w)
     return YulePath(t=np.array(ts), y=np.array(ys), d=np.array(ds), w=np.array(ws))
+
+
+def mc_zeta_hat_reference(delta: float, reps: int, rng: CounterRng) -> np.ndarray:
+    """`mc_zeta_hat` with all reps' thinning points drawn and summed at once."""
+    if reps < 1:
+        raise ValueError("reps must be >= 1")
+    pack = exponents(delta)
+    lam, c = pack.lam, pack.gamma
+    horizon = math.log(c / (lam * 1e-9)) / lam
+    gen = rng.numpy_rng()
+    counts = gen.poisson(c * horizon, size=reps)
+    total = int(counts.sum())
+    t = gen.random(total)
+    t *= horizon
+    keep = gen.standard_exponential(total) < t
+    t = t[keep]
+    np.exp(np.multiply(t, -lam, out=t), out=t)  # e^(-lam t), in place
+    rep_idx = np.repeat(np.arange(reps), counts)[keep]
+    return np.bincount(rep_idx, weights=t, minlength=reps)
 
 
 def decode_key(key: str) -> list[str]:

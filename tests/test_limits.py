@@ -10,7 +10,9 @@ from scipy import integrate, special, stats
 from seritree import limits
 from seritree.growth import enumerate_histories
 from seritree.limits import (
+    _ZETA_CHUNK,
     _mark_probability,
+    _skip_words,
     BranchingTree,
     MarkedTree,
     NodeCapExceeded,
@@ -32,7 +34,7 @@ from seritree.limits import (
 from seritree.rng import CounterRng
 from seritree.treeops import OTHER_KEY, fringe, key_size
 
-from oracles import history_probability, same_law_p, yule_marked_simulate
+from oracles import history_probability, mc_zeta_hat_reference, same_law_p, yule_marked_simulate
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -388,6 +390,27 @@ def test_mc_zeta_hat_mean():
     z = mc_zeta_hat(0.0, 30000, rng)
     se = z.std(ddof=1) / math.sqrt(len(z))
     assert abs(z.mean() - 1.0) <= 3 * se
+
+
+@pytest.mark.parametrize("delta", [-0.5, 0.0, 2.0])
+@pytest.mark.parametrize("seed", [1, 17])
+def test_mc_zeta_hat_blocks_match_all_at_once(delta, seed):
+    # block edges: one replica, one short of a block, one block, one past it, several
+    for reps in (1, _ZETA_CHUNK - 1, _ZETA_CHUNK, _ZETA_CHUNK + 1, 3 * _ZETA_CHUNK + 5):
+        got = mc_zeta_hat(delta, reps, CounterRng(seed))
+        assert np.array_equal(got, mc_zeta_hat_reference(delta, reps, CounterRng(seed))), reps
+
+
+@pytest.mark.parametrize("used", range(9))
+def test_skip_words_matches_raw_draws(used):
+    # every position in Philox's 4-word buffer, skips within it, across it and far past it
+    for skip in [*range(13), 1000, 123457]:
+        gen = CounterRng(5).numpy_rng()
+        gen.bit_generator.random_raw(used)
+        plain = CounterRng(5).numpy_rng()
+        plain.bit_generator.random_raw(used + skip)
+        _skip_words(gen, skip)
+        assert np.array_equal(gen.bit_generator.random_raw(11), plain.bit_generator.random_raw(11)), skip
 
 
 # --- limiting degree pmf ---------------------------------------------------------

@@ -71,9 +71,10 @@ def _string_tree_csv(tree, path):
         fh.write("vertex,parent\r\n" + "".join(rows))
 
 
-@pytest.mark.parametrize("n", [1, 9, 10, 11, 99, 100, 101, 9999, 10000, 10**5])
+@pytest.mark.parametrize("n", [1, 9, 10, 11, 99, 100, 101, 9999, 10000, 10**5, 131073, 196609])
 def test_tree_csv_bytes_match_string_writer(tmp_path, n):
-    # the digit-width edges, where a parent can be one digit narrower than n
+    # the digit-width edges, where a parent can be one digit narrower than n,
+    # and trees of several 65,536-row blocks, the last one a single row
     tree, _ = grow(GrowthParams(delta=0.0, n_final=n, seed=n))
     write_tree_csv(tree, tmp_path / "fast.csv")
     _string_tree_csv(tree, tmp_path / "oracle.csv")
