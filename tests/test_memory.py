@@ -23,11 +23,11 @@ def _peak_mb(fn, *args) -> float:
 
 
 def test_mc_zeta_hat_memory_is_one_block():
-    # all 3.4e6 thinning points at once held about 81 MB
+    # one block of 4096 replicas peaks near 7 MB; all 3.4e6 points at once would take about 85 MB
     assert _peak_mb(mc_zeta_hat, 0.0, 10**5, CounterRng(3)) < 16
 
 
 def test_write_tree_csv_memory_is_one_block(tmp_path):
-    # the whole (2w+3) x n byte matrix and its mask held about 12 MB at n = 3e5
+    # one 65,536-row block peaks near 3 MB; the whole (2w+3) x n byte matrix and its mask would take about 13 MB
     tree, _ = grow(GrowthParams(delta=0.0, n_final=3 * 10**5, seed=4))
     assert _peak_mb(write_tree_csv, tree, tmp_path / "tree.csv") < 6
