@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import isfinite, isqrt
 from typing import Iterator, Optional, Sequence
 
@@ -93,27 +94,49 @@ def token_bound(delta, n_final: int, convention: str) -> int:
     return (4 + d2) * t_tri + (d2 * (n + 1) if convention == "exact" else 0)
 
 
+_CHECK_BLOCK = 1 << 16  # parents checked per block by `first_bad_parent`
+
+
+def first_bad_parent(parent: np.ndarray) -> int:
+    """The first vertex m >= 1 whose parent[m] is not in [0, m), or 0 if there is none.
+
+    Checks `parent[1:]` in blocks of `_CHECK_BLOCK`, so the check holds no
+    array of the tree's size beside it.
+    """
+    for a in range(1, len(parent), _CHECK_BLOCK):
+        block = parent[a : a + _CHECK_BLOCK]
+        bad = np.flatnonzero((block < 0) | (block >= np.arange(a, a + len(block))))
+        if bad.size:
+            return a + int(bad[0])
+    return 0
+
+
 @dataclass(frozen=True, eq=False)
 class TreeRecord:
-    """A grown tree: one int64 parent array and the degrees it determines.
+    """A grown tree: one int64 parent array, read-only.
 
     Vertex m (m >= 1) is born at time m and carries edge m = (m, parent[m]);
     parent[0] = -1 marks the root v0.  The constructor takes a parent array
-    that is already valid and derives `degree` from it once.  Outside input
-    goes through `from_parents`, which checks it.  The attachment law's delta
-    is not part of the tree: the weight functions below take it as an argument.
+    that is already valid.  Outside input goes through `from_parents`, which
+    checks it.  The degrees are derived from the parents on first use and
+    kept (`degree`).  The attachment law's delta is not part of the tree:
+    the weight functions below take it as an argument.
     """
 
     parent: np.ndarray
-    degree: np.ndarray = field(init=False)
 
     def __post_init__(self):
         parent = np.asarray(self.parent, dtype=np.int64)
-        degree = np.bincount(parent[1:], minlength=len(parent))
+        parent.flags.writeable = False
+        object.__setattr__(self, "parent", parent)
+
+    @cached_property
+    def degree(self) -> np.ndarray:
+        """Degree of every vertex, read-only, computed once on first use."""
+        degree = np.bincount(self.parent[1:], minlength=len(self.parent))
         degree[1:] += 1
-        for name, a in (("parent", parent), ("degree", degree)):
-            a.flags.writeable = False
-            object.__setattr__(self, name, a)
+        degree.flags.writeable = False
+        return degree
 
     @classmethod
     def from_parents(cls, parents: Sequence[int]) -> "TreeRecord":
@@ -121,11 +144,13 @@ class TreeRecord:
         chosen = np.asarray(parents, dtype=np.int64)
         if chosen.ndim != 1 or chosen.size < 1 or chosen[0] != 0:
             raise ValueError("history must start with parent[1] = 0")
-        bad = np.flatnonzero((chosen < 0) | (chosen >= np.arange(1, chosen.size + 1)))
-        if bad.size:
-            m = int(bad[0]) + 1
+        parent = np.empty(chosen.size + 1, dtype=np.int64)
+        parent[0] = -1
+        parent[1:] = chosen
+        m = first_bad_parent(parent)
+        if m:
             raise ValueError(f"parent of vertex {m} must be < {m}")
-        return cls(np.concatenate(([-1], chosen)))
+        return cls(parent)
 
     @property
     def n(self) -> int:
@@ -496,7 +521,7 @@ def grow(
     The returned snapshots hold degree counts and the degrees of
     `track_vertices` at each distinct checkpoint time; they are read off the
     final parent array, since the degree of v at time n counts only the
-    children born by n.
+    children born by n; the snapshot at n_final reads `tree.degree`.
     """
     cps = sorted(set(checkpoints))
     if cps and (cps[0] < 1 or cps[-1] > params.n_final):
@@ -523,8 +548,11 @@ def grow(
 
     snapshots = []
     for n in cps:
-        degree = np.bincount(tree.parent[1 : n + 1], minlength=n + 1)
-        degree[1:] += 1
+        if n == params.n_final:
+            degree = tree.degree
+        else:
+            degree = np.bincount(tree.parent[1 : n + 1], minlength=n + 1)
+            degree[1:] += 1
         tracked = {v: int(degree[v]) for v in track_vertices if v <= n}
         snapshots.append(GrowthSnapshot(n=n, degree_counts=value_counts(degree), tracked_degrees=tracked))
     return tree, snapshots

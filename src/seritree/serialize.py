@@ -14,13 +14,14 @@ The CLI writes each run's ``report.json`` and ``manifest.json`` itself, in
 from __future__ import annotations
 
 import csv
+import os
 import struct
 from pathlib import Path
 from typing import Sequence, Union
 
 import numpy as np
 
-from .growth import TreeRecord
+from .growth import TreeRecord, first_bad_parent
 from .limits import DegreePMF
 from .treeops import OTHER_KEY, FringeHistogram
 
@@ -44,7 +45,7 @@ def _put_digits(values: np.ndarray, out: np.ndarray) -> None:
         q = rest
 
 
-_CSV_CHUNK = 65536  # rows of the tree CSV built and written per block
+_CSV_CHUNK = 65536  # rows of the tree CSV built and written, or read and checked, per block
 
 
 def write_tree_csv(tree: TreeRecord, path: Union[str, Path]) -> None:
@@ -69,21 +70,40 @@ def write_tree_csv(tree: TreeRecord, path: Union[str, Path]) -> None:
 
 
 def read_tree_csv(path: Union[str, Path]) -> TreeRecord:
+    """Read a tree CSV into its parent array; refuses a malformed file with ValueError.
+
+    The rows are parsed as int32 when the file is under 8 GiB: every row
+    takes at least 4 bytes, so a file that size holds fewer than 2**31 rows,
+    and a larger number in it cannot be a valid vertex or parent (numpy's
+    reader refuses it).  Vertex order is checked block by block as the
+    parents fill the final int64 array.
+    """
     with open(path, newline="") as fh:
         header = fh.readline().rstrip("\r\n").split(",")
         if header != ["vertex", "parent"]:
             raise ValueError(f"unexpected tree CSV header {header}")
         if not fh.readline().strip():
             raise ValueError("tree CSV holds no vertices")
+        size = os.fstat(fh.fileno()).st_size
     # numpy's reader parses the file itself, far faster than from a line iterator
-    rows = np.loadtxt(path, delimiter=",", dtype=np.int64, ndmin=2, comments=None, skiprows=1)
+    dtype = np.int32 if size < 8 << 30 else np.int64
+    rows = np.loadtxt(path, delimiter=",", dtype=dtype, ndmin=2, comments=None, skiprows=1)
     if rows.shape[1] != 2:
         raise ValueError(f"tree CSV rows must hold exactly two fields; saw {rows.shape[1]}")
-    out_of_order = np.flatnonzero(rows[:, 0] != np.arange(1, len(rows) + 1))
-    if out_of_order.size:
-        row = rows[out_of_order[0]].tolist()
-        raise ValueError(f"tree CSV rows must be ordered by vertex; saw {row}")
-    return TreeRecord.from_parents(rows[:, 1])
+    parent = np.empty(len(rows) + 1, dtype=np.int64)
+    parent[0] = -1
+    for a in range(0, len(rows), _CSV_CHUNK):
+        block = rows[a : a + _CSV_CHUNK]
+        out_of_order = np.flatnonzero(block[:, 0] != np.arange(a + 1, a + 1 + len(block)))
+        if out_of_order.size:
+            row = block[out_of_order[0]].tolist()
+            raise ValueError(f"tree CSV rows must be ordered by vertex; saw {row}")
+        parent[a + 1 : a + 1 + len(block)] = block[:, 1]
+    del rows
+    m = first_bad_parent(parent)
+    if m:
+        raise ValueError(f"parent of vertex {m} must be < {m}")
+    return TreeRecord(parent)
 
 
 def write_tree_binary(tree: TreeRecord, path: Union[str, Path]) -> None:
@@ -91,29 +111,36 @@ def write_tree_binary(tree: TreeRecord, path: Union[str, Path]) -> None:
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(struct.pack("<Q", tree.n))
-        fh.write(tree.parent[1:].astype("<u8").tobytes())
+        # no parent is negative, so its little-endian int64 bytes are its uint64
+        # bytes; on a little-endian machine this writes the array itself
+        fh.write(np.asarray(tree.parent[1:], dtype="<i8"))
 
 
 def read_tree_binary(path: Union[str, Path]) -> TreeRecord:
-    raw = Path(path).read_bytes()
-    if len(raw) < 24 or raw[:10] != TREE_MAGIC:
-        raise ValueError("not a tree binary (bad magic)")
-    if raw[10] != TREE_BINARY_VERSION:
-        raise ValueError(f"unsupported tree binary version {raw[10]}")
-    (n,) = struct.unpack("<Q", raw[16:24])
-    if len(raw) != 24 + 8 * n:
-        raise ValueError("tree binary length does not match the vertex count")
-    if n < 1:
-        raise ValueError("tree binary holds no edges")
-    parents = np.frombuffer(raw, dtype="<u8", offset=24)
-    # compare as uint64, before a parent >= 2**63 could wrap to a negative int64
-    bad = np.flatnonzero(parents >= np.arange(1, n + 1, dtype=np.uint64))
-    if bad.size:
-        m = int(bad[0]) + 1
-        raise ValueError(f"tree binary: parent {int(parents[bad[0]])} of vertex {m} is not below {m}")
-    parent = np.empty(n + 1, dtype=np.int64)
+    """Read a tree binary straight into its parent array; refuses a malformed file with ValueError.
+
+    The file size is checked against the header's vertex count before
+    anything is allocated, and the parents are checked block by block.
+    """
+    with open(path, "rb") as fh:
+        head = fh.read(24)
+        if len(head) < 24 or head[:10] != TREE_MAGIC:
+            raise ValueError("not a tree binary (bad magic)")
+        if head[10] != TREE_BINARY_VERSION:
+            raise ValueError(f"unsupported tree binary version {head[10]}")
+        (n,) = struct.unpack("<Q", head[16:24])
+        if os.fstat(fh.fileno()).st_size != 24 + 8 * n:
+            raise ValueError("tree binary length does not match the vertex count")
+        if n < 1:
+            raise ValueError("tree binary holds no edges")
+        parent = np.empty(n + 1, dtype="<i8")
+        if fh.readinto(parent[1:]) != 8 * n:
+            raise ValueError("tree binary length does not match the vertex count")
     parent[0] = -1
-    parent[1:] = parents
+    m = first_bad_parent(parent)
+    if m:
+        # a parent of 2**63 or more reads as a negative int64; report the file's uint64
+        raise ValueError(f"tree binary: parent {int(parent[m]) % 2**64} of vertex {m} is not below {m}")
     return TreeRecord(parent)
 
 

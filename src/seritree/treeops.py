@@ -165,11 +165,13 @@ def _deflate_leaves(parent: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     kids = np.bincount(parent + 1, minlength=len(parent) + 1)[1:]
     inner = np.flatnonzero(kids)
+    kids = kids[inner]
     # the last vertex has no child, so label[-1] stays -1 and roots keep -1
-    label = np.full(len(parent), -1, dtype=np.int64)
+    label = np.full(len(parent), -1, dtype=np.int32 if len(parent) <= 2**31 else np.int64)
     label[inner] = np.arange(len(inner))
-    up = label[parent[inner]]
-    leaves = kids[inner] - np.bincount(up + 1, minlength=len(up) + 1)[1:]
+    up = label[parent[inner]].astype(np.int64)
+    del label
+    leaves = kids - np.bincount(up + 1, minlength=len(up) + 1)[1:]
     return up, leaves
 
 
@@ -280,34 +282,42 @@ def empirical_fringe_distribution(tree: Tree, k: int = 0, truncation: int = 12) 
     depth, size = _depths_and_sizes(up, leaves)
     ids, keys, rows = _ahu_classes(up, size, leaves, truncation)
     # one entry per scanned internal vertex and one per group of sibling
-    # leaves: the class it starts with, the vertex above, how many vertices
-    # it stands for, and the size of their k-th ancestor
+    # leaves whose k-th ancestor has at most `truncation` vertices: the class
+    # it starts with, how many vertices it stands for, and the vertex above
     if k == 0:
         # every leaf, a lone root too, has class 0 and size 1
-        first = np.append(ids, 0)
-        weight = np.append(np.ones(len(up), dtype=np.int64), len(parent) - len(up))
-        top_size = np.append(size, 1)
+        scanned = len(parent)
+        inside = np.append(size, 1) <= truncation
+        code = np.append(ids, 0)[inside]
+        weight = np.append(np.ones(len(up), dtype=np.int64), len(parent) - len(up))[inside]
     else:
-        inner = np.flatnonzero(depth >= k)
-        twigs = np.flatnonzero((depth >= k - 1) & (leaves > 0))
-        first = np.concatenate([ids[inner], np.zeros(len(twigs), dtype=np.int64)])
-        weight = np.concatenate([np.ones(len(inner), dtype=np.int64), leaves[twigs]])
-        above = top = np.concatenate([up[inner], twigs])
+        # the (k-1)-th ancestor of an internal vertex is the k-th ancestor of
+        # its leaf children and of its internal children
+        deep = np.flatnonzero(depth >= k - 1)
+        top = deep
         for _ in range(k - 1):
             top = up[top]
-        top_size = size[top]
-    scanned = int(weight.sum())
-    inside = top_size <= truncation
+        fits = np.zeros(len(up), dtype=bool)
+        fits[deep] = size[top] <= truncation
+        inner = np.flatnonzero(depth >= k)
+        scanned = len(inner) + int(leaves[deep].sum())
+        del deep, top
+        inner = inner[fits[up[inner]]]
+        twigs = np.flatnonzero(fits & (leaves > 0))
+        del fits
+        code = np.concatenate([ids[inner], np.zeros(len(twigs), dtype=np.int64)])
+        weight = np.concatenate([np.ones(len(inner), dtype=np.int64), leaves[twigs]])
+        above = np.concatenate([up[inner], twigs])
+        del inner, twigs
     # the decomposition of v and the classes on its path up to the k-th
     # ancestor determine each other, so count the paths of classes, folded
     # step by step into one code per entry as `_ahu_classes` folds its rows;
     # each new code's label is its previous code's label and the cut of the
     # new ancestor's row by the previous top class (for k = 0 the codes are
     # the classes, and every class is made from a vertex, so occurs)
-    code, weight = first[inside], weight[inside]
     width, labels, top_class = len(keys), keys, range(len(keys))
     for j in range(k):
-        w = above[inside] if j == 0 else up[w]
+        w = above if j == 0 else up[w]
         distinct, code = np.unique(code * width + ids[w], return_inverse=True)
         prev, anc = (x.tolist() for x in np.divmod(distinct, width))
         labels = [labels[p] + "|" + _cut(rows[a], keys[top_class[p]]) for p, a in zip(prev, anc)]

@@ -18,6 +18,7 @@ from seritree.growth import (
     token_bound,
     token_probability_vector,
     total_weight_closed,
+    value_counts,
     _delta_part,
     _edge_time_sums,
     _fast_target_float,
@@ -92,9 +93,16 @@ def test_vertex_weight_examples():
 
 def test_tree_record_holds_only_the_tree():
     tree = TreeRecord.from_parents([0, 0, 1])
-    assert [f.name for f in fields(tree)] == ["parent", "degree"]
+    assert [f.name for f in fields(tree)] == ["parent"]
     assert tree.parent.tolist() == [-1, 0, 0, 1]
+    # the degrees are derived on first use, once, and cannot be changed
     assert tree.degree.tolist() == [2, 2, 1, 1]
+    assert tree.degree is tree.degree
+    assert np.array_equal(tree.degree, np.bincount(tree.parent[1:], minlength=4) + [0, 1, 1, 1])
+    with pytest.raises(ValueError):
+        tree.degree[0] = 5
+    with pytest.raises(AttributeError):
+        tree.degree = np.zeros(4, dtype=np.int64)
 
 
 def test_edge_time_sums_from_parents():
@@ -375,6 +383,12 @@ def test_grow_checkpoints():
         grow(params, checkpoints=[2000])
     with pytest.raises(ValueError, match="tracked"):  # degree[-1] would track vertex n
         grow(params, checkpoints=[10], track_vertices=(-1,))
+
+
+def test_final_checkpoint_counts_the_tree_degrees():
+    tree, snaps = grow(GrowthParams(delta=0.0, n_final=1000, seed=11), checkpoints=[10, 1000], track_vertices=(0, 1))
+    assert snaps[-1].degree_counts == value_counts(tree.degree)
+    assert snaps[-1].tracked_degrees == {0: int(tree.degree[0]), 1: int(tree.degree[1])}
 
 
 def test_grow_negative_delta_paper_total():

@@ -1,4 +1,4 @@
-"""Working-memory bounds of the estimators and writers that stream in blocks.
+"""Working-memory bounds of the estimators, tree readers and writers, and the fringe scan.
 
 tracemalloc sees numpy's buffers, so its peak is the largest amount of
 memory the call held at once, whatever the platform's allocator does.
@@ -6,10 +6,13 @@ memory the call held at once, whatever the platform's allocator does.
 
 import tracemalloc
 
+import pytest
+
 from seritree.growth import GrowthParams, grow
 from seritree.limits import mc_zeta_hat
 from seritree.rng import CounterRng
-from seritree.serialize import write_tree_csv
+from seritree.serialize import read_tree_binary, read_tree_csv, write_tree_binary, write_tree_csv
+from seritree.treeops import empirical_fringe_distribution
 
 
 def _peak_mb(fn, *args) -> float:
@@ -31,3 +34,34 @@ def test_write_tree_csv_memory_is_one_block(tmp_path):
     # one 65,536-row block peaks near 3 MB; the whole (2w+3) x n byte matrix and its mask would take about 13 MB
     tree, _ = grow(GrowthParams(delta=0.0, n_final=3 * 10**5, seed=4))
     assert _peak_mb(write_tree_csv, tree, tmp_path / "tree.csv") < 6
+
+
+@pytest.fixture(scope="module")
+def tree_3e5():
+    tree, _ = grow(GrowthParams(delta=0.0, n_final=3 * 10**5, seed=4))
+    return tree
+
+
+def test_write_tree_binary_writes_the_parent_array(tmp_path, tree_3e5):
+    # the parents are written as they are, with no copy; one copy alone would take 2.4 MB
+    assert _peak_mb(write_tree_binary, tree_3e5, tmp_path / "tree.bin") < 1.2
+
+
+def test_read_tree_binary_memory_is_the_result(tmp_path, tree_3e5):
+    # the 2.4 MB parent array plus one check block, near 3.1 MB; a byte copy
+    # of the file and an index array beside the result would take 7.2 MB
+    write_tree_binary(tree_3e5, tmp_path / "tree.bin")
+    assert _peak_mb(read_tree_binary, tmp_path / "tree.bin") < 4.5
+
+
+def test_read_tree_csv_parses_int32_rows(tmp_path, tree_3e5):
+    # int32 rows (2.4 MB) beside the final parents (2.4 MB) peak near 5.5 MB;
+    # int64 rows and a copy of the parents would take 9.7 MB
+    write_tree_csv(tree_3e5, tmp_path / "tree.csv")
+    assert _peak_mb(read_tree_csv, tmp_path / "tree.csv") < 7.5
+
+
+def test_fringe_scan_k2_memory(tree_3e5):
+    # the entries whose k-th ancestor is too large are dropped before the
+    # per-entry arrays exist: near 6.9 MB, where building them all took 12.2 MB
+    assert _peak_mb(empirical_fringe_distribution, tree_3e5, 2, 12) < 9.5

@@ -6,7 +6,7 @@ import pytest
 
 import seritree
 from seritree.cli import main
-from seritree.growth import GrowthParams, grow
+from seritree.growth import _CHECK_BLOCK, GrowthParams, TreeRecord, grow
 from seritree.limits import DegreePMF
 from seritree.serialize import (
     read_tree_binary,
@@ -111,6 +111,61 @@ def test_tree_binary_rejects_bad_parents(tmp_path):
         path.write_bytes(header + np.array([len(parents)] + parents, dtype="<u8").tobytes())
         with pytest.raises(ValueError, match=f"parent {parents[vertex - 1]} of vertex {vertex} "):
             read_tree_binary(path)
+
+
+def _binary(parents, n=None):
+    header = b"SERI-TREE\x00\x01" + b"\x00" * 5
+    count = len(parents) if n is None else n
+    return header + np.array([count] + list(parents), dtype="<u8").tobytes()
+
+
+def test_tree_binary_rejects_wrong_lengths(tmp_path, tree):
+    path = tmp_path / "tree.bin"
+    write_tree_binary(tree, path)
+    raw = path.read_bytes()
+    for bad in (raw[:-8], raw[:-1], raw + b"\x00", raw + b"\x00" * 8, _binary([0, 0], n=2**40)):
+        path.write_bytes(bad)
+        with pytest.raises(ValueError, match="length does not match"):
+            read_tree_binary(path)
+
+
+def _parents_with_bad_vertex(m):
+    """Parents of vertices 1..m+10, a path but for vertex m, whose parent is m."""
+    parents = np.arange(m + 10)
+    parents[m - 1] = m
+    return parents
+
+
+def test_tree_binary_bad_parent_in_second_check_block(tmp_path):
+    m = _CHECK_BLOCK + 3
+    path = tmp_path / "bad.bin"
+    path.write_bytes(_binary(_parents_with_bad_vertex(m)))
+    with pytest.raises(ValueError, match=f"parent {m} of vertex {m} "):
+        read_tree_binary(path)
+
+
+def test_tree_csv_bad_parent_or_order_in_second_block(tmp_path):
+    m = _CHECK_BLOCK + 3
+    parents = _parents_with_bad_vertex(m)
+    path = tmp_path / "bad.csv"
+    path.write_text("vertex,parent\n" + "".join(f"{v},{p}\n" for v, p in enumerate(parents.tolist(), 1)))
+    with pytest.raises(ValueError, match=f"parent of vertex {m} must be < {m}"):
+        read_tree_csv(path)
+    with pytest.raises(ValueError, match=f"parent of vertex {m} must be < {m}"):
+        TreeRecord.from_parents(parents)
+    rows = [f"{v},{v - 1}\n" for v in range(1, m + 10)]
+    rows[m - 1], rows[m] = rows[m], rows[m - 1]
+    path.write_text("vertex,parent\n" + "".join(rows))
+    with pytest.raises(ValueError, match="ordered by vertex"):
+        read_tree_csv(path)
+
+
+@pytest.mark.parametrize("row", ["2,3000000000", "2,-1", "99999999999,0", "2,1.5"])
+def test_tree_csv_rejects_out_of_range_numbers(tmp_path, row):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"vertex,parent\n1,0\n{row}\n")
+    with pytest.raises(ValueError):
+        read_tree_csv(path)
 
 
 def test_manifest_roundtrip(tmp_path):
