@@ -9,6 +9,7 @@ from seritree.cli import main
 from seritree.growth import _CHECK_BLOCK, GrowthParams, TreeRecord, grow
 from seritree.limits import DegreePMF
 from seritree.serialize import (
+    _CSV_CHUNK,
     read_tree_binary,
     read_tree_csv,
     write_histogram_csv,
@@ -153,8 +154,8 @@ def test_tree_csv_bad_parent_or_order_in_second_block(tmp_path):
         read_tree_csv(path)
     with pytest.raises(ValueError, match=f"parent of vertex {m} must be < {m}"):
         TreeRecord.from_parents(parents)
-    rows = [f"{v},{v - 1}\n" for v in range(1, m + 10)]
-    rows[m - 1], rows[m] = rows[m], rows[m - 1]
+    rows = [f"{v},{v - 1}\n" for v in range(1, _CSV_CHUNK + 10)]
+    rows[_CSV_CHUNK + 2], rows[_CSV_CHUNK + 3] = rows[_CSV_CHUNK + 3], rows[_CSV_CHUNK + 2]
     path.write_text("vertex,parent\n" + "".join(rows))
     with pytest.raises(ValueError, match="ordered by vertex"):
         read_tree_csv(path)
