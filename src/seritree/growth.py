@@ -132,9 +132,15 @@ class TreeRecord:
 
     @cached_property
     def degree(self) -> np.ndarray:
-        """Degree of every vertex, read-only, computed once on first use."""
-        degree = np.bincount(self.parent[1:], minlength=len(self.parent))
-        degree[1:] += 1
+        """Degree of every vertex, read-only, computed once on first use.
+
+        `np.add.at` counts the children in place: `np.bincount` would copy the
+        read-only parents first.
+        """
+        degree = np.ones(len(self.parent) + 1, dtype=np.int64)  # the edge up, but at the root
+        degree[0] = 0
+        np.add.at(degree, self.parent, 1)  # the last slot takes the root's -1
+        degree = degree[:-1]
         degree.flags.writeable = False
         return degree
 
@@ -548,11 +554,7 @@ def grow(
 
     snapshots = []
     for n in cps:
-        if n == params.n_final:
-            degree = tree.degree
-        else:
-            degree = np.bincount(tree.parent[1 : n + 1], minlength=n + 1)
-            degree[1:] += 1
+        degree = (tree if n == params.n_final else TreeRecord(tree.parent[: n + 1])).degree
         tracked = {v: int(degree[v]) for v in track_vertices if v <= n}
         snapshots.append(GrowthSnapshot(n=n, degree_counts=value_counts(degree), tracked_degrees=tracked))
     return tree, snapshots

@@ -163,16 +163,21 @@ def _deflate_leaves(parent: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     parent of an internal vertex is internal, so it has a new label too, and
     every child still comes after its parent.
     """
-    kids = np.bincount(parent + 1, minlength=len(parent) + 1)[1:]
-    inner = np.flatnonzero(kids)
+    # `np.add.at` counts in place, where `np.bincount(parent + 1)` would hold
+    # a shifted copy of the parents beside the counts; the last slot takes
+    # the roots' -1
+    kids = np.zeros(len(parent) + 1, dtype=np.int64)
+    np.add.at(kids, parent, 1)
+    inner = np.flatnonzero(kids[:-1])
     kids = kids[inner]
     # the last vertex has no child, so label[-1] stays -1 and roots keep -1
     label = np.full(len(parent), -1, dtype=np.int32 if len(parent) <= 2**31 else np.int64)
     label[inner] = np.arange(len(inner))
     up = label[parent[inner]].astype(np.int64)
     del label
-    leaves = kids - np.bincount(up + 1, minlength=len(up) + 1)[1:]
-    return up, leaves
+    leaves = np.append(kids, 0)
+    np.subtract.at(leaves, up, 1)  # less the internal children
+    return up, leaves[:-1]
 
 
 def _depths_and_sizes(up: np.ndarray, leaves: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

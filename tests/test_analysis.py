@@ -280,6 +280,53 @@ def test_spectrum_matches_dense_oracle():
         assert np.all(np.diff(eig) >= 0), label
 
 
+def _from_shape(shape):
+    """The tree of a nested list of child shapes (``[]`` is a leaf), numbered in preorder."""
+    parents = []
+
+    def visit(kids, me):
+        for kid in kids:
+            parents.append(me)
+            visit(kid, len(parents))
+
+    visit(shape, 0)
+    return TreeRecord.from_parents(parents)
+
+
+def _complete(arity, depth):
+    return [_complete(arity, depth - 1)] * arity if depth else []
+
+
+CHERRY = [[], []]
+# twins (the cherries and their leaves) inside twins that are cut, beside an
+# unequal sibling that keeps the root's children from being all alike
+NESTED = [[CHERRY, CHERRY, []]] * 3 + [[CHERRY, [[]]]]
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [
+        _complete(2, 9),
+        _complete(3, 6),
+        [[[[[[]]]]]] * 20,  # a spider of twenty legs of five edges
+        NESTED,
+        [NESTED] * 4,
+        [CHERRY] * 50,
+    ],
+    ids=["binary depth 9", "ternary depth 6", "spider 20x5", "nested twins", "nested twins x4", "50 cherries"],
+)
+def test_sibling_quotient_matches_dense_oracle(shape):
+    # trees made of isomorphic sibling subtrees, which the spectrum splits off
+    tree = _from_shape(shape)
+    eig = adjacency_spectrum(tree).eigenvalues
+    dense = _dense_spectrum(tree)
+    assert eig.shape == dense.shape
+    assert np.max(np.abs(eig - dense)) <= 1e-10
+    assert atom_mass_at_zero(SpectrumResult(eig)) == atom_mass_at_zero(SpectrumResult(dense))
+    assert np.all(eig + eig[::-1] == 0)
+    assert np.all(np.diff(eig) >= 0)
+
+
 def test_spectrum_zero_atom_and_cap():
     star = TreeRecord.from_parents([0, 0, 0])
     spec = adjacency_spectrum(star)

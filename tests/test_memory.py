@@ -1,4 +1,4 @@
-"""Working-memory bounds of the estimators, tree readers and writers, and the fringe scan.
+"""Working-memory bounds of the estimators, tree readers and writers, the child counts and the fringe scan.
 
 tracemalloc sees numpy's buffers, so its peak is the largest amount of
 memory the call held at once, whatever the platform's allocator does.
@@ -8,11 +8,11 @@ import tracemalloc
 
 import pytest
 
-from seritree.growth import GrowthParams, grow
+from seritree.growth import GrowthParams, TreeRecord, grow
 from seritree.limits import mc_zeta_hat
 from seritree.rng import CounterRng
 from seritree.serialize import read_tree_binary, read_tree_csv, write_tree_binary, write_tree_csv
-from seritree.treeops import empirical_fringe_distribution
+from seritree.treeops import _deflate_leaves, empirical_fringe_distribution
 
 
 def _peak_mb(fn, *args) -> float:
@@ -65,3 +65,15 @@ def test_fringe_scan_k2_memory(tree_3e5):
     # the entries whose k-th ancestor is too large are dropped before the
     # per-entry arrays exist: near 6.9 MB, where building them all took 12.2 MB
     assert _peak_mb(empirical_fringe_distribution, tree_3e5, 2, 12) < 9.5
+
+
+def test_degree_counts_in_place(tree_3e5):
+    # the 2.4 MB counts alone; `np.bincount` would first copy the read-only
+    # parents, 4.8 MB in all
+    assert _peak_mb(getattr, TreeRecord(tree_3e5.parent), "degree") < 3.6
+
+
+def test_deflate_leaves_counts_in_place(tree_3e5):
+    # the 2.4 MB child counts beside the internal vertices' arrays, near
+    # 3.8 MB; a shifted copy of the parents beside the counts would take 4.8 MB
+    assert _peak_mb(_deflate_leaves, tree_3e5.parent) < 4.3

@@ -45,6 +45,16 @@ def test_import_leaves_scipy_stats_out():
     assert out.stdout.strip() == "[]"
 
 
+def test_selftest_loads_no_scipy():
+    # scipy is a test dependency only; `selftest` must pass on numpy alone
+    code = (
+        "import sys; from seritree.cli import main; code = main(['selftest']); "
+        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines()[-1] == "0 []"
+
+
 # public definitions that the tests check the package's faster forms against
 UNCALLED_EXPORTS = {
     "hazard": "the O(k) hazard sum, the definition the O(1) recurrence in `_arrivals` is tested against",
