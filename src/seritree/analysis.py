@@ -13,29 +13,40 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .growth import GrowthParams, TreeRecord, grow
+from .growth import GrowthParams, TreeRecord, count_values, grow
 from .rng import CounterRng
 from .treeops import OTHER_KEY, FringeHistogram
 
 SPECTRUM_SIZE_CAP = 2048
 
 
-def tail_ccdf(source: Union[Sequence[int], TreeRecord]) -> list[tuple[int, float]]:
+def tail_ccdf(source: Union[Sequence[int], np.ndarray, TreeRecord]) -> tuple[np.ndarray, np.ndarray]:
     """Degree tail P(deg >= k) for k = 1..max, nonincreasing with P(>=1) = 1.
 
-    The degrees of a tree or a raw degree sample are counted with exact
-    integer arithmetic, so P(>=1) is exactly 1.
+    Returns two arrays: the degrees k = 1..max (int64) and P(deg >= k)
+    (float64).  The degrees of a tree or of a one-dimensional sample of
+    whole numbers >= 1 are counted with exact integer arithmetic, so P(>=1)
+    is exactly 1.
     """
-    degrees = np.asarray(source.degree if isinstance(source, TreeRecord) else source, dtype=np.int64)
+    if isinstance(source, TreeRecord):
+        degrees = source.degree
+    else:
+        degrees = np.asarray(source)
+        if degrees.ndim != 1:
+            raise ValueError(f"a degree sample must be one-dimensional, got shape {degrees.shape}")
+        if degrees.dtype.kind == "f" and np.isfinite(degrees).all() and (degrees == np.trunc(degrees)).all():
+            degrees = degrees.astype(np.int64)
+        if degrees.size and degrees.dtype.kind not in "iu":
+            raise ValueError("degrees must be whole numbers")
     if degrees.size == 0:
         raise ValueError("empty degree sample")
     if degrees.min() < 1:
         raise ValueError("degrees must be >= 1")
-    counts = np.bincount(degrees)
+    counts = count_values(degrees)
     total = degrees.size
     # vertices of degree >= k, for k = 1..max
     tails = total - np.concatenate(([0], np.cumsum(counts[1:-1])))
-    return [(k, tail / total) for k, tail in enumerate(tails.tolist(), start=1)]
+    return np.arange(1, len(counts)), tails / total
 
 
 @dataclass
@@ -56,32 +67,44 @@ TAIL_MIN_POINTS = 8  # ccdf points a fit window must hold
 
 
 def fit_power_tail(
-    ccdf: Sequence[tuple[int, float]],
+    ccdf: tuple[np.ndarray, np.ndarray],
     n_samples: Optional[int] = None,
     window: Optional[tuple[int, int]] = None,
 ) -> TailFit:
     """Least squares on (log k, log P(>=k)) over a tail window.
 
-    Default window policy: k_min is the smallest k with P(>=k) <=
-    `TAIL_QUANTILE` and k_max the largest k with at least 50 tail samples
-    (requires `n_samples`).  Pass `window` to override.  At least
-    `TAIL_MIN_POINTS` ccdf points must fall inside the window.
+    `ccdf` is a pair (k, P(>=k)) of equal-length arrays, as `tail_ccdf`
+    returns; every k must be >= 1 and every P in [0, 1], and points with
+    P = 0 are dropped.  Default window policy: k_min is the first k with
+    P(>=k) <= `TAIL_QUANTILE` and k_max the largest k with at least 50 tail
+    samples (requires `n_samples`).  Pass `window` to override.  At least
+    `TAIL_MIN_POINTS` ccdf points must fall inside the window.  The window
+    and the fit points are picked by array masks, with no object per degree.
     """
-    pairs = [(k, p) for k, p in ccdf if p > 0]
+    k, p = (np.asarray(a) for a in ccdf)
+    if k.ndim != 1 or k.shape != p.shape:
+        raise ValueError(f"a ccdf is two 1-D arrays of one length, got shapes {k.shape} and {p.shape}")
+    if not (k >= 1).all():
+        raise ValueError("ccdf degrees must be >= 1")
+    if not ((p >= 0) & (p <= 1)).all():
+        raise ValueError("ccdf probabilities must lie in [0, 1]")
+    positive = p > 0
     if window is not None:
         k_lo, k_hi = window
     else:
         if n_samples is None:
             raise ValueError("n_samples is required for the default window policy")
-        k_lo = next((k for k, p in pairs if p <= TAIL_QUANTILE), None)
-        k_hi = max((k for k, p in pairs if p * n_samples >= 50), default=None)
-        if k_lo is None or k_hi is None:
+        opens = np.flatnonzero(positive & (p <= TAIL_QUANTILE))
+        deep = k[positive & (p * n_samples >= 50)]
+        if not opens.size or not deep.size:
             raise ValueError("tail window is empty under the default policy")
-    sel = [(k, p) for k, p in pairs if k_lo <= k <= k_hi]
-    if len(sel) < TAIL_MIN_POINTS:
-        raise ValueError(f"window [{k_lo}, {k_hi}] holds {len(sel)} points; need >= {TAIL_MIN_POINTS}")
-    x = np.log([k for k, _ in sel])
-    y = np.log([p for _, p in sel])
+        k_lo, k_hi = k[opens[0]], deep.max()
+    sel = positive & (k_lo <= k) & (k <= k_hi)
+    n_sel = int(np.count_nonzero(sel))
+    if n_sel < TAIL_MIN_POINTS:
+        raise ValueError(f"window [{k_lo}, {k_hi}] holds {n_sel} points; need >= {TAIL_MIN_POINTS}")
+    x = np.log(k[sel])
+    y = np.log(p[sel])
     slope, intercept = np.polyfit(x, y, 1)
     resid = y - (slope * x + intercept)
     ss_tot = float(np.sum((y - y.mean()) ** 2))
@@ -93,12 +116,12 @@ def fit_power_tail(
         k_min=int(k_lo),
         k_max=int(k_hi),
         r_squared=r2,
-        n_tail_points=len(sel),
+        n_tail_points=n_sel,
     )
 
 
 def tail_window_sensitivity(
-    ccdf: Sequence[tuple[int, float]], n_samples: int
+    ccdf: tuple[np.ndarray, np.ndarray], n_samples: int
 ) -> list[TailFit]:
     """The default-window fit plus two perturbed windows, to expose fragility."""
     base = fit_power_tail(ccdf, n_samples=n_samples)

@@ -163,9 +163,22 @@ class TreeRecord:
         return len(self.parent) - 1
 
 
+def count_values(values: np.ndarray) -> np.ndarray:
+    """How often each of 0..max occurs in a nonempty array of nonnegative integers.
+
+    `np.add.at` counts in place: `np.bincount` would copy a read-only input,
+    such as `TreeRecord.degree`, first.
+    """
+    if values.min() < 0:
+        raise ValueError("values to count must be >= 0")
+    counts = np.zeros(int(values.max()) + 1, dtype=np.int64)
+    np.add.at(counts, values, 1)
+    return counts
+
+
 def value_counts(values: np.ndarray) -> dict[int, int]:
     """How often each nonnegative integer occurs, as a dict sorted by value."""
-    counts = np.bincount(values)
+    counts = count_values(values)
     seen = np.flatnonzero(counts)
     return dict(zip(seen.tolist(), counts[seen].tolist()))
 

@@ -161,22 +161,28 @@ def _deflate_leaves(parent: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Returns the parents of the internal vertices, relabelled 0..m-1 in vertex
     order with -1 at each root, and each one's number of leaf children.  The
     parent of an internal vertex is internal, so it has a new label too, and
-    every child still comes after its parent.
+    every child still comes after its parent.  Both arrays are int32 while
+    the forest has fewer than 2^31 vertices, as are the depths, sizes and
+    classes derived from them.
     """
+    index = np.int32 if len(parent) < 2**31 else np.int64
     # `np.add.at` counts in place, where `np.bincount(parent + 1)` would hold
     # a shifted copy of the parents beside the counts; the last slot takes
-    # the roots' -1
-    kids = np.zeros(len(parent) + 1, dtype=np.int64)
-    np.add.at(kids, parent, 1)
+    # the roots' -1.  Its fast loop needs the added value in the counts'
+    # type: a Python 1 into int32 counts is about 20 times slower.
+    one = index(1)
+    kids = np.zeros(len(parent) + 1, dtype=index)
+    np.add.at(kids, parent, one)
     inner = np.flatnonzero(kids[:-1])
-    kids = kids[inner]
+    leaves = np.zeros(len(inner) + 1, dtype=index)  # the last slot takes the roots' -1
+    leaves[:-1] = kids[inner]
+    del kids
     # the last vertex has no child, so label[-1] stays -1 and roots keep -1
-    label = np.full(len(parent), -1, dtype=np.int32 if len(parent) <= 2**31 else np.int64)
-    label[inner] = np.arange(len(inner))
-    up = label[parent[inner]].astype(np.int64)
-    del label
-    leaves = np.append(kids, 0)
-    np.subtract.at(leaves, up, 1)  # less the internal children
+    label = np.full(len(parent), -1, dtype=index)
+    label[inner] = np.arange(len(inner), dtype=index)
+    up = label[parent[inner]]
+    del label, inner
+    np.subtract.at(leaves, up, one)  # less the internal children
     return up, leaves[:-1]
 
 
@@ -187,11 +193,12 @@ def _depths_and_sizes(up: np.ndarray, leaves: np.ndarray) -> tuple[np.ndarray, n
     sizes start at 1 + the leaf count and are summed into parents level by
     level, deepest level first.
     """
-    depth = (up >= 0).astype(np.int64)
+    depth = (up >= 0).astype(up.dtype)
     hop = np.maximum(up, 0)
     while hop.any():
         depth += depth[hop]
         hop = hop[hop]
+    del hop
     max_depth = int(depth.max(initial=0))
     # a stable sort of integers of at most 16 bits is a radix sort
     order = np.argsort(depth.astype(np.min_scalar_type(max_depth)), kind="stable")
@@ -222,25 +229,32 @@ def _ahu_classes(
     ``()`` per leaf child, which is their sorted order, since ``()`` sorts
     after every other key.  `keys[i]` wraps `rows[i]`.
     """
-    ids = np.full(len(up), -1, dtype=np.int64)
+    ids = np.full(len(up), -1, dtype=up.dtype)
     keys, rows = [LEAF_KEY], [[]]
-    small = np.flatnonzero(size <= truncation)
-    child = np.flatnonzero(up >= 0)
-    child = child[size[up[child]] <= truncation]
-    level, child_level = size[small], size[up[child]]
+    # the vertices and the children of vertices with at most `truncation`
+    # vertices, in the index type of `up`, each with that size in the
+    # narrowest type that holds the largest
+    small = np.flatnonzero(size <= truncation).astype(up.dtype)
+    level = size[small]
     narrow = np.min_scalar_type(level.max(initial=0))
+    level = level.astype(narrow)
+    child = np.flatnonzero(up >= 0).astype(up.dtype)
+    child = child[size[up[child]] <= truncation]
+    child_level = size[up[child]].astype(narrow)
     # stable sorts keep each level's rows in vertex order
-    order = np.argsort(level.astype(narrow), kind="stable")
+    order = np.argsort(level, kind="stable")
     small, level = small[order], level[order]
-    order = np.argsort(child_level.astype(narrow), kind="stable")
+    order = np.argsort(child_level, kind="stable")
     child, child_level = child[order], child_level[order]
-    starts = np.flatnonzero(np.diff(level, prepend=-1, append=-1))
-    sizes = level[starts[:-1]]
+    del order
+    sizes = np.unique(level)
+    starts, ends = np.searchsorted(level, sizes), np.searchsorted(level, sizes, "right")
     lo, hi = np.searchsorted(child_level, sizes), np.searchsorted(child_level, sizes, "right")
-    for a, b, c, d in zip(starts[:-1].tolist(), starts[1:].tolist(), lo.tolist(), hi.tolist()):
+    del level, child_level
+    for a, b, c, d in zip(starts.tolist(), ends.tolist(), lo.tolist(), hi.tolist()):
         vertex, width = small[a:b], len(keys)
         owner, kid = up[child[c:d]], ids[child[c:d]]
-        order = np.argsort(owner * width + kid)
+        order = np.argsort(owner.astype(np.int64) * width + kid)
         owner, kid = owner[order], kid[order]
         new_row = np.diff(owner, prepend=-1) != 0
         rank = np.arange(len(owner)) - np.flatnonzero(new_row)[np.cumsum(new_row) - 1]
@@ -285,16 +299,13 @@ def empirical_fringe_distribution(tree: Tree, k: int = 0, truncation: int = 12) 
     parent = _parent_array(tree)
     up, leaves = _deflate_leaves(parent)
     depth, size = _depths_and_sizes(up, leaves)
-    ids, keys, rows = _ahu_classes(up, size, leaves, truncation)
     # one entry per scanned internal vertex and one per group of sibling
     # leaves whose k-th ancestor has at most `truncation` vertices: the class
-    # it starts with, how many vertices it stands for, and the vertex above
+    # it starts with, how many vertices it stands for, and the vertex above.
+    # Which entries count follows from the depths and sizes alone, so the
+    # depths are freed before the classes are labelled.
     if k == 0:
-        # every leaf, a lone root too, has class 0 and size 1
         scanned = len(parent)
-        inside = np.append(size, 1) <= truncation
-        code = np.append(ids, 0)[inside]
-        weight = np.append(np.ones(len(up), dtype=np.int64), len(parent) - len(up))[inside]
     else:
         # the (k-1)-th ancestor of an internal vertex is the k-th ancestor of
         # its leaf children and of its internal children
@@ -304,15 +315,28 @@ def empirical_fringe_distribution(tree: Tree, k: int = 0, truncation: int = 12) 
             top = up[top]
         fits = np.zeros(len(up), dtype=bool)
         fits[deep] = size[top] <= truncation
-        inner = np.flatnonzero(depth >= k)
-        scanned = len(inner) + int(leaves[deep].sum())
+        scanned = int(leaves[deep].sum())
         del deep, top
-        inner = inner[fits[up[inner]]]
-        twigs = np.flatnonzero(fits & (leaves > 0))
+        inner = depth >= k
+        scanned += int(np.count_nonzero(inner))
+        inner &= fits[up]  # a root's -1 reads the last entry, but a root has depth 0 < k
+        twigs = fits & (leaves > 0)
         del fits
+    del depth
+    ids, keys, rows = _ahu_classes(up, size, leaves, truncation)
+    del size
+    if k == 0:
+        # every leaf, a lone root too, has class 0 and size 1, and an
+        # internal vertex has a class when it has at most `truncation` vertices
+        inside = np.append(ids >= 0, truncation >= 1)
+        code = np.append(ids, 0)[inside]
+        weight = np.append(np.ones(len(up), dtype=leaves.dtype), len(parent) - len(up))[inside]
+        del inside
+    else:
+        inner, twigs = np.flatnonzero(inner), np.flatnonzero(twigs)
         code = np.concatenate([ids[inner], np.zeros(len(twigs), dtype=np.int64)])
-        weight = np.concatenate([np.ones(len(inner), dtype=np.int64), leaves[twigs]])
-        above = np.concatenate([up[inner], twigs])
+        weight = np.concatenate([np.ones(len(inner), dtype=leaves.dtype), leaves[twigs]])
+        w = np.concatenate([up[inner], twigs])  # the vertex above each entry
         del inner, twigs
     # the decomposition of v and the classes on its path up to the k-th
     # ancestor determine each other, so count the paths of classes, folded
@@ -322,7 +346,8 @@ def empirical_fringe_distribution(tree: Tree, k: int = 0, truncation: int = 12) 
     # the classes, and every class is made from a vertex, so occurs)
     width, labels, top_class = len(keys), keys, range(len(keys))
     for j in range(k):
-        w = above if j == 0 else up[w]
+        if j:
+            w = up[w]
         distinct, code = np.unique(code * width + ids[w], return_inverse=True)
         prev, anc = (x.tolist() for x in np.divmod(distinct, width))
         labels = [labels[p] + "|" + _cut(rows[a], keys[top_class[p]]) for p, a in zip(prev, anc)]

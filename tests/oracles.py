@@ -5,7 +5,9 @@ way: the replayed weight sum behind `growth._thetas`, the O(n) sampler
 behind the token sampler, history probabilities by repeated
 `attach_probabilities`, the tree invariants, the per-path marked Yule chain
 behind `yule_marked_ensemble`, every thinning point of `mc_zeta_hat` drawn
-at once behind its blocks of replicas, the key parser `decode_key` and the canonical
+at once behind its blocks of replicas, the list-based degree ccdf and
+tail fits behind the array-native `tail_ccdf`, `fit_power_tail` and
+`tail_window_sensitivity`, the key parser `decode_key` and the canonical
 key rebuilt from its parts, the fringe decomposition and the fringe
 histogram that cut parsed keys, behind `extended_fringe` and the
 leaf-deflated `empirical_fringe_distribution` (the histogram reference also
@@ -18,11 +20,12 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 from scipy import stats
 
+from seritree.analysis import TAIL_MIN_POINTS, TAIL_QUANTILE, TailFit
 from seritree.growth import TreeRecord, _edge_time_sums, attach_probabilities
 from seritree.limits import _check_delta, _check_variant, _mark_probability, exponents
 from seritree.rng import CounterRng
@@ -166,6 +169,73 @@ def mc_zeta_hat_reference(delta: float, reps: int, rng: CounterRng) -> np.ndarra
     return np.bincount(rep_idx, weights=t, minlength=reps)
 
 
+def tail_ccdf_reference(source: Union[Sequence[int], TreeRecord]) -> list[tuple[int, float]]:
+    """`tail_ccdf` as a list of (k, P(deg >= k)) tuples, one per degree."""
+    degrees = np.asarray(source.degree if isinstance(source, TreeRecord) else source, dtype=np.int64)
+    if degrees.size == 0:
+        raise ValueError("empty degree sample")
+    if degrees.min() < 1:
+        raise ValueError("degrees must be >= 1")
+    counts = np.bincount(degrees)
+    total = degrees.size
+    # vertices of degree >= k, for k = 1..max
+    tails = total - np.concatenate(([0], np.cumsum(counts[1:-1])))
+    return [(k, tail / total) for k, tail in enumerate(tails.tolist(), start=1)]
+
+
+def fit_power_tail_reference(
+    ccdf: Sequence[tuple[int, float]],
+    n_samples: Optional[int] = None,
+    window: Optional[tuple[int, int]] = None,
+) -> TailFit:
+    """`fit_power_tail` on a list of (k, p) rows, picking the window and the points with list comprehensions."""
+    pairs = [(k, p) for k, p in ccdf if p > 0]
+    if window is not None:
+        k_lo, k_hi = window
+    else:
+        if n_samples is None:
+            raise ValueError("n_samples is required for the default window policy")
+        k_lo = next((k for k, p in pairs if p <= TAIL_QUANTILE), None)
+        k_hi = max((k for k, p in pairs if p * n_samples >= 50), default=None)
+        if k_lo is None or k_hi is None:
+            raise ValueError("tail window is empty under the default policy")
+    sel = [(k, p) for k, p in pairs if k_lo <= k <= k_hi]
+    if len(sel) < TAIL_MIN_POINTS:
+        raise ValueError(f"window [{k_lo}, {k_hi}] holds {len(sel)} points; need >= {TAIL_MIN_POINTS}")
+    x = np.log([k for k, _ in sel])
+    y = np.log([p for _, p in sel])
+    slope, intercept = np.polyfit(x, y, 1)
+    resid = y - (slope * x + intercept)
+    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    r2 = 1.0 - float(np.sum(resid**2)) / ss_tot if ss_tot > 0 else 1.0
+    r2 = min(1.0, max(0.0, r2))
+    return TailFit(
+        slope=float(slope),
+        intercept=float(intercept),
+        k_min=int(k_lo),
+        k_max=int(k_hi),
+        r_squared=r2,
+        n_tail_points=len(sel),
+    )
+
+
+def tail_window_sensitivity_reference(
+    ccdf: Sequence[tuple[int, float]], n_samples: int
+) -> list[TailFit]:
+    """`tail_window_sensitivity` over `fit_power_tail_reference`."""
+    base = fit_power_tail_reference(ccdf, n_samples=n_samples)
+    fits = [base]
+    for k_lo, k_hi in (
+        (max(1, base.k_min // 2), base.k_max),
+        (base.k_min * 2, base.k_max),
+    ):
+        try:
+            fits.append(fit_power_tail_reference(ccdf, window=(k_lo, k_hi)))
+        except ValueError:
+            pass
+    return fits
+
+
 def decode_key(key: str) -> list[str]:
     """Top-level child keys of a canonical key (empty list for a leaf)."""
     if not key.startswith("(") or not key.endswith(")"):
@@ -199,27 +269,28 @@ def cut_key(key: str, child: str) -> str:
     return "(" + "".join(parts) + ")"
 
 
-def extended_fringe_reference(tree: Tree, v: int, k: int) -> list[str]:
-    """Keys (f_0, ..., f_k) of the fringe decomposition along the root path.
+def extended_fringes_reference(tree: Tree, k: int) -> dict[int, list[str]]:
+    """Keys (f_0, ..., f_k) of the fringe decomposition of every vertex of depth >= k.
 
     f_0 is the descendant subtree of v; f_i is the subtree hanging off the
     i-th vertex on the path to the root once the branch containing v is
-    removed, cut from the i-th vertex's key by `cut_key`.  Requires
-    depth(v) >= k >= 0.
+    removed, cut from the i-th vertex's key by `cut_key`.  A key depends on
+    the descendants alone, so one sweep keys every vertex, and each vertex's
+    cut of its parent is made once and shared by every path through it.
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     parent = _parent_array(tree).tolist()
-    if not 0 <= v < len(parent):
-        raise IndexError(f"vertex {v} not in tree")
-    path = [v]
-    while len(path) <= k:
-        p = parent[path[-1]]
-        if p < 0:
-            raise ValueError(f"vertex {v} has depth {len(path) - 1} < k={k}")
-        path.append(p)
-    keys = _keys(parent, range(len(parent) - 1, path[-1] - 1, -1))
-    return [keys[v]] + [cut_key(keys[u], keys[w]) for w, u in zip(path, path[1:])]
+    keys = _keys(parent, range(len(parent) - 1, -1, -1))
+    cuts = {w: cut_key(keys[u], keys[w]) for w, u in enumerate(parent) if u >= 0} if k else {}
+    decompositions = {}
+    for v in range(len(parent)):
+        path = [v]
+        while len(path) <= k and parent[path[-1]] >= 0:
+            path.append(parent[path[-1]])
+        if len(path) > k:
+            decompositions[v] = [keys[v]] + [cuts[w] for w in path[:-1]]
+    return decompositions
 
 
 def reencode_key(key: str) -> str:

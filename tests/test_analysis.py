@@ -1,5 +1,6 @@
 import concurrent.futures
 import math
+from dataclasses import astuple
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -20,14 +21,16 @@ from seritree.analysis import (
 from seritree.growth import GrowthParams, TreeRecord, grow
 from seritree.treeops import FringeHistogram
 
+from oracles import fit_power_tail_reference, tail_ccdf_reference, tail_window_sensitivity_reference
+
 
 # --- ccdf ----------------------------------------------------------------------
 
 def test_tail_ccdf_monotone_and_starts_at_one():
     tree, _ = grow(GrowthParams(delta=0.0, n_final=5000, seed=1))
-    cc = tail_ccdf(tree)
-    assert cc[0] == (1, 1.0)
-    values = [p for _, p in cc]
+    k, p = tail_ccdf(tree)
+    assert (k[0], p[0]) == (1, 1.0)
+    values = p.tolist()
     assert all(a >= b for a, b in zip(values, values[1:]))
 
 
@@ -38,22 +41,85 @@ def test_tail_ccdf_rejects_bad_input():
         tail_ccdf([0, 1, 2])
 
 
+def test_tail_ccdf_refuses_fractional_degrees():
+    # a cast to int64 would count [1, 2, 3]
+    with pytest.raises(ValueError, match="whole numbers"):
+        tail_ccdf([1.5, 2.7, 3])
+    k, p = tail_ccdf(np.array([1.0, 2.0, 2.0, 3.0]))  # whole floats are degrees
+    assert k.tolist() == [1, 2, 3] and p.tolist() == [1.0, 0.75, 0.25]
+
+
+def test_tail_ccdf_refuses_a_2d_sample():
+    with pytest.raises(ValueError, match="one-dimensional"):
+        tail_ccdf([[1, 2], [3, 4]])
+
+
+def test_tail_ccdf_matches_the_list_reference():
+    tree, _ = grow(GrowthParams(delta=-0.5, n_final=20000, seed=2))
+    k, p = tail_ccdf(tree)
+    assert k.dtype == np.int64 and p.dtype == np.float64
+    assert list(zip(k.tolist(), p.tolist())) == tail_ccdf_reference(tree)
+
+
 # --- power-law fitting ------------------------------------------------------------
+
+def _columns(rows):
+    """A list of (k, p) rows as the (k, p) pair of arrays that `tail_ccdf` returns."""
+    k, p = zip(*rows)
+    return np.array(k), np.array(p)
+
+
+def _synthetic(exponent, k_end):
+    return [(k, k**-exponent) for k in range(1, k_end)]
+
 
 @pytest.mark.parametrize("exponent", [1.2, 1.618, 2.7])
 def test_fit_recovers_synthetic_exponents(exponent):
-    ccdf = [(k, k**-exponent) for k in range(1, 400)]
+    ccdf = _columns(_synthetic(exponent, 400))
     fit = fit_power_tail(ccdf, window=(1, 399))
     assert abs(fit.slope + exponent) < 1e-3
     assert fit.r_squared > 1 - 1e-9
 
 
 def test_fit_window_requirements():
-    ccdf = [(k, k**-2.0) for k in range(1, 30)]
+    ccdf = _columns(_synthetic(2.0, 30))
     with pytest.raises(ValueError):
         fit_power_tail(ccdf, window=(1, 5))
     with pytest.raises(ValueError):
         fit_power_tail(ccdf)  # default policy needs n_samples
+
+
+def test_fit_refuses_degrees_below_one():
+    # log(0) would only warn, and the fit would come out NaN
+    k, p = _columns(_synthetic(2.0, 30))
+    with pytest.raises(ValueError, match=">= 1"):
+        fit_power_tail((k - 1, p), window=(0, 29))
+
+
+@pytest.mark.parametrize("bad", [1.5, -0.25, math.nan])
+def test_fit_refuses_probabilities_outside_the_unit_interval(bad):
+    k, p = _columns(_synthetic(2.0, 30))
+    p[3] = bad
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        fit_power_tail((k, p), window=(1, 29))
+
+
+@pytest.mark.parametrize("exponent", [1.2, 1.618, 2.7])
+@pytest.mark.parametrize("window", [(1, 399), (3, 40), None])
+def test_fit_matches_the_list_reference_on_synthetic_ccdfs(exponent, window):
+    rows = _synthetic(exponent, 400)
+    assert fit_power_tail(_columns(rows), 10**6, window) == fit_power_tail_reference(rows, 10**6, window)
+    assert tail_window_sensitivity(_columns(rows), 10**6) == tail_window_sensitivity_reference(rows, 10**6)
+
+
+@pytest.mark.parametrize("delta", [-0.5, 0.0, 0.3, 2.0])
+def test_fit_matches_the_list_reference_on_grown_trees(delta):
+    # every TailFit field equal, the floats bit for bit, on every fit window
+    tree, _ = grow(GrowthParams(delta=delta, n_final=10**5, seed=5))
+    fits = tail_window_sensitivity(tail_ccdf(tree), n_samples=tree.n + 1)
+    reference = tail_window_sensitivity_reference(tail_ccdf_reference(tree), n_samples=tree.n + 1)
+    assert len(fits) >= 2
+    assert [astuple(f) for f in fits] == [astuple(f) for f in reference]
 
 
 def test_window_sensitivity_reports_multiple_fits():

@@ -1,4 +1,4 @@
-"""Working-memory bounds of the estimators, tree readers and writers, the child counts and the fringe scan.
+"""Working-memory bounds of the estimators, tree readers and writers, the child and degree counts, the tail fit and the fringe scan.
 
 tracemalloc sees numpy's buffers, so its peak is the largest amount of
 memory the call held at once, whatever the platform's allocator does.
@@ -8,7 +8,8 @@ import tracemalloc
 
 import pytest
 
-from seritree.growth import GrowthParams, TreeRecord, grow
+from seritree.analysis import tail_ccdf, tail_window_sensitivity
+from seritree.growth import GrowthParams, TreeRecord, grow, value_counts
 from seritree.limits import mc_zeta_hat
 from seritree.rng import CounterRng
 from seritree.serialize import read_tree_binary, read_tree_csv, write_tree_binary, write_tree_csv
@@ -63,8 +64,10 @@ def test_read_tree_csv_parses_int32_rows(tmp_path, tree_3e5):
 
 def test_fringe_scan_k2_memory(tree_3e5):
     # the entries whose k-th ancestor is too large are dropped before the
-    # per-entry arrays exist: near 6.9 MB, where building them all took 12.2 MB
-    assert _peak_mb(empirical_fringe_distribution, tree_3e5, 2, 12) < 9.5
+    # per-entry arrays exist, the per-vertex arrays are int32 and the depths
+    # are freed before the classes are labelled: near 4.8 MB, where int64
+    # arrays and the depths held to the end took 6.9 MB
+    assert _peak_mb(empirical_fringe_distribution, tree_3e5, 2, 12) < 6
 
 
 def test_degree_counts_in_place(tree_3e5):
@@ -74,6 +77,27 @@ def test_degree_counts_in_place(tree_3e5):
 
 
 def test_deflate_leaves_counts_in_place(tree_3e5):
-    # the 2.4 MB child counts beside the internal vertices' arrays, near
-    # 3.8 MB; a shifted copy of the parents beside the counts would take 4.8 MB
+    # the 1.2 MB int32 child counts beside the internal vertices' arrays,
+    # near 3.2 MB; a shifted int64 copy of the parents beside int64 counts
+    # would take 4.8 MB
     assert _peak_mb(_deflate_leaves, tree_3e5.parent) < 4.3
+
+
+def test_value_counts_reads_the_degrees_in_place(tree_3e5):
+    # the counts alone, near 0.05 MB; `np.bincount` would first copy the
+    # 2.4 MB read-only degrees
+    degree = tree_3e5.degree
+    assert _peak_mb(value_counts, degree) < 1.2
+
+
+def test_tail_fit_builds_no_object_per_degree():
+    # the delta = -1/2 tail reaches degree 18,168: the fits' arrays of that
+    # length peak near 0.65 MB, where (k, p) tuples and a copy of the
+    # read-only degrees took 3.3 MB
+    tree, _ = grow(GrowthParams(delta=-0.5, n_final=3 * 10**5, seed=4))
+    tree.degree
+
+    def fit():
+        return tail_window_sensitivity(tail_ccdf(tree), n_samples=tree.n + 1)
+
+    assert _peak_mb(fit) < 1.5

@@ -39,7 +39,7 @@ def test_no_unused_imports():
 
 def test_import_leaves_scipy_stats_out():
     # importing any of scipy costs every command a third of a second or more;
-    # only `selftest` and the tests load it, lazily
+    # only the tests load it (`selftest` runs on numpy alone)
     code = "import sys, seritree, seritree.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"

@@ -18,7 +18,7 @@ from seritree.treeops import (
     key_size,
 )
 
-from oracles import decode_key, depth_and_size, empirical_fringe_reference, extended_fringe_reference, reencode_key
+from oracles import decode_key, depth_and_size, empirical_fringe_reference, extended_fringes_reference, reencode_key
 
 
 def _brute_isomorphic(children_a, ra, children_b, rb):
@@ -380,8 +380,10 @@ def test_extended_fringe_matches_reference_on_every_vertex(k):
     # the cuts from child-key rows against the old cuts of parsed keys
     for name, tree in _reference_inputs(max_n=1000):
         depth, _ = depth_and_size(_parent_array(tree))
-        for v in np.flatnonzero(depth >= k).tolist():
-            assert extended_fringe(tree, v, k) == extended_fringe_reference(tree, v, k), (name, v)
+        reference = extended_fringes_reference(tree, k)
+        assert sorted(reference) == np.flatnonzero(depth >= k).tolist(), name
+        for v, decomposition in reference.items():
+            assert extended_fringe(tree, v, k) == decomposition, (name, v)
 
 
 def test_leaf_fraction_near_limit():
