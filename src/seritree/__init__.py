@@ -38,13 +38,11 @@ from .limits import (
     MarkedTree,
     NodeCapExceeded,
     exponents,
-    hazard,
     limit_degree_pmf,
     limit_neighborhood_density,
     marked_neighborhood_log_prob,
     mc_zeta_hat,
     p1_quadrature,
-    sample_arrivals,
     sample_edge_bp,
     sample_memory_bp,
     yule_marked_ensemble,

@@ -167,9 +167,10 @@ def cmd_tail(args) -> int:
 
 
 def cmd_growth_fit(args) -> int:
-    checkpoints = _parse_checkpoints(args.checkpoints, args.n) or (
-        args.n // 1000, args.n // 100, args.n // 10, args.n,
-    )
+    checkpoints = _parse_checkpoints(args.checkpoints, args.n)
+    if not checkpoints and args.n < 1000:
+        raise CliError(f"--n {args.n} is below 1000, so the default first checkpoint n // 1000 is 0")
+    checkpoints = checkpoints or (args.n // 1000, args.n // 100, args.n // 10, args.n)
     try:
         fit = analysis.fit_degree_growth(
             args.delta, args.vertex, checkpoints, args.seeds,
@@ -277,14 +278,14 @@ def _max_form_gap(delta: float, reps: int, rng: CounterRng) -> float:
     """Largest gap between the two closed forms of the local-limit density.
 
     Over `reps` random marked trees of at most 5 vertices, the gap of the
-    `discrete_limit` and `hazard_product` densities, relative to the first
-    one where it exceeds 1.
+    product-form and hazard-form densities, relative to the first one where
+    it exceeds 1.
     """
     worst = 0.0
     for _ in range(reps):
         tree = limits.random_marked_tree(rng, max_vertices=5)
-        d1 = limits.limit_neighborhood_density(tree, delta, form="discrete_limit")
-        d2 = limits.limit_neighborhood_density(tree, delta, form="hazard_product")
+        d1 = limits._density_product_form(tree, delta)
+        d2 = limits._density_hazard_form(tree, delta)
         worst = max(worst, abs(d1 - d2) / max(1.0, abs(d1)))
     return worst
 

@@ -4,7 +4,7 @@ This module simulates and evaluates the continuum limits that the grown tree
 converges to locally:
 
 * the memory-driven offspring point process, specified through hazard rates
-  for its inter-arrival times (`hazard`, `sample_arrivals`);
+  for its inter-arrival times and drawn by `_arrivals`;
 * the edge branching process, in which the root reproduces at rate
   (1+delta)/(1+delta/2) * (1-e^-t) and every other individual at rate
   (1-e^-age)/(1+delta/2); its population size matches the offspring count
@@ -19,10 +19,12 @@ converges to locally:
   (`exponents`);
 * discounted offspring integrals and their cumulants (`zeta_hat_cumulant`,
   `mc_zeta_hat`);
-* the limiting degree distribution (`limit_degree_pmf`) and its p(1) as a
+* the limiting degree distribution (`limit_degree_pmf`), which counts the
+  offspring process's arrivals before an exp(1) time, and its p(1) as a
   fast-converging series (`p1_quadrature`);
 * exact discrete and limiting densities of marked neighborhoods
-  (`marked_neighborhood_log_prob`, `limit_neighborhood_density`);
+  (`marked_neighborhood_log_prob`, `limit_neighborhood_density`, which
+  checks its two closed forms against each other);
 * the marked Yule process tracking a fixed vertex's degree in continuous
   time, for many replicas at once (`yule_marked_ensemble`).
 """
@@ -60,10 +62,6 @@ class ExponentPack:
     eigen_plus: float   # principal drift eigenvalue, equals lam
     eigen_minus: float  # secondary (negative) drift eigenvalue
     v2: float           # second coordinate of the principal left-eigenvector
-
-    def drift_matrix(self) -> np.ndarray:
-        g = self.gamma
-        return np.array([[g, -g], [g, -(1.0 + g)]])
 
 
 def _check_delta(delta: float) -> None:
@@ -111,45 +109,26 @@ def rate_nonroot(age: float, delta: float) -> float:
     return (1.0 - math.exp(-age)) / (1.0 + 0.5 * delta)
 
 
-def hazard(sigmas: Sequence[float], x: float, delta: float) -> float:
-    """Hazard rate, at elapsed time x, of the next arrival after sigma_1..sigma_{k-1}.
-
-    The root contributes (1+delta)/(1+delta/2) * (1 - e^-(sigma_{k-1} + x)),
-    which is (1+delta)/(1+delta/2) * (1-e^-x) for the first arrival, and each
-    previous arrival a (1 - e^-(sigma_{k-1} - sigma_j + x))/(1+delta/2) term.
-    The value always lies in [0, (k+delta)/(1+delta/2)).  This is the
-    definition; `_arrivals` evaluates the same sum in O(1) by a recurrence.
-    """
-    if x < 0:
-        raise ValueError("x must be >= 0")
-    a = (1.0 + delta) / (1.0 + 0.5 * delta)
-    b = 1.0 / (1.0 + 0.5 * delta)
-    s_prev = sigmas[-1] if sigmas else 0.0
-    h = a * (1.0 - math.exp(-(x + s_prev)))
-    for sj in sigmas:
-        h += b * (1.0 - math.exp(-(s_prev - sj + x)))
-    return h
-
-
-def _arrivals(
-    delta: float, rng: CounterRng, t_max: float, birth: float = 0.0, max_arrivals: Optional[int] = None
-) -> Iterator[float]:
+def _arrivals(delta: float, rng: CounterRng, t_max: float, birth: float = 0.0) -> Iterator[float]:
     """Arrival times, birth + age, of one individual's offspring up to t_max.
 
     Thinning (Lewis & Shedler 1979): the k-th arrival is proposed against the
     constant bound (k+delta)/(1+delta/2), which its hazard approaches but
     never attains, so acceptance probabilities stay in [0, 1) and the sampled
     survival function is exp(-integral of the hazard) with no discretization
-    error.  Stops after `max_arrivals`, if given.
+    error.
 
-    The `hazard` after k arrivals, the last at age s, is
-    a(1 - e^-(s+x)) + b(k - e^-x E) with E = sum_j e^-(s - sigma_j), and an
-    arrival at x sets E to E e^-x + 1, so each proposal costs O(1).
+    The hazard at elapsed time x after k arrivals, the last at age s, is
+    the root's a(1 - e^-(s+x)) plus one b(1 - e^-(s - sigma_j + x)) per
+    earlier arrival sigma_j, with a = (1+delta)/(1+delta/2) and
+    b = 1/(1+delta/2).  That is a(1 - e^-(s+x)) + b(k - e^-x E) with
+    E = sum_j e^-(s - sigma_j), and an arrival at x sets E to E e^-x + 1,
+    so each proposal costs O(1).  `tests/oracles.py` keeps the O(k) sum.
     """
     a = (1.0 + delta) / (1.0 + 0.5 * delta)
     b = 1.0 / (1.0 + 0.5 * delta)
     k, s, e = 0, 0.0, 0.0
-    while max_arrivals is None or k < max_arrivals:
+    while True:
         bound = (k + 1 + delta) * b
         x = 0.0
         while True:
@@ -176,32 +155,6 @@ def _exp1_horizon(rng: CounterRng, t_max: Optional[float], exp1: bool) -> Option
     if t_max is not None:
         raise ValueError("exp1=True draws the horizon; pass t_max or exp1, not both")
     return rng.exponential()
-
-
-def sample_arrivals(
-    delta: float,
-    rng: CounterRng,
-    *,
-    t_max: Optional[float] = None,
-    max_arrivals: Optional[int] = None,
-    exp1: bool = False,
-) -> list[float]:
-    """Sample the increasing arrival times of the limit point process.
-
-    The times come from `_arrivals`, the offspring of one individual in
-    `sample_memory_bp`.  Stop at `t_max`, after `max_arrivals`, or (with
-    ``exp1=True``) at an exponential(1) horizon drawn from `rng` first, in
-    place of `t_max`.
-    """
-    _check_delta(delta)
-    t_max = _exp1_horizon(rng, t_max, exp1)
-    if t_max is None and max_arrivals is None:
-        raise ValueError("need a stop rule: t_max, max_arrivals, or exp1")
-    if t_max is None:
-        t_max = math.inf
-    elif not t_max >= 0 or (t_max == math.inf and max_arrivals is None):  # NaN fails too
-        raise ValueError("t_max must be >= 0, and finite without max_arrivals")
-    return list(_arrivals(delta, rng, t_max, max_arrivals=max_arrivals))
 
 
 # ---------------------------------------------------------------------------
@@ -306,10 +259,10 @@ def sample_memory_bp(
 
     Every individual carries its own copy of the limit offspring point
     process: the hazard of its k-th child depends on the ages at which its
-    previous children arrived.  Its children come from `_arrivals`, as in
-    `sample_arrivals`, and the individuals run through `_genealogy`.  This
-    is the process whose genealogy, stopped at an independent exp(1) time,
-    gives the limiting fringe law.
+    previous children arrived.  Its children come from `_arrivals`, and the
+    individuals run through `_genealogy`.  This is the process whose
+    genealogy, stopped at an independent exp(1) time, gives the limiting
+    fringe law.
     """
     _check_delta(delta)
     return _genealogy(
@@ -418,14 +371,15 @@ def limit_degree_pmf(delta: float, reps: int, rng: CounterRng) -> DegreePMF:
     """Monte Carlo estimate of the limiting degree pmf.
 
     p(k) is the fraction of replicas in which the offspring process produced
-    exactly k-1 arrivals before an independent exp(1) time.
+    exactly k-1 arrivals before an independent exp(1) time.  Each replica
+    draws its horizon, then its arrivals up to it.
     """
     _check_delta(delta)
     if reps < 1:
         raise ValueError("reps must be >= 1")
     counts: dict[int, int] = {}
     for _ in range(reps):
-        k = len(sample_arrivals(delta, rng, exp1=True)) + 1
+        k = 1 + sum(1 for _ in _arrivals(delta, rng, rng.exponential()))
         counts[k] = counts.get(k, 0) + 1
     p = {k: c / reps for k, c in sorted(counts.items())}
     stderr = {k: math.sqrt(v * (1.0 - v) / reps) for k, v in p.items()}
@@ -552,6 +506,7 @@ def marked_neighborhood_log_prob(
     attachments (1 - sum of neighborhood weights / total weight).
     Cost O(n * |V(tree)|).
     """
+    _check_delta(delta)
     if tree.times is None:
         raise ValueError("discrete times required")
     if tree.times[-1] > n:
@@ -633,42 +588,32 @@ def _density_hazard_form(tree: MarkedTree, delta: float) -> float:
     return math.exp(log_dens)
 
 
-def limit_neighborhood_density(
-    tree: MarkedTree, delta: float, form: str = "discrete_limit"
-) -> float:
+def limit_neighborhood_density(tree: MarkedTree, delta: float) -> float:
     """Limit density of a marked neighborhood, evaluated via both closed forms.
 
     Both the product/exponential expression and the hazard-product expression
-    are computed and must agree to 1e-10 relative; `form` picks which value
-    is returned ("discrete_limit" or "hazard_product").
+    are computed and must agree to 1e-10 relative; the product form's value
+    is returned.
     """
+    _check_delta(delta)
     if tree.marks is None:
         raise ValueError("continuous marks required")
-    if form not in ("discrete_limit", "hazard_product"):
-        raise ValueError("form must be 'discrete_limit' or 'hazard_product'")
     d1 = _density_product_form(tree, delta)
     d2 = _density_hazard_form(tree, delta)
     if abs(d1 - d2) > 1e-10 * max(1.0, abs(d1), abs(d2)):
         raise AssertionError(f"density forms disagree: {d1} vs {d2}")
-    return d1 if form == "discrete_limit" else d2
+    return d1
 
 
 # ---------------------------------------------------------------------------
 # marked Yule process
 
-def _check_variant(variant: str) -> None:
-    if variant not in ("exact_chain", "simplified"):
-        raise ValueError("variant must be 'exact_chain' or 'simplified'")
-
-
 def _mark_probability(
-    y: float | np.ndarray, d: float | np.ndarray, w: float | np.ndarray, delta: float, variant: str
+    y: float | np.ndarray, d: float | np.ndarray, w: float | np.ndarray, delta: float
 ) -> float | np.ndarray:
     """Mark probability of the birth at pre-birth population y; all may be replica arrays."""
     gamma = 2.0 / (2.0 + delta)
-    if variant == "exact_chain":
-        return gamma * ((d + delta) / (y + 1.0) - w / (y * (y + 1.0)))
-    return gamma * ((d + delta) / y - w / (y * y))
+    return gamma * ((d + delta) / (y + 1.0) - w / (y * (y + 1.0)))
 
 
 def _check_mark_probability(p: np.ndarray, q: np.ndarray) -> None:
@@ -677,35 +622,27 @@ def _check_mark_probability(p: np.ndarray, q: np.ndarray) -> None:
         raise AssertionError("mark probability outside [0, 1]")
 
 
-def yule_marked_ensemble(
-    delta: float,
-    t_grid: Sequence[float],
-    reps: int,
-    rng: CounterRng,
-    variant: str = "exact_chain",
-) -> np.ndarray:
+def yule_marked_ensemble(delta: float, t_grid: Sequence[float], reps: int, rng: CounterRng) -> np.ndarray:
     """Marked-individual counts D(t) on a time grid for many replicas.
 
     The process is a rate-1 Yule process Y from Y(0) = 2, with one marked
     individual (D(0) = 1, W(0) = 2).  A birth at pre-birth population y is
-    marked with probability p = gamma*((D+delta)/(y+1) - W/(y(y+1))), y in
-    place of y+1 for the simplified variant, and a mark adds the post-birth
-    population to W.  `tests/oracles.py` keeps its jump chain, path by path,
-    as the reference.
+    marked with probability p = gamma*((D+delta)/(y+1) - W/(y(y+1))), and a
+    mark adds the post-birth population to W.  `tests/oracles.py` keeps its
+    jump chain, path by path, as the reference.
 
     This is an exact skip-ahead.  Y is a pure Yule process, so Y at the grid
     times comes first: Y(t') - Y(t) given Y(t) = y is NegBin(y, e^-(t'-t))
     (Kendall 1948).  The births taken by t_g are those whose pre-birth
     population is below Y(t_g).  Between marks D and W are fixed, and the
-    mark probability p is at most q = min(1, gamma*(D+delta)/(y+1)) (y for
-    the simplified variant), which does not increase in y.  So the next
-    candidate birth is a geometric(q) skip, accepted with probability p/q
-    (discrete thinning; Lewis & Shedler 1979), and q is recomputed after
-    every candidate.  A replica stops at the first candidate past its last
-    grid time.  p must lie in [0, 1] at every birth taken: it is checked
-    against [0, q] at each candidate and at the first birth after each mark,
-    which suffices because (D+delta)y - W increases in y.  Returns an array
-    of shape (len(t_grid), reps).
+    mark probability p is at most q = min(1, gamma*(D+delta)/(y+1)), which
+    does not increase in y.  So the next candidate birth is a geometric(q)
+    skip, accepted with probability p/q (discrete thinning; Lewis & Shedler
+    1979), and q is recomputed after every candidate.  A replica stops at
+    the first candidate past its last grid time.  p must lie in [0, 1] at
+    every birth taken: it is checked against [0, q] at each candidate and at
+    the first birth after each mark, which suffices because (D+delta)y - W
+    increases in y.  Returns an array of shape (len(t_grid), reps).
     """
     _check_delta(delta)
     grid = np.asarray(t_grid, dtype=float)
@@ -716,7 +653,6 @@ def yule_marked_ensemble(
         raise ValueError("t_grid must be finite")
     if reps < 1:
         raise ValueError("reps must be >= 1")
-    _check_variant(variant)
     gen = rng.numpy_rng()
     # Y at each grid time (2 up to time 0), then a population no birth reaches
     pop = np.full((n_grid + 1, reps), np.iinfo(np.int64).max)
@@ -726,7 +662,7 @@ def yule_marked_ensemble(
             y_t = y_t + gen.negative_binomial(y_t, math.exp(t - t_g))
             t = t_g
         pop[g] = y_t
-    gamma, shift = 2.0 / (2.0 + delta), 1.0 if variant == "exact_chain" else 0.0
+    gamma = 2.0 / (2.0 + delta)
     out = np.empty((n_grid, reps))
     # the running replicas: replica number, pre-birth population of the next
     # birth, D, W, grid times recorded, Y at the next and at the last of them
@@ -734,9 +670,9 @@ def yule_marked_ensemble(
     gi, nxt, last = np.zeros(reps, dtype=np.int64), pop[0], pop[n_grid - 1]
     opens = last > 2  # the next birth is taken and opens a gap between marks
     while idx.size:
-        q = np.minimum(gamma * (d + delta) / (y + shift), 1.0)
+        q = np.minimum(gamma * (d + delta) / (y + 1.0), 1.0)
         if opens.any():
-            p = _mark_probability(y[opens], d[opens], w[opens], delta, variant)
+            p = _mark_probability(y[opens], d[opens], w[opens], delta)
             _check_mark_probability(p, q[opens])
         y += gen.geometric(q) - 1  # the next candidate
         while (hit := y >= nxt).any():  # grid times before the candidate
@@ -747,7 +683,7 @@ def yule_marked_ensemble(
                 live = gi < n_grid
                 idx, y, d, w, gi, nxt, last, q = (
                     a[live] for a in (idx, y, d, w, gi, nxt, last, q))
-        p = _mark_probability(y, d, w, delta, variant)
+        p = _mark_probability(y, d, w, delta)
         _check_mark_probability(p, q)
         marked = gen.random(idx.size) * q < p
         d += marked

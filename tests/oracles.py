@@ -3,11 +3,14 @@
 Each is the literal, slow form of something the package computes another
 way: the replayed weight sum behind `growth._thetas`, the O(n) sampler
 behind the token sampler, history probabilities by repeated
-`attach_probabilities`, the tree invariants, the per-path marked Yule chain
-behind `yule_marked_ensemble`, every thinning point of `mc_zeta_hat` drawn
-at once behind its blocks of replicas, the list-based degree ccdf and
-tail fits behind the array-native `tail_ccdf`, `fit_power_tail` and
-`tail_window_sensitivity`, the key parser `decode_key` and the canonical
+`attach_probabilities`, the tree invariants, the drift matrix whose
+spectrum `exponents` gives in closed form, the O(k) hazard sum behind the
+O(1) recurrence in `limits._arrivals`, the arrival lists (with their
+`max_arrivals` stop) whose counts `limit_degree_pmf` takes, the per-path
+marked Yule chain behind `yule_marked_ensemble`, every thinning point of
+`mc_zeta_hat` drawn at once behind its blocks of replicas, the list-based
+degree ccdf and tail fits behind the array-native `tail_ccdf`,
+`fit_power_tail` and `tail_window_sensitivity`, the key parser `decode_key` and the canonical
 key rebuilt from its parts, the fringe decomposition and the fringe
 histogram that cut parsed keys, behind `extended_fringe` and the
 leaf-deflated `empirical_fringe_distribution` (the histogram reference also
@@ -16,6 +19,7 @@ chi-square that compares samplers in law.  Test files import them with
 ``from oracles import ...``.
 """
 
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -27,7 +31,7 @@ from scipy import stats
 
 from seritree.analysis import TAIL_MIN_POINTS, TAIL_QUANTILE, TailFit
 from seritree.growth import TreeRecord, _edge_time_sums, attach_probabilities
-from seritree.limits import _check_delta, _check_variant, _mark_probability, exponents
+from seritree.limits import ExponentPack, _arrivals, _check_delta, _exp1_horizon, _mark_probability, exponents
 from seritree.rng import CounterRng
 from seritree.treeops import LEAF_KEY, FringeHistogram, Tree, _keys, _parent_array
 
@@ -100,6 +104,58 @@ def check_tree_invariants(tree: TreeRecord) -> None:
         raise AssertionError("all degrees must be >= 1")
 
 
+def drift_matrix(pack: ExponentPack) -> np.ndarray:
+    """The drift matrix [[g, -g], [g, -(1+g)]], g = `pack.gamma`, whose spectrum `exponents` states."""
+    g = pack.gamma
+    return np.array([[g, -g], [g, -(1.0 + g)]])
+
+
+def hazard(sigmas: Sequence[float], x: float, delta: float) -> float:
+    """Hazard rate, at elapsed time x, of the next arrival after sigma_1..sigma_{k-1}.
+
+    The root contributes (1+delta)/(1+delta/2) * (1 - e^-(sigma_{k-1} + x)),
+    which is (1+delta)/(1+delta/2) * (1-e^-x) for the first arrival, and each
+    previous arrival a (1 - e^-(sigma_{k-1} - sigma_j + x))/(1+delta/2) term.
+    The value always lies in [0, (k+delta)/(1+delta/2)).  This is the
+    definition; `_arrivals` evaluates the same sum in O(1) by a recurrence.
+    """
+    if x < 0:
+        raise ValueError("x must be >= 0")
+    a = (1.0 + delta) / (1.0 + 0.5 * delta)
+    b = 1.0 / (1.0 + 0.5 * delta)
+    s_prev = sigmas[-1] if sigmas else 0.0
+    h = a * (1.0 - math.exp(-(x + s_prev)))
+    for sj in sigmas:
+        h += b * (1.0 - math.exp(-(s_prev - sj + x)))
+    return h
+
+
+def sample_arrivals(
+    delta: float,
+    rng: CounterRng,
+    *,
+    t_max: Optional[float] = None,
+    max_arrivals: Optional[int] = None,
+    exp1: bool = False,
+) -> list[float]:
+    """The increasing arrival times of the limit point process, as a list.
+
+    The times come from `limits._arrivals`.  Stop at `t_max`, after
+    `max_arrivals` (by `itertools.islice`, which asks for no arrival past
+    the last one, so no word past it is drawn), or (with ``exp1=True``) at
+    an exponential(1) horizon drawn from `rng` first, in place of `t_max`.
+    """
+    _check_delta(delta)
+    t_max = _exp1_horizon(rng, t_max, exp1)
+    if t_max is None and max_arrivals is None:
+        raise ValueError("need a stop rule: t_max, max_arrivals, or exp1")
+    if t_max is None:
+        t_max = math.inf
+    elif not t_max >= 0 or (t_max == math.inf and max_arrivals is None):  # NaN fails too
+        raise ValueError("t_max must be >= 0, and finite without max_arrivals")
+    return list(itertools.islice(_arrivals(delta, rng, t_max), max_arrivals))
+
+
 @dataclass
 class YulePath:
     """Trajectory of (Y, D, W) at jump times of the marked Yule process."""
@@ -114,28 +170,25 @@ def yule_marked_simulate(
     delta: float,
     t_max: float,
     rng: CounterRng,
-    variant: str = "exact_chain",
 ) -> YulePath:
     """Simulate the rate-1 Yule process with degree marks up to time t_max.
 
     Starts from Y(0)=2 with one marked individual (mark time 0, so W(0)=2).
     Births occur at rate Y; each new individual is marked with probability
-    gamma*((D+delta)/(Y+1) - W/(Y(Y+1))) for the exact chain, or with Y in
-    place of Y+1 for the simplified variant.  On a mark, W increases by the
+    gamma*((D+delta)/(Y+1) - W/(Y(Y+1))).  On a mark, W increases by the
     post-birth population.  The jump chain is exact in distribution
     (exponential holding times with mean 1/Y).
     """
     _check_delta(delta)
     if not 0.0 < t_max < math.inf:
         raise ValueError("t_max must be positive and finite")
-    _check_variant(variant)
     t, y, d, w = 0.0, 2, 1, 2.0
     ts, ys, ds, ws = [t], [y], [d], [w]
     while True:
         t += rng.exponential(y)
         if t > t_max:
             break
-        p = _mark_probability(y, d, w, delta, variant)
+        p = _mark_probability(y, d, w, delta)
         if not -1e-12 <= p <= 1.0 + 1e-12:
             raise AssertionError(f"mark probability {p} outside [0, 1]")
         marked = rng.random() < p

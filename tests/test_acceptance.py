@@ -31,6 +31,8 @@ from seritree.growth import (
 )
 from seritree.limits import (
     MarkedTree,
+    _density_hazard_form,
+    _density_product_form,
     exponents,
     limit_degree_pmf,
     limit_neighborhood_density,
@@ -38,7 +40,6 @@ from seritree.limits import (
     mc_zeta_hat,
     p1_quadrature,
     random_marked_tree,
-    sample_arrivals,
     sample_edge_bp,
     yule_marked_ensemble,
     zeta_hat_cumulant,
@@ -50,7 +51,7 @@ from seritree.treeops import (
     key_size,
 )
 
-from oracles import decode_key, same_law_p
+from oracles import decode_key, same_law_p, sample_arrivals
 
 E_MINUS_2 = math.e - 2.0
 
@@ -224,8 +225,8 @@ def test_criterion_09_local_limit_density():
     worst = 0.0
     for _ in range(1000):
         tree = random_marked_tree(rng, max_vertices=5)
-        d1 = limit_neighborhood_density(tree, 0.0, form="discrete_limit")
-        d2 = limit_neighborhood_density(tree, 0.0, form="hazard_product")
+        d1 = _density_product_form(tree, 0.0)
+        d2 = _density_hazard_form(tree, 0.0)
         worst = max(worst, abs(d1 - d2) / max(1.0, abs(d1)))
     duality_ok = worst <= 1e-10
 

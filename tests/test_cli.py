@@ -244,3 +244,11 @@ def test_invalid_input_exits_before_output(tmp_path, monkeypatch, capsys, argv, 
     assert not out.exists()
     # only the tail fit needs the grown tree to find its --n too small
     assert bool(grown) == (argv[0] == "tail" and "--tolerance" not in argv)
+
+
+def test_growth_names_n_when_the_default_first_checkpoint_is_zero(tmp_path, capsys):
+    # this used to say "checkpoints must be >= 1, got 0" with no --checkpoints given
+    out = tmp_path / "out"
+    assert run_cli(["growth", "--delta", "0", "--seed", "1", "--n", "10", "--seeds", "1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: --n 10 is below 1000, so the default first checkpoint n // 1000 is 0\n"
+    assert not out.exists()

@@ -15,7 +15,6 @@ from seritree.growth import GrowthParams, grow
 from seritree.limits import (
     limit_degree_pmf,
     mc_zeta_hat,
-    sample_arrivals,
     sample_edge_bp,
     sample_memory_bp,
     yule_marked_ensemble,
@@ -24,7 +23,7 @@ from seritree.rng import CounterRng
 from seritree.serialize import write_tree_binary, write_tree_csv
 from seritree.treeops import bp_fringe_sample, empirical_fringe_distribution
 
-from oracles import yule_marked_simulate
+from oracles import sample_arrivals, yule_marked_simulate
 
 N = 10**4
 SEED = 20240611
@@ -244,23 +243,9 @@ def test_sample_edge_bp_digest(delta, rule):
     assert (parents, _hex_digest(bp.birth_times for bp in bps), rng.counter) == EDGE_BP_DIGESTS[(delta, rule)]
 
 
-def test_yule_marked_ensemble_simplified_digest():
+def test_yule_marked_simulate_digest():
+    # digest of t, y, d, w over 20 paths, and the words consumed
     rng = CounterRng(SEED)
-    counts = yule_marked_ensemble(0.0, (1.0, 2.0, 3.0), 200, rng, variant="simplified")
-    assert rng.counter == 0  # the ensemble draws from its own Philox generator
-    assert _sha(counts.astype("<i8").tobytes()) == "beff9f722dd2bbecc28742cbba3b013fb3580152ee7009ef1f83c89e60aef7a4"
-
-
-# (digest of t, y, d, w over 20 paths, words consumed)
-YULE_PATH_DIGESTS = {
-    "exact_chain": ("e3b3c1920f421b457536e0b2220df250e6f2479858184cd1cdfd622eb6fc14e2", 4180),
-    "simplified": ("c24eb053e213a78bda0d5786a977c4445868afcf98a79f355ab57dec398d48d0", 4180),
-}
-
-
-@pytest.mark.parametrize("variant", sorted(YULE_PATH_DIGESTS))
-def test_yule_marked_simulate_digest(variant):
-    rng = CounterRng(SEED)
-    paths = [yule_marked_simulate(0.5, 4.0, rng, variant=variant) for _ in range(20)]
+    paths = [yule_marked_simulate(0.5, 4.0, rng) for _ in range(20)]
     rows = [row for p in paths for row in (p.t, p.y, p.d, p.w)]
-    assert (_hex_digest(rows), rng.counter) == YULE_PATH_DIGESTS[variant]
+    assert (_hex_digest(rows), rng.counter) == ("e3b3c1920f421b457536e0b2220df250e6f2479858184cd1cdfd622eb6fc14e2", 4180)

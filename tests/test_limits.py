@@ -11,13 +11,14 @@ from seritree import limits
 from seritree.growth import enumerate_histories
 from seritree.limits import (
     _ZETA_CHUNK,
+    _density_hazard_form,
+    _density_product_form,
     _mark_probability,
     _skip_words,
     BranchingTree,
     MarkedTree,
     NodeCapExceeded,
     exponents,
-    hazard,
     limit_degree_pmf,
     limit_neighborhood_density,
     marked_neighborhood_log_prob,
@@ -25,7 +26,6 @@ from seritree.limits import (
     p1_quadrature,
     random_marked_tree,
     rate_nonroot,
-    sample_arrivals,
     sample_edge_bp,
     sample_memory_bp,
     yule_marked_ensemble,
@@ -34,7 +34,15 @@ from seritree.limits import (
 from seritree.rng import CounterRng
 from seritree.treeops import OTHER_KEY, fringe, key_size
 
-from oracles import history_probability, mc_zeta_hat_reference, same_law_p, yule_marked_simulate
+from oracles import (
+    drift_matrix,
+    hazard,
+    history_probability,
+    mc_zeta_hat_reference,
+    same_law_p,
+    sample_arrivals,
+    yule_marked_simulate,
+)
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -63,10 +71,10 @@ def test_left_eigenvector_equation():
     for delta in (-0.5, 0.0, 1.0, 3.0):
         pack = exponents(delta)
         v = np.array([1.0, pack.v2])
-        residual = v @ pack.drift_matrix() - pack.eigen_plus * v
+        residual = v @ drift_matrix(pack) - pack.eigen_plus * v
         assert np.max(np.abs(residual)) < 1e-12
         u = np.array([1.0, (pack.eigen_minus - pack.gamma) / pack.gamma])
-        residual2 = u @ pack.drift_matrix() - pack.eigen_minus * u
+        residual2 = u @ drift_matrix(pack) - pack.eigen_minus * u
         assert np.max(np.abs(residual2)) < 1e-12
 
 
@@ -207,6 +215,8 @@ def test_branching_samplers_refuse_endless_horizons(sampler, t_max):
     assert rng.counter == 0
 
 
+_TWO = MarkedTree(parents=(None, 0), marks=(0.3, 0.6))
+
 _SAMPLER_CALLS = {
     "sample_arrivals": lambda delta, rng: sample_arrivals(delta, rng, exp1=True),
     "limit_degree_pmf": lambda delta, rng: limit_degree_pmf(delta, 10, rng),
@@ -215,6 +225,8 @@ _SAMPLER_CALLS = {
     "yule_marked_simulate": lambda delta, rng: yule_marked_simulate(delta, 1.0, rng),
     "yule_marked_ensemble": lambda delta, rng: yule_marked_ensemble(delta, (1.0,), 10, rng),
     "p1_quadrature": lambda delta, rng: p1_quadrature(delta),
+    "limit_neighborhood_density": lambda delta, rng: limit_neighborhood_density(_TWO, delta),
+    "marked_neighborhood_log_prob": lambda delta, rng: marked_neighborhood_log_prob(10, _TWO.with_times(10), delta),
 }
 
 
@@ -222,7 +234,9 @@ _SAMPLER_CALLS = {
 @pytest.mark.parametrize("delta", [-1.0, -2.0, math.nan, math.inf, -math.inf])
 def test_samplers_refuse_delta_outside_model(sampler, delta):
     # these used to divide by zero, overflow, fail deep inside, or (edge BP at
-    # NaN) return a one-node tree; now they refuse before drawing a word
+    # NaN) return a one-node tree; now they refuse before drawing a word.  The
+    # two neighborhood functions gave NaN, a math domain error, or -inf as if
+    # the event were impossible
     rng = CounterRng(1)
     with pytest.raises(ValueError, match="delta"):
         _SAMPLER_CALLS[sampler](delta, rng)
@@ -445,6 +459,19 @@ def test_p1_series_matches_incomplete_gamma_form(delta):
     assert abs(p1_quadrature(delta) - closed) <= 1e-15
 
 
+@pytest.mark.parametrize("delta", [-0.5, 0.0, 0.3, 2.0])
+def test_limit_pmf_counts_the_arrival_lists(delta):
+    # the same pmf, errors and words as counting a list of arrivals per replica
+    for seed in range(5):
+        rng, ref = CounterRng(seed), CounterRng(seed)
+        pmf = limit_degree_pmf(delta, 500, rng)
+        counts = Counter(len(sample_arrivals(delta, ref, exp1=True)) + 1 for _ in range(500))
+        p = {k: c / 500 for k, c in sorted(counts.items())}
+        assert (pmf.p, pmf.stderr) == (p, {k: math.sqrt(v * (1.0 - v) / 500) for k, v in p.items()})
+        assert list(pmf.p) == list(p)
+        assert rng.counter == ref.counter
+
+
 def test_limit_pmf_consistency():
     rng = CounterRng(11)
     pmf = limit_degree_pmf(0.0, 30000, rng)
@@ -549,8 +576,8 @@ def test_density_duality_random_trees():
     for _ in range(500):
         tree = random_marked_tree(rng, max_vertices=5)
         delta = rng.random() * 4 - 0.5
-        d1 = limit_neighborhood_density(tree, delta, form="discrete_limit")
-        d2 = limit_neighborhood_density(tree, delta, form="hazard_product")
+        d1 = _density_product_form(tree, delta)
+        d2 = _density_hazard_form(tree, delta)
         assert abs(d1 - d2) <= 1e-10 * max(1.0, abs(d1))
 
 
@@ -577,18 +604,6 @@ def test_yule_invariants():
     assert np.all(np.diff(path.t) > 0)
 
 
-def test_yule_variants_and_errors():
-    rng = CounterRng(14)
-    path = yule_marked_simulate(1.5, 5.0, rng, variant="simplified")
-    assert np.all(path.d <= path.y)
-    with pytest.raises(ValueError):
-        yule_marked_simulate(0.0, -1.0, rng)
-    with pytest.raises(ValueError):
-        yule_marked_simulate(0.0, 1.0, rng, variant="bogus")
-    with pytest.raises(ValueError):
-        yule_marked_ensemble(0.0, (1.0,), 10, rng, variant="bogus")
-
-
 def _same_law_p(a, b):
     """Chi-square p-value for two samples of counts, the sparse upper tail pooled."""
     cap = np.quantile(np.concatenate([a, b]), 0.95)
@@ -598,8 +613,7 @@ def _same_law_p(a, b):
     return p_value
 
 
-@pytest.mark.parametrize("variant", ["exact_chain", "simplified"])
-def test_yule_ensemble_matches_simulate(variant):
+def test_yule_ensemble_matches_simulate():
     # the per-path simulator is the ensemble's reference: D agrees in law at
     # every grid time, past the first few mark gaps, through a dense run of
     # grid times that one gap spans, and for one replica at a time; no birth
@@ -607,13 +621,13 @@ def test_yule_ensemble_matches_simulate(variant):
     grid = (-0.5, 0.0, 1.0, 3.0, 3.0005, 3.001, 5.0)
     n = 2000
     rng = CounterRng(16)
-    paths = [yule_marked_simulate(0.5, grid[-1], rng, variant=variant) for _ in range(n)]
+    paths = [yule_marked_simulate(0.5, grid[-1], rng) for _ in range(n)]
     a = np.array([p.d[np.searchsorted(p.t, grid[2:], side="right") - 1] for p in paths]).T
-    b = yule_marked_ensemble(0.5, grid, n, CounterRng(17), variant=variant)
+    b = yule_marked_ensemble(0.5, grid, n, CounterRng(17))
     assert np.all(b[:2] == 1)
     for a_t, b_t in zip(a, b[2:]):
         assert _same_law_p(a_t, b_t) > 0.01
-    ones = [yule_marked_ensemble(0.5, grid[:4], 1, CounterRng(17).spawn(k), variant=variant) for k in range(n)]
+    ones = [yule_marked_ensemble(0.5, grid[:4], 1, CounterRng(17).spawn(k)) for k in range(n)]
     ones = np.concatenate(ones, axis=1)
     assert np.all(ones[:2] == 1)
     assert _same_law_p(a[1], ones[3]) > 0.01
@@ -626,7 +640,7 @@ def test_yule_refuses_endless_or_empty_runs():
     for reps in (0, -1):
         with pytest.raises(ValueError):
             yule_marked_ensemble(0.0, (1.0,), reps, CounterRng(1))
-    for t_max in (math.nan, math.inf):
+    for t_max in (math.nan, math.inf, -1.0):
         with pytest.raises(ValueError):
             yule_marked_simulate(0.0, t_max, CounterRng(1))
 
@@ -640,17 +654,17 @@ def test_yule_ensemble_checks_p_on_exactly_the_births_taken(monkeypatch):
     y_last = int((y_1 + gen.negative_binomial(y_1, math.exp(-2.0)))[0])
     evaluated = []
 
-    def spy(y, d, w, delta, variant):
+    def spy(y, d, w, delta):
         evaluated.extend(np.atleast_1d(y).tolist())
-        return _mark_probability(y, d, w, delta, variant)
+        return _mark_probability(y, d, w, delta)
 
     monkeypatch.setattr(limits, "_mark_probability", spy)
     clean = yule_marked_ensemble(0.0, grid, 1, CounterRng(seed))
     assert min(evaluated) == 2 and max(evaluated) < y_last
 
     def patched(bad, value):
-        def mark_probability(y, d, w, delta, variant):
-            return np.where(bad(y), value, _mark_probability(y, d, w, delta, variant))
+        def mark_probability(y, d, w, delta):
+            return np.where(bad(y), value, _mark_probability(y, d, w, delta))
         return mark_probability
 
     for value in (-0.5, 1.5):

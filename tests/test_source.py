@@ -57,13 +57,27 @@ def test_selftest_loads_no_scipy():
 
 # public definitions that the tests check the package's faster forms against
 UNCALLED_EXPORTS = {
-    "hazard": "the O(k) hazard sum, the definition the O(1) recurrence in `_arrivals` is tested against",
     "zeta_hat_cumulant": "the closed-form cumulants that `mc_zeta_hat` is tested against",
 }
 
 
+def _public_definitions(tree: ast.Module) -> set[str]:
+    """Public top-level functions and classes of a module, and the public methods of its classes."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            names.add(node.name)
+            if isinstance(node, ast.ClassDef):
+                names |= {
+                    item.name for item in node.body
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
+                }
+    return names
+
+
 def test_every_export_has_a_caller():
-    # code that only the tests call belongs in tests/oracles.py, not the package
+    # code that only the tests call belongs in tests/oracles.py, not the package:
+    # every export, public function, class and method needs a caller
     init = SOURCE / "__init__.py"
     exported = {
         alias.asname or alias.name
@@ -71,16 +85,18 @@ def test_every_export_has_a_caller():
         if isinstance(node, ast.ImportFrom)
         for alias in node.names
     }
-    callers = [path for path in SOURCE.glob("*.py") if path != init]
-    callers.append(Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py")
+    modules = [ast.parse(path.read_text()) for path in SOURCE.glob("*.py") if path != init]
+    defined = set().union(*map(_public_definitions, modules))
+    workloads = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    callers = [*modules, ast.parse(workloads.read_text())]
     referenced = {
         node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else node.name
-        for path in callers
-        for node in ast.walk(ast.parse(path.read_text()))
+        for tree in callers
+        for node in ast.walk(tree)
         if isinstance(node, (ast.Name, ast.Attribute, ast.alias))
     }
-    uncalled = sorted(exported - referenced - set(UNCALLED_EXPORTS))
-    assert not uncalled, f"exported, but called by no command, module or benchmark: {uncalled}"
+    uncalled = sorted((exported | defined) - referenced - set(UNCALLED_EXPORTS))
+    assert not uncalled, f"public, but called by no command, module or benchmark: {uncalled}"
     assert set(UNCALLED_EXPORTS) <= exported
     stale = sorted(set(UNCALLED_EXPORTS) & referenced)
     assert not stale, f"exempt as uncalled, but called: {stale}"
