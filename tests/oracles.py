@@ -10,13 +10,13 @@ O(1) recurrence in `limits._arrivals`, the arrival lists (with their
 marked Yule chain behind `yule_marked_ensemble`, every thinning point of
 `mc_zeta_hat` drawn at once behind its blocks of replicas, the list-based
 degree ccdf and tail fits behind the array-native `tail_ccdf`,
-`fit_power_tail` and `tail_window_sensitivity`, the key parser `decode_key` and the canonical
-key rebuilt from its parts, the fringe decomposition and the fringe
-histogram that cut parsed keys, behind `extended_fringe` and the
-leaf-deflated `empirical_fringe_distribution` (the histogram reference also
-labels every vertex, leaves included); beside them, the two-sample
-chi-square that compares samplers in law.  Test files import them with
-``from oracles import ...``.
+`fit_power_tail` and `tail_window_sensitivity`, the key parser
+`decode_key` and the canonical key rebuilt from its parts, the fringe
+decomposition and the fringe histogram that cut parsed keys, behind
+`extended_fringe` and the leaf-deflated `empirical_fringe_distribution`
+(the histogram reference also labels every vertex, leaves included);
+beside them, the two-sample chi-square that compares samplers in law.
+Test files import them with ``from oracles import ...``.
 """
 
 import itertools
@@ -166,11 +166,7 @@ class YulePath:
     w: np.ndarray
 
 
-def yule_marked_simulate(
-    delta: float,
-    t_max: float,
-    rng: CounterRng,
-) -> YulePath:
+def yule_marked_simulate(delta: float, t_max: float, rng: CounterRng) -> YulePath:
     """Simulate the rate-1 Yule process with degree marks up to time t_max.
 
     Starts from Y(0)=2 with one marked individual (mark time 0, so W(0)=2).
