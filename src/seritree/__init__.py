@@ -28,7 +28,6 @@ from .growth import (
     attach_probabilities,
     enumerate_histories,
     grow,
-    token_probability_vector,
     total_weight_closed,
 )
 from .limits import (

@@ -291,17 +291,17 @@ def _max_form_gap(delta: float, reps: int, rng: CounterRng) -> float:
 
 
 def _check_sampler_equivalence() -> tuple[bool, str]:
-    worst = None
+    # every draw below the bound, through the blocked sampler's target map
     for delta in (Fraction(-1, 2), Fraction(0), Fraction(1), Fraction(5, 2)):
         for n in range(1, 7):
             for hist in growth.enumerate_histories(n):
                 tree = growth.TreeRecord.from_parents(hist)
                 for conv in ("exact", "paper_total"):
-                    a = growth.attach_probabilities(tree, delta, conv)
-                    b = growth.token_probability_vector(tree, delta, conv)
-                    if a != b:
-                        worst = (delta, conv, hist)
-    return worst is None, "exhaustive n <= 6" if worst is None else f"mismatch at {worst}"
+                    counts = growth.token_counts(tree, delta, conv)
+                    bound = growth.token_bound(delta, n + 1, conv)
+                    if [Fraction(int(c), bound) for c in counts] != growth.attach_probabilities(tree, delta, conv):
+                        return False, f"mismatch at {(delta, conv, hist)}"
+    return True, "exhaustive n <= 6"
 
 
 def _check_spectrum_vs_dense() -> tuple[bool, str]:

@@ -11,8 +11,9 @@ The weight admits an exact event decomposition: every edge born at time t
 contributes (n+1-t) to each endpoint, and the delta term of vertex i is an
 arithmetic function of its birth time.  That decomposition is what makes the
 O(1)-per-step token sampler that `grow` uses possible (`_fast_target_int`,
-`_fast_target_float`); the O(n) reference sampler and the literal replay of
-the weight sum are kept beside the tests, in `tests/oracles.py`.
+`_fast_target_float`; `selftest` runs the blocked one on every draw of a step
+through `token_counts`).  The O(n) reference sampler and the literal replay
+of the weight sum are kept beside the tests, in `tests/oracles.py`.
 
 Two normalization conventions are supported:
 
@@ -266,8 +267,13 @@ def _fast_target_int(parent, n, d2, convention, rng: CounterRng) -> int:
     integral): for each past time m, the edge (m, parent[m]) carries endpoint
     tokens of weight 2*(n+1-m) each; the delta mass delta*(n+1-m) goes to v_m
     under ``exact`` and to v_{m-1} under ``paper_total``; under ``exact`` v0
-    additionally carries delta*(n+1).  Negative delta lays the tokens out as
-    `token_probability_vector` does.
+    additionally carries delta*(n+1).
+
+    Negative delta lays the tokens out in this order: under ``paper_total``
+    -delta for each of v_1..v_n; then edges m = n..2, whose child token
+    (1+delta)(n+1-m) carries v_m's delta mass beside its degree part; then
+    edge 1, v1's token (1+delta)n and v0's n plus v0's delta mass, the one
+    delta mass with no birth edge to absorb it.
     """
     t_tri = n * (n + 1) // 2
     c2 = 4 + d2
@@ -329,51 +335,6 @@ def _fast_target_float(parent, n, delta, convention, rng: CounterRng) -> int:
     return m if v < 1.0 + delta else parent[m]
 
 
-def token_probability_vector(tree: TreeRecord, delta, convention: str = "exact") -> list:
-    """Attachment distribution induced analytically by the fast sampler.
-
-    Accumulates the token weights the fast sampler draws from and
-    normalizes.  With a Fraction delta everything is exact; equality with
-    `attach_probabilities` is the sampler-correctness oracle.
-
-    For negative delta the tokens come in the sampler's order: under
-    ``paper_total`` -delta for each of v_1..v_n; then edges m = n..2, whose
-    child token (1+delta)(n+1-m) carries v_m's delta mass beside its degree
-    part; then edge 1, v1's token (1+delta)n and v0's n plus v0's delta
-    mass, the one delta mass with no birth edge to absorb it.
-    """
-    n = tree.n
-    parent = tree.parent.tolist()
-    zero = 0 * delta
-    w = [zero] * (n + 1)
-    if delta >= 0:
-        if convention == "exact":
-            w[0] = delta * (n + 1)
-        for m in range(1, n + 1):
-            k = n + 1 - m
-            w[m] += k
-            w[parent[m]] += k
-            if convention == "exact":
-                w[m] += delta * k
-            else:
-                w[m - 1] += delta * k
-    else:
-        if convention == "paper_total":
-            for i in range(1, n + 1):
-                w[i] += -delta
-        for m in range(2, n + 1):
-            k = n + 1 - m
-            w[m] += (1 + delta) * k
-            w[parent[m]] += k
-        w[1] += (1 + delta) * n
-        v0_token = n + _delta_part(delta, 0, n, convention)
-        if v0_token < 0:
-            raise AssertionError(f"v0's edge-1 token {v0_token} is negative")
-        w[0] += v0_token
-    total = sum(w)
-    return [x / total for x in w]
-
-
 @dataclass
 class GrowthSnapshot:
     """Degree statistics captured at one checkpoint of a growth run."""
@@ -429,6 +390,63 @@ def _copy_parents(parent: np.ndarray, i: int, target: np.ndarray, copy: np.ndarr
         target[k] = target[ptr[k]]
 
 
+def _token_targets(parent: np.ndarray, r: np.ndarray, n1: np.ndarray, d2: int, convention: str) -> np.ndarray:
+    """The vertex that token draw r[k] picks at step n1[k] = n + 1, for uint64 arrays.
+
+    `_fast_target_int` past its draw, for either sign of 2*delta.  The steps
+    are n1[0], n1[0] + 1, ... of a growth whose parents below n1[0] are in
+    `parent`, or all the step after the finished tree `parent`.
+    """
+    c2 = np.uint64(4 + d2)
+    exact = convention == "exact"
+    if d2 >= 0:
+        extra = np.uint64(d2 if exact else 0)  # v0's delta mass per unit of n + 1
+        if extra:
+            low_mass = extra * n1
+            low = r < low_mass
+            big_r, s = np.divmod(r - np.minimum(r, low_mass), c2)
+        else:
+            big_r, s = np.divmod(r, c2)
+        target = (n1 - _triangular_indices(big_r)).astype(np.int64)
+        copy = s >> 1 == 1  # s in {2, 3}
+        if not exact:
+            target -= s >= 4
+        if extra:
+            copy &= ~low
+            target[low] = 0
+    else:
+        neg = np.uint64(-d2)
+        n = n1 - np.uint64(1)
+        uniform = (np.uint64(0) if exact else neg) * n  # -d2 for each of v_1..v_n
+        low = r < uniform
+        rest = r - np.minimum(r, uniform)
+        big_r, s = np.divmod(rest, c2)
+        target = (n1 - _triangular_indices(big_r)).astype(np.int64)
+        edges = c2 * (_tri(n) - n)
+        last = rest >= edges  # edge 1: v1's token, then v0's
+        target[last] = rest[last] - edges[last] < np.uint64(2 + d2) * n[last]
+        target[low] = r[low] // neg + 1
+        copy = (s >= 2 + d2) & ~last & ~low
+    _copy_parents(parent, int(n1[0]), target, copy)
+    return target
+
+
+def token_counts(tree: TreeRecord, delta, convention: str) -> np.ndarray:
+    """How many of the token draws at the step after `tree` pick each of its vertices.
+
+    Runs the blocked sampler's target map on every draw below `token_bound`
+    at step n + 1 (2*delta integral), so counts / bound is the law `grow`
+    samples there; `selftest` holds it equal to `attach_probabilities`.
+    """
+    if not _is_half_integer(delta):
+        raise ValueError(f"token counts need 2*delta integral, got delta = {delta}")
+    n1 = tree.n + 1
+    bound = token_bound(delta, n1, convention)
+    r = np.arange(bound, dtype=np.uint64)
+    target = _token_targets(tree.parent, r, np.full(bound, n1, dtype=np.uint64), int(2 * delta), convention)
+    return np.bincount(target, minlength=n1)
+
+
 def _int_block(parent: np.ndarray, d2: int, convention: str):
     """`_fast_target_int` for a block of steps, one word each (`drive_blocks`).
 
@@ -437,49 +455,19 @@ def _int_block(parent: np.ndarray, d2: int, convention: str):
     ``exact`` with delta = -1/2.
     """
     c2 = np.uint64(4 + d2)
-    exact = convention == "exact"
-    extra = np.uint64(d2 if exact and d2 > 0 else 0)  # v0's delta mass per unit of n+1
-    neg = np.uint64(max(-d2, 0))
+    # v0's delta mass per unit of n + 1, by its size: a negative 2*delta
+    # cannot multiply a uint64 array, so `token_bound` cannot serve here
+    v0 = np.uint64(abs(d2) if convention == "exact" else 0)
 
     def block(i: int, words: np.ndarray):
         n1 = np.arange(i, i + words.size, dtype=np.uint64)  # n + 1 at step i
-        low_mass = extra * n1
-        r, irregular = lemire(words, c2 * _tri(n1 - 1) + low_mass)
-        if extra:
-            low = r < low_mass
-            big_r, s = np.divmod(r - np.minimum(r, low_mass), c2)
-        else:
-            big_r, s = np.divmod(r, c2)
-        target = (n1 - _triangular_indices(big_r)).astype(np.int64)
-        copy = s >> 1 == 1  # s in {2, 3}
-        if convention == "paper_total":
-            target -= s >= 4
-        if extra:
-            copy &= ~low
-            target[low] = 0
-        _copy_parents(parent, i, target, copy)
-        return target, irregular
-
-    def negative_block(i: int, words: np.ndarray):
-        n1 = np.arange(i, i + words.size, dtype=np.uint64)  # n + 1 at step i
-        n = n1 - np.uint64(1)
-        t_tri = _tri(n)
-        uniform = (np.uint64(0) if exact else neg) * n  # -d2 for each of v_1..v_n
-        bound = c2 * t_tri - (neg if exact else np.uint64(0)) * n1  # less v0's delta mass
+        edges = c2 * _tri(n1 - np.uint64(1))
+        bound = edges + v0 * n1 if d2 >= 0 else edges - v0 * n1
         r, irregular = lemire(words, bound)
         irregular |= bound == 1
-        low = r < uniform
-        rest = r - np.minimum(r, uniform)
-        big_r, s = np.divmod(rest, c2)
-        target = (n1 - _triangular_indices(big_r)).astype(np.int64)
-        edges = c2 * (t_tri - n)
-        last = rest >= edges  # edge 1: v1's token, then v0's
-        target[last] = rest[last] - edges[last] < np.uint64(2 + d2) * n[last]
-        target[low] = r[low] // neg + 1
-        _copy_parents(parent, i, target, (s >= 2 + d2) & ~last & ~low)
-        return target, irregular
+        return _token_targets(parent, r, n1, d2, convention), irregular
 
-    return block if d2 >= 0 else negative_block
+    return block
 
 
 def _float_block(parent: np.ndarray, delta: float, convention: str):

@@ -649,8 +649,8 @@ def yule_marked_ensemble(delta: float, t_grid: Sequence[float], reps: int, rng: 
     n_grid = len(grid)
     if grid.ndim != 1 or n_grid == 0 or np.any(np.diff(grid) <= 0):
         raise ValueError("t_grid must be a strictly increasing sequence")
-    if not np.isfinite(grid).all():
-        raise ValueError("t_grid must be finite")
+    if not (np.isfinite(grid).all() and grid[0] >= 0):
+        raise ValueError("t_grid must be finite and nonnegative")
     if reps < 1:
         raise ValueError("reps must be >= 1")
     gen = rng.numpy_rng()

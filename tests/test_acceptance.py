@@ -27,7 +27,8 @@ from seritree.growth import (
     attach_probabilities,
     enumerate_histories,
     grow,
-    token_probability_vector,
+    token_bound,
+    token_counts,
 )
 from seritree.limits import (
     MarkedTree,
@@ -62,7 +63,7 @@ def _report(name: str, ok: bool, detail: str) -> None:
 
 
 def test_criterion_01_exact_sampler_oracle():
-    """Fast-sampler token law equals the weight law on every small history."""
+    """The blocked sampler's law over every draw equals the weight law on every small history."""
     start = time.monotonic()
     checked = 0
     for delta in (Fraction(-1, 2), Fraction(0), Fraction(1), Fraction(5, 2)):
@@ -71,7 +72,9 @@ def test_criterion_01_exact_sampler_oracle():
                 tree = TreeRecord.from_parents(hist)
                 for conv in ("exact", "paper_total"):
                     checked += 1
-                    assert token_probability_vector(tree, delta, conv) == attach_probabilities(tree, delta, conv), (
+                    bound = token_bound(delta, n + 1, conv)
+                    law = [Fraction(int(c), bound) for c in token_counts(tree, delta, conv)]
+                    assert law == attach_probabilities(tree, delta, conv), (
                         f"mismatch at delta={delta} conv={conv} hist={hist}"
                     )
     elapsed = time.monotonic() - start

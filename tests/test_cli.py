@@ -138,11 +138,11 @@ def test_fringe_compare_cap_stops_at_the_node_cap(tmp_path, monkeypatch):
     assert not (tmp_path / "above").exists()
 
 
-def test_selftest_passes(capsys):
-    assert run_cli(["selftest"]) == 0
-    out = capsys.readouterr().out
-    assert out.count("PASS") == 5
-    assert "FAIL" not in out
+def test_selftest_passes(selftest_run):
+    code, rows, _ = selftest_run
+    assert code == 0
+    assert rows.count("PASS") == 5
+    assert "FAIL" not in rows
 
 
 def _only_rows(monkeypatch, *names):
@@ -199,6 +199,23 @@ def test_selftest_fringe_row_catches_a_wrong_histogram(monkeypatch, capsys):
     assert run_cli(["selftest"]) == 1
     rows = {line.split("  ")[0]: line for line in capsys.readouterr().out.splitlines()}
     assert "FAIL" in rows["fringe-histogram-vs-per-vertex (exhaustive n<=6)"]
+    assert "FAIL" not in rows["spectrum-vs-dense (exhaustive n<=6)"]
+
+
+def test_selftest_sampler_row_catches_a_wrong_target(monkeypatch, capsys):
+    # a target map that sends draw 0 of every step to the next vertex
+    _only_rows(monkeypatch, "sampler-equivalence (exhaustive n<=6)", "spectrum-vs-dense (exhaustive n<=6)")
+    real = seritree.growth._token_targets
+
+    def shifted(parent, r, n1, d2, convention):
+        target = real(parent, r, n1, d2, convention)
+        target[0] = (target[0] + 1) % int(n1[0])
+        return target
+
+    monkeypatch.setattr(seritree.growth, "_token_targets", shifted)
+    assert run_cli(["selftest"]) == 1
+    rows = {line.split("  ")[0]: line for line in capsys.readouterr().out.splitlines()}
+    assert "FAIL" in rows["sampler-equivalence (exhaustive n<=6)"]
     assert "FAIL" not in rows["spectrum-vs-dense (exhaustive n<=6)"]
 
 

@@ -16,7 +16,7 @@ from seritree.growth import (
     enumerate_histories,
     grow,
     token_bound,
-    token_probability_vector,
+    token_counts,
     total_weight_closed,
     value_counts,
     _delta_part,
@@ -208,15 +208,6 @@ def test_triangular_indices_match_scalar(rs):
     assert ks.tolist() == [_triangular_index(r) for r in rs]
 
 
-def test_token_vector_matches_attach_probabilities_exhaustive_small():
-    for delta in (Fraction(0), Fraction(1), Fraction(-1, 2)):
-        for n in range(1, 5):
-            for hist in enumerate_histories(n):
-                tree = TreeRecord.from_parents(hist)
-                for conv in ("exact", "paper_total"):
-                    assert token_probability_vector(tree, delta, conv) == attach_probabilities(tree, delta, conv)
-
-
 class _FixedDraw:
     """Stands in for CounterRng: `randbelow` returns `r` and records its bound."""
 
@@ -246,6 +237,7 @@ def test_int_sampler_tokens_are_twice_the_weights(delta, convention):
                 assert draw.bound == bound
             counts = np.bincount(targets, minlength=n + 1).tolist()
             assert counts == [2 * theta for theta in _thetas(tree, delta, convention)], hist
+            assert token_counts(tree, delta, convention).tolist() == counts, hist  # the blocked map
 
 
 def test_naive_sampler_frequency_example():

@@ -618,24 +618,25 @@ def test_yule_ensemble_matches_simulate():
     # every grid time, past the first few mark gaps, through a dense run of
     # grid times that one gap spans, and for one replica at a time; no birth
     # comes at or before time 0
-    grid = (-0.5, 0.0, 1.0, 3.0, 3.0005, 3.001, 5.0)
+    grid = (0.0, 1.0, 3.0, 3.0005, 3.001, 5.0)
     n = 2000
     rng = CounterRng(16)
     paths = [yule_marked_simulate(0.5, grid[-1], rng) for _ in range(n)]
-    a = np.array([p.d[np.searchsorted(p.t, grid[2:], side="right") - 1] for p in paths]).T
+    a = np.array([p.d[np.searchsorted(p.t, grid[1:], side="right") - 1] for p in paths]).T
     b = yule_marked_ensemble(0.5, grid, n, CounterRng(17))
-    assert np.all(b[:2] == 1)
-    for a_t, b_t in zip(a, b[2:]):
+    assert np.all(b[0] == 1)
+    for a_t, b_t in zip(a, b[1:]):
         assert _same_law_p(a_t, b_t) > 0.01
-    ones = [yule_marked_ensemble(0.5, grid[:4], 1, CounterRng(17).spawn(k)) for k in range(n)]
+    ones = [yule_marked_ensemble(0.5, grid[:3], 1, CounterRng(17).spawn(k)) for k in range(n)]
     ones = np.concatenate(ones, axis=1)
-    assert np.all(ones[:2] == 1)
-    assert _same_law_p(a[1], ones[3]) > 0.01
+    assert np.all(ones[0] == 1)
+    assert _same_law_p(a[1], ones[2]) > 0.01
 
 
 def test_yule_refuses_endless_or_empty_runs():
-    for grid in [(1.0, math.nan), (1.0, math.inf), (math.nan,)]:
-        with pytest.raises(ValueError):  # a non-finite grid time used to loop forever
+    # a non-finite grid time used to loop forever, and a negative one gave D = 1
+    for grid in [(1.0, math.nan), (1.0, math.inf), (math.nan,), (-1.0,), (-1.0, 1.0)]:
+        with pytest.raises(ValueError):
             yule_marked_ensemble(0.0, grid, 5, CounterRng(1))
     for reps in (0, -1):
         with pytest.raises(ValueError):

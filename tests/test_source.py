@@ -45,14 +45,10 @@ def test_import_leaves_scipy_stats_out():
     assert out.stdout.strip() == "[]"
 
 
-def test_selftest_loads_no_scipy():
+def test_selftest_loads_no_scipy(selftest_run):
     # scipy is a test dependency only; `selftest` must pass on numpy alone
-    code = (
-        "import sys; from seritree.cli import main; code = main(['selftest']); "
-        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    )
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert out.stdout.splitlines()[-1] == "0 []"
+    code, _, scipy_modules = selftest_run
+    assert (code, scipy_modules) == (0, "[]")
 
 
 # public definitions that the tests check the package's faster forms against
