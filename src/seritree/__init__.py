@@ -52,7 +52,7 @@ from .treeops import (
     FringeHistogram,
     bp_fringe_sample,
     empirical_fringe_distribution,
-    extended_fringe,
+    extended_fringes,
     fringe,
     key_size,
 )

@@ -170,14 +170,17 @@ def fit_degree_growth(
     Each seed grows a fresh tree to max(checkpoints) recording the vertex's
     degree at each checkpoint; the per-seed slope of log degree against log n
     is averaged and its spread reported.  Checkpoints must number at least 4,
-    be at least 1 and span at least 3 decades.  Replica r always uses the
-    stream derived from (master_seed, r) and results are reduced in replica
-    order, so the outcome is independent of `workers`; at most one worker
-    process runs per seed.
+    be distinct, be at least 1 and span at least 3 decades.  Replica r always
+    uses the stream derived from (master_seed, r) and results are reduced in
+    replica order, so the outcome is independent of `workers`; at most one
+    worker process runs per seed.
     """
     cps = sorted(checkpoints)
     if len(cps) < 4:
         raise ValueError("need at least 4 checkpoints")
+    repeated = [a for a, b in zip(cps, cps[1:]) if a == b]
+    if repeated:
+        raise ValueError(f"checkpoint {repeated[0]} is given more than once")
     if cps[0] < 1:
         raise ValueError(f"checkpoints must be >= 1, got {cps[0]}")
     if math.log10(cps[-1] / cps[0]) < 3:
@@ -324,9 +327,11 @@ def _subtree_classes(parent: np.ndarray) -> np.ndarray:
     Two vertices share a class exactly when their subtrees are isomorphic as
     rooted trees (AHU labels, Aho, Hopcroft & Ullman 1974): one sweep over
     decreasing indices numbers each vertex's sorted tuple of child classes.
-    Under the spectrum's size cap this Python sweep is about three times
-    faster than numbering the `treeops._keys` strings, and ten times faster
-    than `treeops._ahu_classes`, which pays numpy calls per subtree size.
+    Under the spectrum's size cap this Python sweep is as fast as numbering
+    the strings of `treeops._keys` on grown trees, and stays linear where
+    their total length does not (a 2049-vertex path: 0.7 ms against 6 ms).
+    It is ten times faster than `treeops._ahu_classes`, which pays numpy
+    calls per subtree size.
     """
     rows: list[list[int]] = [[] for _ in parent]
     table: dict[tuple[int, ...], int] = {(): 0}

@@ -320,31 +320,26 @@ def _check_spectrum_vs_dense() -> tuple[bool, str]:
 
 
 def _check_fringe_histogram() -> tuple[bool, str]:
-    # counts vertex by vertex from `fringe` and `extended_fringe`;
-    # truncation 4 sends the root of every tree of 5 or more vertices to (other)
+    # counts vertex by vertex from one `extended_fringes` call per tree and k;
+    # the parts of a decomposition partition its k-th ancestor's fringe, so
+    # their sizes sum to that fringe's, and truncation 4 sends the root of
+    # every tree of 5 or more vertices to (other)
     truncation = 4
     for n in range(1, 7):
         for hist in growth.enumerate_histories(n):
             tree = growth.TreeRecord.from_parents(hist)
-            parents = [-1] + list(hist)
-            depth = [0]
-            for p in hist:
-                depth.append(depth[p] + 1)
             for k in (0, 1, 2):
                 counts: dict[str, int] = {}
                 other = 0
-                scanned = [v for v in range(n + 1) if depth[v] >= k]
-                for v in scanned:
-                    top = v
-                    for _ in range(k):
-                        top = parents[top]
-                    if treeops.key_size(treeops.fringe(tree, top)) > truncation:
+                decompositions = treeops.extended_fringes(tree, k)
+                for parts in decompositions.values():
+                    if sum(map(treeops.key_size, parts)) > truncation:
                         other += 1
                     else:
-                        key = "|".join(treeops.extended_fringe(tree, v, k))
+                        key = "|".join(parts)
                         counts[key] = counts.get(key, 0) + 1
                 got = treeops.empirical_fringe_distribution(tree, k=k, truncation=truncation)
-                if (got.counts, got.other, got.total) != (counts, other, len(scanned)):
+                if (got.counts, got.other, got.total) != (counts, other, len(decompositions)):
                     return False, f"mismatch at k={k}, {hist}"
     return True, "k in {0, 1, 2}, truncation 4"
 

@@ -150,9 +150,13 @@ class CounterRng:
         return -math.log(1.0 - self.random()) / rate
 
     def randbelow(self, n: int) -> int:
-        """Exactly uniform integer in [0, n) (Lemire multiply + rejection)."""
-        if n <= 0:
-            raise ValueError("bound must be positive")
+        """Exactly uniform integer in [0, n) (Lemire multiply + rejection).
+
+        One 64-bit word serves a bound of at most 2^64; above that the
+        rejection threshold reaches 2^64, and no word would be accepted.
+        """
+        if not 1 <= n <= 1 << 64:
+            raise ValueError(f"bound must be in [1, 2^64], got {n}")
         if n == 1:
             return 0
         threshold = ((1 << 64) - n) % n

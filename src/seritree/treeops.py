@@ -9,25 +9,25 @@ for fringe histograms.
 All functions accept a grown `TreeRecord`, a `BranchingTree` genealogy or a
 forest given as an int64 parent array (-1 at each root).  Each gives every
 child a larger index than its parent, so depths and subtree sizes follow from
-the parent array without a per-vertex loop.  The key of one vertex comes from
-one sweep over decreasing indices (`_keys`).  Histograms over all vertices
-fold the leaves into their parents first (`_deflate_leaves`): a leaf has the
-one-vertex fringe and no structure, and leaves are most of a grown tree
-(about 72% at delta = 0).  Depths, sizes and integer fringe classes
-(`_ahu_classes`) then come from the internal vertices alone, each with its
-leaf count, and one key string is built per distinct class.
+the parent array without a per-vertex loop.  The key of every vertex, and its
+row of child keys, come from one sweep over decreasing indices (`_keys`).
+Histograms over all vertices fold the leaves into their parents first
+(`_deflate_leaves`): a leaf has the one-vertex fringe and no structure, and
+leaves are most of a grown tree (about 72% at delta = 0).  Depths, sizes and
+integer fringe classes (`_ahu_classes`) then come from the internal vertices
+alone, each with its leaf count, and one key string is built per distinct
+class.
 
 No key is ever parsed.  Every key wraps a row of child keys, and a cut key
 (an ancestor with the branch toward a vertex removed, `_cut`) is that row
-with the branch's key removed once: `extended_fringe` takes the rows of its
-path vertices from the parent array, and the histogram takes them from its
-classes.
+with the branch's key removed once: `extended_fringes` takes the rows from
+the sweep, one cut per edge, and the histogram takes them from its classes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Union
 
 import numpy as np
 
@@ -59,23 +59,22 @@ def _parent_array(tree: Tree) -> np.ndarray:
     return parent
 
 
-def _keys(parent: list[int], vertices: Iterable[int]) -> dict[int, str]:
-    """Canonical keys of `vertices`, built bottom-up in one sweep.
+def _keys(parent: list[int]) -> tuple[list[str], list[list[str]]]:
+    """Canonical key of every vertex and its sorted row of child keys.
 
-    `vertices` must come in decreasing order and hold every child of each of
-    its members.
+    One sweep over decreasing indices keys every child before its parent.
     """
-    keys: dict[int, str] = {}
-    pending: dict[int, list[str]] = {}
-    for u in vertices:
-        kids = pending.pop(u, None)
-        key = keys[u] = "(" + "".join(sorted(kids)) + ")" if kids else LEAF_KEY
+    keys = [LEAF_KEY] * len(parent)
+    rows: list[list[str]] = [[] for _ in parent]
+    for u in range(len(parent) - 1, -1, -1):
+        row = rows[u]
+        if row:
+            row.sort()
+            keys[u] = "(" + "".join(row) + ")"
         p = parent[u]
-        if p in pending:
-            pending[p].append(key)
-        else:
-            pending[p] = [key]
-    return keys
+        if p >= 0:
+            rows[p].append(keys[u])
+    return keys, rows
 
 
 def _cut(row: list[str], child: str) -> str:
@@ -97,41 +96,31 @@ def fringe(tree: Tree, v: int) -> str:
     parent = _parent_array(tree).tolist()
     if not 0 <= v < len(parent):
         raise IndexError(f"vertex {v} not in tree")
-    return _keys(parent, range(len(parent) - 1, v - 1, -1))[v]
+    return _keys(parent)[0][v]
 
 
-def extended_fringe(tree: Tree, v: int, k: int) -> list[str]:
-    """Keys (f_0, ..., f_k) of the fringe decomposition along the root path.
+def extended_fringes(tree: Tree, k: int) -> dict[int, list[str]]:
+    """Keys (f_0, ..., f_k) of the fringe decomposition of every vertex of depth >= k.
 
     f_0 is the descendant subtree of v; f_i is the subtree hanging off the
     i-th vertex on the path to the root once the branch containing v is
-    removed.  Requires depth(v) >= k >= 0.
+    removed.  Each vertex's cut of its parent is made once and shared by
+    every path through it.
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     parent = _parent_array(tree).tolist()
-    if not 0 <= v < len(parent):
-        raise IndexError(f"vertex {v} not in tree")
-    path = [v]
-    while len(path) <= k:
-        p = parent[path[-1]]
-        if p < 0:
-            raise ValueError(f"vertex {v} has depth {len(path) - 1} < k={k}")
-        path.append(p)
-    # one forward pass collects the top vertex's descendants (every child
-    # comes after its parent) and the children of each path vertex above v
-    top = path[-1]
-    below, inside = [top], {top}
-    kids: dict[int, list[int]] = {u: [] for u in path[1:]}
-    for u in range(top + 1, len(parent)):
-        p = parent[u]
-        if p in inside:
-            inside.add(u)
-            below.append(u)
-            if p in kids:
-                kids[p].append(u)
-    keys = _keys(parent, reversed(below))
-    return [keys[v]] + [_cut(sorted(keys[c] for c in kids[u]), keys[w]) for w, u in zip(path, path[1:])]
+    keys, rows = _keys(parent)
+    cuts = [_cut(rows[u], keys[w]) if u >= 0 else "" for w, u in enumerate(parent)] if k else []
+    decompositions = {}
+    for v in range(len(parent)):
+        parts, w = [keys[v]], v
+        while len(parts) <= k and parent[w] >= 0:
+            parts.append(cuts[w])
+            w = parent[w]
+        if len(parts) > k:
+            decompositions[v] = parts
+    return decompositions
 
 
 @dataclass

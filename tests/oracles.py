@@ -13,7 +13,7 @@ degree ccdf and tail fits behind the array-native `tail_ccdf`,
 `fit_power_tail` and `tail_window_sensitivity`, the key parser
 `decode_key` and the canonical key rebuilt from its parts, the fringe
 decomposition and the fringe histogram that cut parsed keys, behind
-`extended_fringe` and the leaf-deflated `empirical_fringe_distribution`
+`extended_fringes` and the leaf-deflated `empirical_fringe_distribution`
 (the histogram reference also labels every vertex, leaves included);
 beside them, the two-sample chi-square that compares samplers in law.
 Test files import them with ``from oracles import ...``.
@@ -330,7 +330,7 @@ def extended_fringes_reference(tree: Tree, k: int) -> dict[int, list[str]]:
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     parent = _parent_array(tree).tolist()
-    keys = _keys(parent, range(len(parent) - 1, -1, -1))
+    keys, _ = _keys(parent)
     cuts = {w: cut_key(keys[u], keys[w]) for w, u in enumerate(parent) if u >= 0} if k else {}
     decompositions = {}
     for v in range(len(parent)):

@@ -141,6 +141,10 @@ def test_fit_degree_growth_validation():
         fit_degree_growth(0.0, 50, [10, 100, 1000, 10000, 100000], n_seeds=2)
     with pytest.raises(ValueError, match=">= 1"):  # log10 would divide by 0
         fit_degree_growth(0.0, 0, [0, 5, 50, 500], n_seeds=2)
+    # np.polyfit got more checkpoints than the tracked degrees `grow` keeps
+    for checkpoints, repeated in (([1, 10, 100, 1000, 1000], 1000), ([1, 1, 1, 1000], 1)):
+        with pytest.raises(ValueError, match=f"checkpoint {repeated} is given more than once"):
+            fit_degree_growth(0.0, 1, checkpoints, n_seeds=2)
 
 
 def test_fit_degree_growth_small():

@@ -243,6 +243,9 @@ INVALID_INPUTS = [
     # a traceback with exit 1, and a report holding NaN that failed as a check
     (["limit-pmf", "--delta", "inf", "--seed", "1", "--reps", "10"], 2),
     (["localcheck", "--delta", "inf", "--seed", "1"], 2),
+    # a TypeError from np.polyfit with exit 1: `grow` drops a repeated checkpoint
+    (["growth", "--delta", "0", "--seed", "1", "--n", "1000", "--checkpoints", "1,10,100,1000,1000"], 2),
+    (["growth", "--delta", "0", "--seed", "1", "--n", "1000", "--checkpoints", "1,1,1,1000"], 2),
 ]
 
 

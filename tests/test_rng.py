@@ -108,6 +108,18 @@ def test_randbelow_rejects_nonpositive():
         rng.randbelow(0)
 
 
+def test_randbelow_refuses_bounds_above_one_word():
+    # above 2^64 the rejection threshold is at least 2^64, so the loop never
+    # ended; the bound is refused before any word is drawn
+    rng = CounterRng(1)
+    for n in (2**64 + 1, 2**65, 2**128):
+        with pytest.raises(ValueError, match="2\\^64"):
+            rng.randbelow(n)
+    assert rng.counter == 0
+    # 2^64 itself is served exactly: the word is the value
+    assert rng.randbelow(2**64) == CounterRng(1).u64()
+
+
 def test_numpy_rng_deterministic():
     a = CounterRng(10).numpy_rng()
     b = CounterRng(10).numpy_rng()

@@ -71,6 +71,16 @@ def _public_definitions(tree: ast.Module) -> set[str]:
     return names
 
 
+def _referenced(trees: list[ast.Module]) -> set[str]:
+    """Every name, attribute and imported name the modules use; a definition is no use of its name."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else node.name
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute, ast.alias))
+    }
+
+
 def test_every_export_has_a_caller():
     # code that only the tests call belongs in tests/oracles.py, not the package:
     # every export, public function, class and method needs a caller
@@ -84,15 +94,27 @@ def test_every_export_has_a_caller():
     modules = [ast.parse(path.read_text()) for path in SOURCE.glob("*.py") if path != init]
     defined = set().union(*map(_public_definitions, modules))
     workloads = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    callers = [*modules, ast.parse(workloads.read_text())]
-    referenced = {
-        node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else node.name
-        for tree in callers
-        for node in ast.walk(tree)
-        if isinstance(node, (ast.Name, ast.Attribute, ast.alias))
-    }
+    referenced = _referenced([*modules, ast.parse(workloads.read_text())])
     uncalled = sorted((exported | defined) - referenced - set(UNCALLED_EXPORTS))
     assert not uncalled, f"public, but called by no command, module or benchmark: {uncalled}"
     assert set(UNCALLED_EXPORTS) <= exported
     stale = sorted(set(UNCALLED_EXPORTS) & referenced)
     assert not stale, f"exempt as uncalled, but called: {stale}"
+
+
+def _private_definitions(tree: ast.Module) -> set[str]:
+    """Single-underscore top-level functions and classes of a module, and such methods of its classes."""
+    nodes = [node for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    nodes += [
+        item for node in nodes if isinstance(node, ast.ClassDef)
+        for item in node.body if isinstance(item, ast.FunctionDef)
+    ]
+    return {node.name for node in nodes if node.name.startswith("_") and not node.name.startswith("__")}
+
+
+def test_every_private_definition_has_a_caller():
+    # a helper that only the tests call belongs in tests/oracles.py, as a
+    # public one does
+    modules = [ast.parse(path.read_text()) for path in SOURCE.glob("*.py")]
+    uncalled = sorted(set().union(*map(_private_definitions, modules)) - _referenced(modules))
+    assert not uncalled, f"private, but called by nothing in the package: {uncalled}"

@@ -13,7 +13,7 @@ from seritree.treeops import (
     _parent_array,
     bp_fringe_sample,
     empirical_fringe_distribution,
-    extended_fringe,
+    extended_fringes,
     fringe,
     key_size,
 )
@@ -141,10 +141,10 @@ def _keys_of_children(children):
 def test_extended_fringe_basics():
     # path 0 - 1 - 2 - 3, query the leaf
     tree = TreeRecord.from_parents([0, 1, 2])
-    assert extended_fringe(tree, 3, 0) == [fringe(tree, 3)]
-    assert extended_fringe(tree, 3, 3) == ["()", "()", "()", "()"]
-    with pytest.raises(ValueError):
-        extended_fringe(tree, 3, 4)
+    assert extended_fringes(tree, 0)[3] == [fringe(tree, 3)]
+    assert extended_fringes(tree, 3) == {3: ["()", "()", "()", "()"]}
+    # no vertex has depth 4
+    assert extended_fringes(tree, 4) == {}
 
 
 def test_extended_fringe_partitions_sizes():
@@ -156,7 +156,7 @@ def test_extended_fringe_partitions_sizes():
         depth[v] = depth[parents[v]] + 1
     v = max(range(tree.n + 1), key=lambda u: depth[u])
     k = depth[v]
-    parts = extended_fringe(tree, v, k)
+    parts = extended_fringes(tree, k)[v]
     # the k+1 parts partition the subtree of the k-th ancestor
     anc = v
     for _ in range(k):
@@ -167,7 +167,7 @@ def test_extended_fringe_partitions_sizes():
 def test_extended_fringe_against_direct_reconstruction():
     # 0 with children 1 (chain) and 2 (leaf); v = 3 under 1
     tree = TreeRecord.from_parents([0, 0, 1])
-    f0, f1, f2 = extended_fringe(tree, 3, 2)
+    f0, f1, f2 = extended_fringes(tree, 2)[3]
     assert f0 == "()"
     assert f1 == "()"         # vertex 1 with the branch to 3 removed
     assert f2 == "(())"       # root + leaf child 2 remaining
@@ -216,7 +216,7 @@ def test_empirical_fringe_truncation_and_merge():
         with pytest.raises(ValueError, match=">= 0"):
             empirical_fringe_distribution(tree, **kwargs)
     with pytest.raises(ValueError, match=">= 0"):
-        extended_fringe(tree, 1, -1)
+        extended_fringes(tree, -1)
 
 
 def test_extended_histogram_excludes_shallow():
@@ -247,6 +247,8 @@ def test_histogram_matches_per_vertex_reference(seed, n, k, truncation):
     for v in range(1, n + 1):
         depth[v] = depth[parents[v]] + 1
     scanned = [v for v in range(n + 1) if depth[v] >= k]
+    decompositions = extended_fringes(tree, k)
+    assert sorted(decompositions) == scanned
     expected = Counter()
     other = 0
     for v in scanned:
@@ -257,7 +259,7 @@ def test_histogram_matches_per_vertex_reference(seed, n, k, truncation):
             "(" + "".join(sorted(keys[c] for c in children[u] if c != w)) + ")"
             for w, u in zip(path, path[1:])
         ]
-        assert extended_fringe(tree, v, k) == parts
+        assert decompositions[v] == parts
         if sizes[path[-1]] > truncation:
             other += 1
         else:
@@ -267,25 +269,23 @@ def test_histogram_matches_per_vertex_reference(seed, n, k, truncation):
     assert (h.other, h.total, h.excluded_shallow) == (other, len(scanned), n + 1 - len(scanned))
 
 
-def _per_vertex_histogram(tree, parents, k, truncation):
-    """Counts and overflow from `fringe` and `extended_fringe`, vertex by vertex.
+def _per_vertex_histogram(tree, k, truncation):
+    """Counts and overflow from one `extended_fringes` call, vertex by vertex.
 
-    `parents` lists each vertex's parent, with None at the root.
+    A vertex overflows when its k-th ancestor's subtree, sized by
+    `depth_and_size`, has more than `truncation` vertices.
     """
-    depth = [0] * len(parents)
-    for v in range(1, len(parents)):
-        depth[v] = depth[parents[v]] + 1
+    parent = _parent_array(tree)
+    _, size = depth_and_size(parent)
     counts, other = Counter(), 0
-    for v in range(len(parents)):
-        if depth[v] < k:
-            continue
+    for v, parts in extended_fringes(tree, k).items():
         top = v
         for _ in range(k):
-            top = parents[top]
-        if key_size(fringe(tree, top)) > truncation:
+            top = parent[top]
+        if size[top] > truncation:
             other += 1
         else:
-            counts["|".join(extended_fringe(tree, v, k))] += 1
+            counts["|".join(parts)] += 1
     return dict(counts), other
 
 
@@ -302,9 +302,8 @@ def _interleaved_forest():
 
 
 def _caterpillar(spine=40):
-    """A path with one leaf on every path vertex: parents with None at the root, and the forest."""
-    parents = [None] + list(range(spine - 1)) + list(range(spine))
-    return parents, np.array([-1] + parents[1:], dtype=np.int64)
+    """A path with one leaf on every path vertex, as a forest."""
+    return np.array([-1] + list(range(spine - 1)) + list(range(spine)), dtype=np.int64)
 
 
 @pytest.mark.parametrize("k,truncation", [(0, 4), (0, 12), (1, 6), (2, 12)])
@@ -333,7 +332,7 @@ def test_genealogy_histogram_matches_per_vertex_fringes(seed):
     assert tree.size > 20
     for k, truncation in ((0, 4), (0, 12), (1, 6), (2, 12)):
         h = empirical_fringe_distribution(tree, k=k, truncation=truncation)
-        counts, other = _per_vertex_histogram(tree, tree.parents, k, truncation)
+        counts, other = _per_vertex_histogram(tree, k, truncation)
         assert (h.counts, h.other) == (counts, other)
         assert h.total + h.excluded_shallow == tree.size
 
@@ -341,10 +340,10 @@ def test_genealogy_histogram_matches_per_vertex_fringes(seed):
 def test_deep_extended_histogram_matches_per_vertex_reference():
     # a caterpillar, scanned along root paths far longer than the random
     # trees above have
-    parents, forest = _caterpillar()
+    forest = _caterpillar()
     for k in (20, 30):
-        h = empirical_fringe_distribution(forest, k=k, truncation=len(parents))
-        counts, other = _per_vertex_histogram(forest, parents, k, len(parents))
+        h = empirical_fringe_distribution(forest, k=k, truncation=len(forest))
+        counts, other = _per_vertex_histogram(forest, k, len(forest))
         assert (h.counts, h.other) == (counts, other)
         assert len(h.counts) > 1
 
@@ -359,7 +358,7 @@ def _reference_inputs(max_n=100000):
     yield "forest with lone roots", np.array([-1, 0, -1, 1, 1, -1, 5, 0, -1], dtype=np.int64)
     for seed in (45, 46, 47):
         yield f"genealogy seed={seed}", sample_memory_bp(0.0, CounterRng(seed), t_max=6.0)
-    yield "caterpillar", _caterpillar()[1]
+    yield "caterpillar", _caterpillar()
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
@@ -382,8 +381,7 @@ def test_extended_fringe_matches_reference_on_every_vertex(k):
         depth, _ = depth_and_size(_parent_array(tree))
         reference = extended_fringes_reference(tree, k)
         assert sorted(reference) == np.flatnonzero(depth >= k).tolist(), name
-        for v, decomposition in reference.items():
-            assert extended_fringe(tree, v, k) == decomposition, (name, v)
+        assert extended_fringes(tree, k) == reference, name
 
 
 def test_leaf_fraction_near_limit():
