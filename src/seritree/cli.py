@@ -210,7 +210,7 @@ def cmd_fringe_compare(args) -> int:
         if bp is None or bp.size == cap:
             other += 1
         else:
-            key = treeops.fringe(bp, 0)
+            key = treeops.fringe(bp)
             counts[key] = counts.get(key, 0) + 1
     simulated = treeops.FringeHistogram(
         counts=counts, other=other, total=args.reps, truncation=args.max_size,

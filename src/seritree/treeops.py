@@ -9,19 +9,20 @@ for fringe histograms.
 All functions accept a grown `TreeRecord`, a `BranchingTree` genealogy or a
 forest given as an int64 parent array (-1 at each root).  Each gives every
 child a larger index than its parent, so depths and subtree sizes follow from
-the parent array without a per-vertex loop.  The key of every vertex, and its
-row of child keys, come from one sweep over decreasing indices (`_keys`).
-Histograms over all vertices fold the leaves into their parents first
-(`_deflate_leaves`): a leaf has the one-vertex fringe and no structure, and
-leaves are most of a grown tree (about 72% at delta = 0).  Depths, sizes and
-integer fringe classes (`_ahu_classes`) then come from the internal vertices
-alone, each with its leaf count, and one key string is built per distinct
-class.
+the parent array without a per-vertex loop.  Isomorphism is decided on
+integer classes: one sweep over decreasing indices (`_classes`) labels every
+vertex, and the spectrum quotient reads the same classes.  `_class_keys`
+builds one key string per class, never one per vertex.  Histograms over all
+vertices fold the leaves into their parents first (`_deflate_leaves`): a leaf
+has the one-vertex fringe and no structure, and leaves are most of a grown
+tree (about 72% at delta = 0).  Depths, sizes and integer fringe classes
+(`_ahu_classes`) then come from the internal vertices alone, each with its
+leaf count.
 
 No key is ever parsed.  Every key wraps a row of child keys, and a cut key
 (an ancestor with the branch toward a vertex removed, `_cut`) is that row
-with the branch's key removed once: `extended_fringes` takes the rows from
-the sweep, one cut per edge, and the histogram takes them from its classes.
+with the branch's key removed once, made once per pair of ancestor class and
+branch class by `extended_fringes` and the histogram.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from .growth import TreeRecord
 from .limits import BranchingTree, sample_memory_bp
 from .rng import CounterRng
 
-LEAF_KEY = "()"
 OTHER_KEY = "(other)"
 
 
@@ -59,22 +59,43 @@ def _parent_array(tree: Tree) -> np.ndarray:
     return parent
 
 
-def _keys(parent: list[int]) -> tuple[list[str], list[list[str]]]:
-    """Canonical key of every vertex and its sorted row of child keys.
+def _classes(parent: list[int]) -> tuple[list[int], list[tuple[int, ...]]]:
+    """Integer class of every vertex's descendant subtree and each class's child classes.
 
-    One sweep over decreasing indices keys every child before its parent.
+    Two vertices share a class exactly when their subtrees are isomorphic as
+    rooted trees (AHU labels, Aho, Hopcroft & Ullman 1974): one sweep over
+    decreasing indices numbers each vertex's sorted tuple of child classes in
+    order of first sight, so class 0 is the leaf and each class exceeds its
+    child classes.  Returns the classes and each class's tuple.
     """
-    keys = [LEAF_KEY] * len(parent)
-    rows: list[list[str]] = [[] for _ in parent]
-    for u in range(len(parent) - 1, -1, -1):
-        row = rows[u]
+    rows: list[list[int]] = [[] for _ in parent]
+    table: dict[tuple[int, ...], int] = {(): 0}
+    classes = [0] * len(parent)
+    for v in range(len(parent) - 1, -1, -1):
+        row = rows[v]
         if row:
             row.sort()
-            keys[u] = "(" + "".join(row) + ")"
-        p = parent[u]
+            classes[v] = table.setdefault(tuple(row), len(table))
+        p = parent[v]
         if p >= 0:
-            rows[p].append(keys[u])
-    return keys, rows
+            rows[p].append(classes[v])
+    return classes, list(table)
+
+
+def _class_keys(rows: list) -> tuple[list[str], list[list[str]]]:
+    """Key of every class and its sorted row of child keys, from its row of child classes.
+
+    Class 0 is the leaf.  Each other row lists its child classes in any
+    order, but only classes smaller than its own, so one pass in class order
+    keys every child first.
+    """
+    keys, key_rows = ["()"], [[]]
+    for row in rows[1:]:
+        parts = [keys[c] for c in row]
+        parts.sort()
+        key_rows.append(parts)
+        keys.append("(" + "".join(parts) + ")")
+    return keys, key_rows
 
 
 def _cut(row: list[str], child: str) -> str:
@@ -91,12 +112,10 @@ def key_size(key: str) -> int:
     return len(key) // 2
 
 
-def fringe(tree: Tree, v: int) -> str:
-    """Canonical key of the subtree of all descendants of v, rooted at v."""
-    parent = _parent_array(tree).tolist()
-    if not 0 <= v < len(parent):
-        raise IndexError(f"vertex {v} not in tree")
-    return _keys(parent)[0][v]
+def fringe(tree: Tree) -> str:
+    """Canonical key of the descendant subtree of vertex 0, the whole tree for a tree or genealogy."""
+    classes, rows = _classes(_parent_array(tree).tolist())
+    return _class_keys(rows)[0][classes[0]]
 
 
 def extended_fringes(tree: Tree, k: int) -> dict[int, list[str]]:
@@ -104,19 +123,22 @@ def extended_fringes(tree: Tree, k: int) -> dict[int, list[str]]:
 
     f_0 is the descendant subtree of v; f_i is the subtree hanging off the
     i-th vertex on the path to the root once the branch containing v is
-    removed.  Each vertex's cut of its parent is made once and shared by
-    every path through it.
+    removed.  A cut depends only on the classes of the vertex and of the
+    removed branch, so it is made once per distinct pair of classes and
+    shared by every edge with that pair.
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     parent = _parent_array(tree).tolist()
-    keys, rows = _keys(parent)
-    cuts = [_cut(rows[u], keys[w]) if u >= 0 else "" for w, u in enumerate(parent)] if k else []
+    classes, rows = _classes(parent)
+    keys, key_rows = _class_keys(rows)
+    pairs = {(classes[u], classes[w]) for w, u in enumerate(parent) if u >= 0} if k else ()
+    cuts = {(a, c): _cut(key_rows[a], keys[c]) for a, c in pairs}
     decompositions = {}
     for v in range(len(parent)):
-        parts, w = [keys[v]], v
+        parts, w = [keys[classes[v]]], v
         while len(parts) <= k and parent[w] >= 0:
-            parts.append(cuts[w])
+            parts.append(cuts[classes[parent[w]], classes[w]])
             w = parent[w]
         if len(parts) > k:
             decompositions[v] = parts
@@ -201,7 +223,7 @@ def _depths_and_sizes(up: np.ndarray, leaves: np.ndarray) -> tuple[np.ndarray, n
 
 def _ahu_classes(
     up: np.ndarray, size: np.ndarray, leaves: np.ndarray, truncation: int
-) -> tuple[np.ndarray, list[str], list[list[str]]]:
+) -> tuple[np.ndarray, list[list[int]]]:
     """Integer fringe class of every internal vertex of at most `truncation` vertices.
 
     AHU labels (Aho, Hopcroft & Ullman 1974), level by subtree size; class 0
@@ -213,13 +235,12 @@ def _ahu_classes(
     The leaf children need no place in the row: two size-s rows with the same
     internal children have the same number of leaves, s - 1 minus the
     children's sizes, and a row of leaves alone keeps state 0.  Larger
-    vertices keep -1.  `rows[i]` lists the child keys of class i, taken once
-    from one vertex of the class: its sorted internal child keys, then one
-    ``()`` per leaf child, which is their sorted order, since ``()`` sorts
-    after every other key.  `keys[i]` wraps `rows[i]`.
+    vertices keep -1.  `rows[i]` lists the child classes of class i, taken
+    once from one vertex of the class: its sorted internal child classes,
+    then one 0 per leaf child, the row `_class_keys` keys.
     """
     ids = np.full(len(up), -1, dtype=up.dtype)
-    keys, rows = [LEAF_KEY], [[]]
+    rows: list[list[int]] = [[]]
     # the vertices and the children of vertices with at most `truncation`
     # vertices, in the index type of `up`, each with that size in the
     # narrowest type that holds the largest
@@ -241,7 +262,7 @@ def _ahu_classes(
     lo, hi = np.searchsorted(child_level, sizes), np.searchsorted(child_level, sizes, "right")
     del level, child_level
     for a, b, c, d in zip(starts.tolist(), ends.tolist(), lo.tolist(), hi.tolist()):
-        vertex, width = small[a:b], len(keys)
+        vertex, width = small[a:b], len(rows)
         owner, kid = up[child[c:d]], ids[child[c:d]]
         order = np.argsort(owner.astype(np.int64) * width + kid)
         owner, kid = owner[order], kid[order]
@@ -261,9 +282,8 @@ def _ahu_classes(
         rep[label] = vertex
         begin, end = np.searchsorted(owner, rep), np.searchsorted(owner, rep, "right")
         for v, i, j in zip(rep.tolist(), begin.tolist(), end.tolist()):
-            rows.append(sorted(keys[c] for c in kid[i:j].tolist()) + [LEAF_KEY] * int(leaves[v]))
-            keys.append("(" + "".join(rows[-1]) + ")")
-    return ids, keys, rows
+            rows.append(kid[i:j].tolist() + [0] * int(leaves[v]))
+    return ids, rows
 
 
 def empirical_fringe_distribution(tree: Tree, k: int = 0, truncation: int = 12) -> FringeHistogram:
@@ -312,7 +332,8 @@ def empirical_fringe_distribution(tree: Tree, k: int = 0, truncation: int = 12) 
         twigs = fits & (leaves > 0)
         del fits
     del depth
-    ids, keys, rows = _ahu_classes(up, size, leaves, truncation)
+    ids, rows = _ahu_classes(up, size, leaves, truncation)
+    keys, key_rows = _class_keys(rows)
     del size
     if k == 0:
         # every leaf, a lone root too, has class 0 and size 1, and an
@@ -339,7 +360,7 @@ def empirical_fringe_distribution(tree: Tree, k: int = 0, truncation: int = 12) 
             w = up[w]
         distinct, code = np.unique(code * width + ids[w], return_inverse=True)
         prev, anc = (x.tolist() for x in np.divmod(distinct, width))
-        labels = [labels[p] + "|" + _cut(rows[a], keys[top_class[p]]) for p, a in zip(prev, anc)]
+        labels = [labels[p] + "|" + _cut(key_rows[a], keys[top_class[p]]) for p, a in zip(prev, anc)]
         top_class = anc
     found = np.bincount(code, weights=weight).astype(np.int64)
     counts = dict(zip(labels, found.tolist()))
@@ -359,4 +380,4 @@ def bp_fringe_sample(delta: float, rng: CounterRng) -> str:
     Runs the memory branching process up to an independent exp(1) horizon
     and returns the canonical key of its genealogy.
     """
-    return fringe(sample_memory_bp(delta, rng, exp1=True), 0)
+    return fringe(sample_memory_bp(delta, rng, exp1=True))

@@ -11,10 +11,12 @@ marked Yule chain behind `yule_marked_ensemble`, every thinning point of
 `mc_zeta_hat` drawn at once behind its blocks of replicas, the list-based
 degree ccdf and tail fits behind the array-native `tail_ccdf`,
 `fit_power_tail` and `tail_window_sensitivity`, the key parser
-`decode_key` and the canonical key rebuilt from its parts, the fringe
-decomposition and the fringe histogram that cut parsed keys, behind
-`extended_fringes` and the leaf-deflated `empirical_fringe_distribution`
-(the histogram reference also labels every vertex, leaves included);
+`decode_key` and the canonical key rebuilt from its parts, every vertex's
+key built string by string behind the integer classes of
+`treeops._classes`, the fringe decomposition and the fringe histogram that
+cut parsed keys, behind `extended_fringes` and the leaf-deflated
+`empirical_fringe_distribution` (the histogram reference also labels every
+vertex, leaves included);
 beside them, the two-sample chi-square that compares samplers in law.
 Test files import them with ``from oracles import ...``.
 """
@@ -33,7 +35,9 @@ from seritree.analysis import TAIL_MIN_POINTS, TAIL_QUANTILE, TailFit
 from seritree.growth import TreeRecord, _edge_time_sums, attach_probabilities
 from seritree.limits import ExponentPack, _arrivals, _check_delta, _exp1_horizon, _mark_probability, exponents
 from seritree.rng import CounterRng
-from seritree.treeops import LEAF_KEY, FringeHistogram, Tree, _keys, _parent_array
+from seritree.treeops import FringeHistogram, Tree, _parent_array
+
+LEAF_KEY = "()"
 
 
 def replay_weight(tree: TreeRecord, i: int, delta, convention: str):
@@ -311,6 +315,22 @@ def decode_key(key: str) -> list[str]:
     return parts
 
 
+def subtree_keys(parent: list[int]) -> list[str]:
+    """Canonical key of every vertex's descendant subtree, built string by string.
+
+    One sweep over decreasing indices keys every child before its parent and
+    wraps each vertex's sorted child keys, with no integer classes between.
+    """
+    keys = [LEAF_KEY] * len(parent)
+    rows: list[list[str]] = [[] for _ in parent]
+    for u in range(len(parent) - 1, -1, -1):
+        if rows[u]:
+            keys[u] = "(" + "".join(sorted(rows[u])) + ")"
+        if parent[u] >= 0:
+            rows[parent[u]].append(keys[u])
+    return keys
+
+
 def cut_key(key: str, child: str) -> str:
     """`key` with one root child of key `child` removed."""
     parts = decode_key(key)
@@ -324,13 +344,14 @@ def extended_fringes_reference(tree: Tree, k: int) -> dict[int, list[str]]:
     f_0 is the descendant subtree of v; f_i is the subtree hanging off the
     i-th vertex on the path to the root once the branch containing v is
     removed, cut from the i-th vertex's key by `cut_key`.  A key depends on
-    the descendants alone, so one sweep keys every vertex, and each vertex's
-    cut of its parent is made once and shared by every path through it.
+    the descendants alone, so one string sweep (`subtree_keys`) keys every
+    vertex, and each vertex's cut of its parent is made once and shared by
+    every path through it.
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     parent = _parent_array(tree).tolist()
-    keys, _ = _keys(parent)
+    keys = subtree_keys(parent)
     cuts = {w: cut_key(keys[u], keys[w]) for w, u in enumerate(parent) if u >= 0} if k else {}
     decompositions = {}
     for v in range(len(parent)):

@@ -145,6 +145,9 @@ def test_fit_degree_growth_validation():
     for checkpoints, repeated in (([1, 10, 100, 1000, 1000], 1000), ([1, 1, 1, 1000], 1)):
         with pytest.raises(ValueError, match=f"checkpoint {repeated} is given more than once"):
             fit_degree_growth(0.0, 1, checkpoints, n_seeds=2)
+    # no seed gave slope nan, two RuntimeWarnings and mean degrees of 0
+    with pytest.raises(ValueError, match="n_seeds must be >= 1, got 0"):
+        fit_degree_growth(0.0, 1, [20, 200, 2000, 20000], n_seeds=0)
 
 
 def test_fit_degree_growth_small():

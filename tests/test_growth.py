@@ -405,7 +405,7 @@ def test_shape_distribution_chi_square_n5():
     delta = Fraction(0)
     exact_by_shape: dict[str, float] = {}
     for hist in enumerate_histories(5):
-        key = fringe(TreeRecord.from_parents(hist), 0)
+        key = fringe(TreeRecord.from_parents(hist))
         p = history_probability(hist, delta)
         exact_by_shape[key] = exact_by_shape.get(key, 0.0) + float(p)
     assert abs(sum(exact_by_shape.values()) - 1.0) < 1e-12
@@ -415,7 +415,7 @@ def test_shape_distribution_chi_square_n5():
     params = GrowthParams(delta=0.0, n_final=5, seed=0)
     for _ in range(reps):
         tree, _ = grow(params, rng=rng)
-        observed[fringe(tree, 0)] += 1
+        observed[fringe(tree)] += 1
     keys = sorted(exact_by_shape)
     obs = np.array([observed[k] for k in keys], dtype=float)
     exp = np.array([exact_by_shape[k] * reps for k in keys])

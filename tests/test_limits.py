@@ -379,7 +379,7 @@ def test_memory_bp_genealogy_matches_heap_engine():
     rng = CounterRng(19)
 
     def key(bp):
-        k = fringe(bp, 0)
+        k = fringe(bp)
         return k if key_size(k) <= 4 else OTHER_KEY
 
     a = Counter(key(sample_memory_bp(0.0, rng, t_max=t_max)) for _ in range(n))

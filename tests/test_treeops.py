@@ -8,8 +8,10 @@ from hypothesis import given, settings, strategies as st
 from seritree.growth import GrowthParams, TreeRecord, enumerate_histories, grow, value_counts
 from seritree.limits import sample_memory_bp
 from seritree.rng import CounterRng
+import seritree.treeops
 from seritree.treeops import (
     FringeHistogram,
+    _classes,
     _parent_array,
     bp_fringe_sample,
     empirical_fringe_distribution,
@@ -18,7 +20,14 @@ from seritree.treeops import (
     key_size,
 )
 
-from oracles import decode_key, depth_and_size, empirical_fringe_reference, extended_fringes_reference, reencode_key
+from oracles import (
+    decode_key,
+    depth_and_size,
+    empirical_fringe_reference,
+    extended_fringes_reference,
+    reencode_key,
+    subtree_keys,
+)
 
 
 def _brute_isomorphic(children_a, ra, children_b, rb):
@@ -59,7 +68,7 @@ def test_canonical_keys_match_brute_force_iso_up_to_7_vertices():
         entries = []
         for hist in enumerate_histories(n):
             tree = TreeRecord.from_parents(hist)
-            entries.append((fringe(tree, 0), _children_from_hist(hist)))
+            entries.append((fringe(tree), _children_from_hist(hist)))
         reps = []  # (key, children) representatives of brute-force classes
         for key, children in entries:
             found = None
@@ -76,15 +85,15 @@ def test_canonical_keys_match_brute_force_iso_up_to_7_vertices():
 
 def test_leaf_and_star_keys():
     star = TreeRecord.from_parents([0, 0])  # root with 2 children
-    assert fringe(star, 1) == "()"
-    assert fringe(star, 0) == "(()())"
+    assert extended_fringes(star, 0)[1][0] == "()"
+    assert fringe(star) == "(()())"
     assert key_size("(()())") == 3
 
 
 def test_root_fringe_is_whole_tree_at_n2():
     for hist in ((0, 0), (0, 1)):
         tree = TreeRecord.from_parents(hist)
-        assert key_size(fringe(tree, 0)) == 3
+        assert key_size(fringe(tree)) == 3
 
 
 def test_key_roundtrip_and_decode():
@@ -103,7 +112,7 @@ def test_key_invariant_under_child_order(seed, n):
     rng = CounterRng(seed)
     hist = [0] + [rng.randbelow(i) for i in range(2, n + 1)]
     tree = TreeRecord.from_parents(hist)
-    key = fringe(tree, 0)
+    key = fringe(tree)
     assert reencode_key(key) == key
     # relabel children by reversing sibling attachment order: same shape
     children = _children_from_hist(hist)
@@ -141,7 +150,7 @@ def _keys_of_children(children):
 def test_extended_fringe_basics():
     # path 0 - 1 - 2 - 3, query the leaf
     tree = TreeRecord.from_parents([0, 1, 2])
-    assert extended_fringes(tree, 0)[3] == [fringe(tree, 3)]
+    assert extended_fringes(tree, 0)[3] == ["()"]
     assert extended_fringes(tree, 3) == {3: ["()", "()", "()", "()"]}
     # no vertex has depth 4
     assert extended_fringes(tree, 4) == {}
@@ -161,7 +170,7 @@ def test_extended_fringe_partitions_sizes():
     anc = v
     for _ in range(k):
         anc = parents[anc]
-    assert sum(key_size(p) for p in parts) == key_size(fringe(tree, anc))
+    assert sum(key_size(p) for p in parts) == key_size(extended_fringes(tree, 0)[anc][0])
 
 
 def test_extended_fringe_against_direct_reconstruction():
@@ -186,7 +195,7 @@ def test_q_count_examples():
     for _ in range(50):
         n = 2 + rng.randbelow(6)
         hist = [0] + [rng.randbelow(i) for i in range(2, n + 1)]
-        children = decode_key(fringe(TreeRecord.from_parents(hist), 0))
+        children = decode_key(fringe(TreeRecord.from_parents(hist)))
         for target in ("()", "(())", "(()())"):
             assert children.count(target) == sum(reencode_key(c) == target for c in children)
 
@@ -382,6 +391,41 @@ def test_extended_fringe_matches_reference_on_every_vertex(k):
         reference = extended_fringes_reference(tree, k)
         assert sorted(reference) == np.flatnonzero(depth >= k).tolist(), name
         assert extended_fringes(tree, k) == reference, name
+
+
+def _class_inputs():
+    for n in range(1, 7):
+        for hist in enumerate_histories(n):
+            yield f"history {hist}", TreeRecord.from_parents(hist)
+    yield from _reference_inputs(max_n=1000)
+
+
+def test_classes_match_string_keys():
+    # the integer classes the spectrum quotient and the fringe keys read:
+    # two vertices share one exactly when their string keys are equal, and
+    # class 0 is exactly the leaves
+    for name, tree in _class_inputs():
+        parent = _parent_array(tree).tolist()
+        classes, rows = _classes(parent)
+        keys = subtree_keys(parent)
+        assert len(set(zip(classes, keys))) == len(set(classes)) == len(set(keys)) == len(rows), name
+        leaves = set(range(len(parent))) - set(parent)
+        assert {v for v, c in enumerate(classes) if c == 0} == leaves, name
+
+
+def test_extended_fringes_cut_once_per_class_pair(monkeypatch):
+    # every edge of a star joins the root's class to the leaf class
+    calls = []
+
+    def counted(row, child):
+        calls.append(child)
+        return cut(row, child)
+
+    cut = seritree.treeops._cut
+    monkeypatch.setattr(seritree.treeops, "_cut", counted)
+    decompositions = extended_fringes(TreeRecord.from_parents([0] * 1000), 1)
+    assert calls == ["()"]
+    assert decompositions == {v: ["()", "(" + "()" * 999 + ")"] for v in range(1, 1001)}
 
 
 def test_leaf_fraction_near_limit():
