@@ -415,13 +415,12 @@ def test_classes_match_string_keys():
 
 def test_extended_fringes_cut_once_per_class_pair(monkeypatch):
     # every edge of a star joins the root's class to the leaf class
-    calls = []
+    calls, cut = [], seritree.treeops._cut
 
     def counted(row, child):
         calls.append(child)
         return cut(row, child)
 
-    cut = seritree.treeops._cut
     monkeypatch.setattr(seritree.treeops, "_cut", counted)
     decompositions = extended_fringes(TreeRecord.from_parents([0] * 1000), 1)
     assert calls == ["()"]
