@@ -14,12 +14,12 @@ from .analysis import (
     SpectrumResult,
     TailFit,
     adjacency_spectrum,
-    atom_mass_at_zero,
     compare_distributions,
     fit_degree_growth,
     fit_power_tail,
     tail_ccdf,
     tail_window_sensitivity,
+    zero_atom,
 )
 from .growth import (
     GrowthParams,

@@ -3,6 +3,13 @@
 Everything here consumes immutable simulation output (grown trees, degree
 samples, fringe histograms) and produces plain fit/report objects, so the
 functions parallelize trivially at the replica level.
+
+The spectrum rests on one combinatorial fact: the rank of a forest's
+adjacency matrix is twice its matching number, which one greedy walk over
+the vertices finds (`_matched`).  `zero_atom` reads the exact multiplicity
+of eigenvalue 0 from it at any n, and `adjacency_spectrum` takes each
+component's rank from it, so one Gram eigensolve per distinct component
+gives the nonzero eigenvalues and every other eigenvalue is exactly 0.
 """
 
 from __future__ import annotations
@@ -313,14 +320,59 @@ def compare_distributions(p: FringeHistogram, q: FringeHistogram) -> tuple[float
     return tv, stat, p_value
 
 
-ZERO_TOL = 1e-8  # an eigenvalue this close to 0 counts toward the zero atom
-
-
 @dataclass
 class SpectrumResult:
     """Adjacency eigenvalues of a tree, sorted ascending."""
 
     eigenvalues: np.ndarray
+
+
+def _matched(parent: np.ndarray) -> np.ndarray:
+    """Which vertices of a forest a greedy maximum matching pairs with a child.
+
+    `parent` holds -1 at each root and gives every child a larger index than
+    its parent.  The walk over decreasing indices reaches each vertex after
+    all its descendants and matches it with its parent when both are free
+    (Karp & Sipser 1981), which gives a maximum matching of a forest.  A
+    vertex is thus matched to a child exactly when one of its children was
+    left free, and marking that upper end of each matched edge counts the
+    matching number nu.
+    """
+    matched = bytearray(len(parent) + 1)  # the last slot takes the roots' -1
+    for v, p in zip(range(len(parent) - 1, -1, -1), reversed(parent.tolist())):
+        if not matched[v]:
+            matched[p] = 1
+    return np.frombuffer(matched, dtype=bool)[:-1]
+
+
+def zero_atom(tree: TreeRecord) -> int:
+    """Multiplicity of eigenvalue 0 in the adjacency spectrum of a tree, exact at any n.
+
+    In a forest it is n + 1 - 2 nu, where nu is the size of a maximum
+    matching (Cvetkovic & Gutman 1972), which `_matched` finds in one walk
+    over the vertices; there is no size cap.
+    """
+    return tree.n + 1 - 2 * int(np.count_nonzero(_matched(tree.parent)))
+
+
+def _singular_values(block: np.ndarray, rank: int) -> np.ndarray:
+    """The `rank` nonzero singular values of `block`, ascending, from one Gram eigensolve.
+
+    The smaller Gram matrix G (B B^T or B^T B, of dimension m) has the
+    squares s^2 as its `rank` largest eigenvalues and m - rank exact zeros.
+    `eigvalsh` is backward stable, so each computed eigenvalue lies within a
+    small multiple of eps * lambda_max of the exact one.  With the bound
+    m * eps * lambda_max, the kept eigenvalues must exceed it and the others
+    lie within it of 0; otherwise the rank is wrong and RuntimeError is
+    raised.
+    """
+    gram = block @ block.T if block.shape[0] <= block.shape[1] else block.T @ block
+    lam = np.linalg.eigvalsh(gram)
+    m = lam.size
+    bound = m * np.finfo(float).eps * lam[-1]
+    if not 0 < rank <= m or lam[m - rank] <= bound or np.abs(lam[: m - rank]).max(initial=0.0) > bound:
+        raise RuntimeError(f"rank {rank} does not split the {m} Gram eigenvalues at {bound:.1e}")
+    return np.sqrt(lam[m - rank :])
 
 
 def adjacency_spectrum(tree: TreeRecord) -> SpectrumResult:
@@ -342,10 +394,17 @@ def adjacency_spectrum(tree: TreeRecord) -> SpectrumResult:
     its class, so all components whose heads share a class have one
     spectrum.  Second, a tree is bipartite, so with its vertices coloured by
     depth parity the nonzero eigenvalues of a component are +-s for the
-    singular values s of its even-by-odd block B, and the rest are
-    |rows(B) - cols(B)| zeros.  One SVD per distinct head class gives the
-    whole spectrum; a cut leaf is a one-vertex component and gives one 0.
-    The structural zeros are exactly 0, and the returned spectrum is exactly
+    nonzero singular values s of its even-by-odd block B, and all its other
+    eigenvalues are 0.  For any nonzero edge weights the rank of B is the
+    component's matching number nu_c, which one greedy matching of the
+    whole forest gives (`_matched`).  One `eigvalsh` of the smaller Gram
+    matrix of B per distinct head class then gives the s^2 as its nu_c
+    largest eigenvalues (`_singular_values`, which raises RuntimeError when
+    they and the others are not split by the bound m * eps * s_max^2, m the
+    Gram dimension).  An eigenvalue error of about eps * s_max^2 moves a
+    nonzero s by about eps * s_max^2 / (2 s).  A cut leaf is a one-vertex
+    component and gives one 0.  The zeros are exactly 0, n + 1 - 2 nu of
+    them as `zero_atom` counts, and the returned spectrum is exactly
     symmetric about 0.
     """
     n = tree.n
@@ -361,6 +420,7 @@ def adjacency_spectrum(tree: TreeRecord) -> SpectrumResult:
     head[first] = False
     weight = np.ones(n + 1)  # of the edge from a vertex up to its parent
     weight[first] = np.sqrt(twins)
+    matched = _matched(np.where(head, -1, parent))  # in the forest of components
     # each vertex's head, the nearest head among itself and its ancestors
     top = np.where(head, np.arange(n + 1), parent)
     while not head[top].all():
@@ -390,12 +450,8 @@ def adjacency_spectrum(tree: TreeRecord) -> SpectrumResult:
         above = parent[child]
         block = np.zeros((evens.size, odds.size))
         block[index[np.where(flip, above, child)], index[np.where(flip, child, above)]] = weight[child]
-        values.append(np.tile(np.linalg.svd(block, compute_uv=False), c))
+        rank = int(np.count_nonzero(matched[members]))
+        values.append(np.tile(_singular_values(block, rank), c))
     s = np.sort(np.concatenate(values))
-    # 0.0 - s, not -s: a singular value of exactly 0 gives +0.0, as the zeros do
+    # every s is positive, so the mirrored half is exactly -s and the zeros are +0.0
     return SpectrumResult(eigenvalues=np.concatenate((0.0 - s[::-1], np.zeros(n + 1 - 2 * s.size), s)))
-
-
-def atom_mass_at_zero(spec: SpectrumResult) -> float:
-    """Relative multiplicity of the zero eigenvalue, within `ZERO_TOL`."""
-    return float(np.mean(np.abs(spec.eigenvalues) <= ZERO_TOL))

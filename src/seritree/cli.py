@@ -237,15 +237,14 @@ def cmd_spectrum(args) -> int:
             code=EXIT_RESOURCE_CAP,
         )
     tree, _ = _grow(args)
-    spec = analysis.adjacency_spectrum(tree)
-    eig = spec.eigenvalues
+    eig = analysis.adjacency_spectrum(tree).eigenvalues
     trace = float(eig.sum())
     sumsq_err = abs(float((eig**2).sum()) - 2.0 * tree.n)
     return _finish(args, {
         "n_eigenvalues": int(eig.size),
         "trace": trace,
         "sum_squares_error": sumsq_err,
-        "atom_mass_at_zero": analysis.atom_mass_at_zero(spec),
+        "atom_mass_at_zero": analysis.zero_atom(tree) / (tree.n + 1),
         "stderr": None,
         "target": 0.0,
         "tolerance": args.tolerance,
@@ -305,6 +304,8 @@ def _check_sampler_equivalence() -> tuple[bool, str]:
 
 
 def _check_spectrum_vs_dense() -> tuple[bool, str]:
+    # the spectrum within 1e-10 of a dense eigvalsh, and `zero_atom` equal to
+    # the number of dense eigenvalues within 1e-8 of 0
     worst = 0.0
     for n in range(1, 7):
         for hist in growth.enumerate_histories(n):
@@ -315,6 +316,9 @@ def _check_spectrum_vs_dense() -> tuple[bool, str]:
             eig = analysis.adjacency_spectrum(tree).eigenvalues
             if eig.shape != dense.shape:
                 return False, f"{eig.size} eigenvalues, not {dense.size}, at {hist}"
+            atom, zeros = analysis.zero_atom(tree), int(np.count_nonzero(np.abs(dense) <= 1e-8))
+            if atom != zeros:
+                return False, f"zero_atom {atom}, not the {zeros} dense zeros, at {hist}"
             worst = max(worst, float(np.max(np.abs(eig - dense))))
     return worst <= 1e-10, f"max |eig - dense| = {worst:.2e}"
 

@@ -59,6 +59,16 @@ def _parent_array(tree: Tree) -> np.ndarray:
     return parent
 
 
+def _parent_list(tree: Tree) -> list[int]:
+    """Parents as a Python list with -1 at each root, for the per-vertex sweeps.
+
+    A genealogy's own list is read directly, with no array in between.
+    """
+    if isinstance(tree, BranchingTree):
+        return [-1] + tree.parents[1:]
+    return _parent_array(tree).tolist()
+
+
 def _classes(parent: list[int]) -> tuple[list[int], list[tuple[int, ...]]]:
     """Integer class of every vertex's descendant subtree and each class's child classes.
 
@@ -114,7 +124,7 @@ def key_size(key: str) -> int:
 
 def fringe(tree: Tree) -> str:
     """Canonical key of the descendant subtree of vertex 0, the whole tree for a tree or genealogy."""
-    classes, rows = _classes(_parent_array(tree).tolist())
+    classes, rows = _classes(_parent_list(tree))
     return _class_keys(rows)[0][classes[0]]
 
 
@@ -129,7 +139,7 @@ def extended_fringes(tree: Tree, k: int) -> dict[int, list[str]]:
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    parent = _parent_array(tree).tolist()
+    parent = _parent_list(tree)
     classes, rows = _classes(parent)
     keys, key_rows = _class_keys(rows)
     pairs = {(classes[u], classes[w]) for w, u in enumerate(parent) if u >= 0} if k else ()

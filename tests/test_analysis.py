@@ -7,18 +7,19 @@ import numpy as np
 import pytest
 from scipy.special import chdtrc
 
+import seritree.analysis
 from seritree.analysis import (
-    SpectrumResult,
+    _singular_values,
     adjacency_spectrum,
-    atom_mass_at_zero,
     chi_square_tail,
     compare_distributions,
     fit_degree_growth,
     fit_power_tail,
     tail_ccdf,
     tail_window_sensitivity,
+    zero_atom,
 )
-from seritree.growth import GrowthParams, TreeRecord, grow
+from seritree.growth import GrowthParams, TreeRecord, enumerate_histories, grow
 from seritree.treeops import FringeHistogram
 
 from oracles import fit_power_tail_reference, tail_ccdf_reference, tail_window_sensitivity_reference
@@ -328,6 +329,37 @@ def _dense_spectrum(tree):
     return np.linalg.eigvalsh(a)
 
 
+@pytest.fixture(scope="session")
+def dense_oracle():
+    """`_dense_spectrum` computed once per tree in the session, keyed by its parents."""
+    cache = {}
+
+    def spectrum(tree):
+        key = tree.parent.tobytes()
+        if key not in cache:
+            cache[key] = _dense_spectrum(tree)
+        return cache[key]
+
+    return spectrum
+
+
+def _dense_zeros(dense):
+    return int(np.count_nonzero(np.abs(dense) <= 1e-8))
+
+
+# the slowest and the largest singular values the cap allows, and blocks far
+# from square: 2048 vertices on a path, where s_min = 2 sin(pi / 4098), about
+# pi / 2049; a star of 2048 leaves, where s_max^2 = 2048; a hub of 1,000
+# leaves beside a 1,000-edge path; a broom, a 1,000-edge handle with 1,000
+# bristles at its end
+ADVERSARIAL = {
+    "path 2048": list(range(2047)),
+    "star 2048": [0] * 2048,
+    "hub and path": [0] * 1001 + list(range(1001, 2000)),
+    "broom": list(range(1000)) + [1000] * 1000,
+}
+
+
 def _oracle_trees():
     yield "n=1", TreeRecord.from_parents([0])
     yield "n=2 star", TreeRecord.from_parents([0, 0])
@@ -340,17 +372,66 @@ def _oracle_trees():
             for seed in (1, 2, 3):
                 tree, _ = grow(GrowthParams(delta=delta, n_final=n, seed=seed))
                 yield f"grown n={n} delta={delta} seed={seed}", tree
+    for name, parents in ADVERSARIAL.items():
+        yield name, TreeRecord.from_parents(parents)
 
 
-def test_spectrum_matches_dense_oracle():
+def _check_against_dense(tree, dense, label=None):
+    eig = adjacency_spectrum(tree).eigenvalues
+    assert eig.shape == dense.shape, label
+    assert np.max(np.abs(eig - dense)) <= 1e-10, label
+    assert int(np.count_nonzero(eig == 0)) == _dense_zeros(dense), label
+    assert np.all(eig + eig[::-1] == 0), label
+    assert np.all(np.diff(eig) >= 0), label
+
+
+def test_spectrum_matches_dense_oracle(dense_oracle):
     for label, tree in _oracle_trees():
-        eig = adjacency_spectrum(tree).eigenvalues
-        dense = _dense_spectrum(tree)
-        assert eig.shape == dense.shape, label
-        assert np.max(np.abs(eig - dense)) <= 1e-10, label
-        assert atom_mass_at_zero(SpectrumResult(eig)) == atom_mass_at_zero(SpectrumResult(dense)), label
-        assert np.all(eig + eig[::-1] == 0), label
-        assert np.all(np.diff(eig) >= 0), label
+        _check_against_dense(tree, dense_oracle(tree), label)
+
+
+def _blocks(monkeypatch, tree):
+    """Each (block, rank) pair that `adjacency_spectrum(tree)` hands to `_singular_values`."""
+    seen = []
+
+    def record(block, rank):
+        seen.append((block, rank))
+        return _singular_values(block, rank)
+
+    monkeypatch.setattr(seritree.analysis, "_singular_values", record)
+    adjacency_spectrum(tree)
+    monkeypatch.undo()
+    return seen
+
+
+def _check_forced_ranks_raise(block, rank):
+    for wrong in (rank - 1, rank + 1):
+        with pytest.raises(RuntimeError):
+            _singular_values(block, wrong)
+
+
+def test_matching_rank_is_block_rank_on_every_history(monkeypatch):
+    for n in range(1, 7):
+        for hist in enumerate_histories(n):
+            tree = TreeRecord.from_parents(hist)
+            for block, rank in _blocks(monkeypatch, tree):
+                assert rank == np.linalg.matrix_rank(block), hist
+                _check_forced_ranks_raise(block, rank)
+
+
+@pytest.mark.parametrize("name", ["path 2048", "broom"])
+def test_forced_rank_raises_on_adversarial_trees(name, monkeypatch):
+    # the path's smallest s^2, about 2.4e-6, is the nearest a kept eigenvalue
+    # comes to the bound, about 9e-13 on its 1024 x 1024 Gram matrix
+    for block, rank in _blocks(monkeypatch, TreeRecord.from_parents(ADVERSARIAL[name])):
+        _check_forced_ranks_raise(block, rank)
+
+
+def test_zero_atom_has_no_size_cap():
+    # a star has rank 2 and a path of m vertices has m mod 2 zeros, at any n
+    assert zero_atom(TreeRecord.from_parents([0] * 5000)) == 4999
+    assert zero_atom(TreeRecord.from_parents(list(range(4999)))) == 0
+    assert zero_atom(TreeRecord.from_parents(list(range(5000)))) == 1
 
 
 def _from_shape(shape):
@@ -376,34 +457,46 @@ CHERRY = [[], []]
 NESTED = [[CHERRY, CHERRY, []]] * 3 + [[CHERRY, [[]]]]
 
 
-@pytest.mark.parametrize(
-    "shape",
-    [
-        _complete(2, 9),
-        _complete(3, 6),
-        [[[[[[]]]]]] * 20,  # a spider of twenty legs of five edges
-        NESTED,
-        [NESTED] * 4,
-        [CHERRY] * 50,
-    ],
-    ids=["binary depth 9", "ternary depth 6", "spider 20x5", "nested twins", "nested twins x4", "50 cherries"],
-)
-def test_sibling_quotient_matches_dense_oracle(shape):
+SHAPES = {
+    "binary depth 9": _complete(2, 9),
+    "ternary depth 6": _complete(3, 6),
+    "spider 20x5": [[[[[[]]]]]] * 20,  # twenty legs of five edges
+    "nested twins": NESTED,
+    "nested twins x4": [NESTED] * 4,
+    "50 cherries": [CHERRY] * 50,
+}
+
+
+@pytest.mark.parametrize("name", SHAPES)
+def test_sibling_quotient_matches_dense_oracle(name, dense_oracle):
     # trees made of isomorphic sibling subtrees, which the spectrum splits off
-    tree = _from_shape(shape)
-    eig = adjacency_spectrum(tree).eigenvalues
-    dense = _dense_spectrum(tree)
-    assert eig.shape == dense.shape
-    assert np.max(np.abs(eig - dense)) <= 1e-10
-    assert atom_mass_at_zero(SpectrumResult(eig)) == atom_mass_at_zero(SpectrumResult(dense))
-    assert np.all(eig + eig[::-1] == 0)
-    assert np.all(np.diff(eig) >= 0)
+    tree = _from_shape(SHAPES[name])
+    _check_against_dense(tree, dense_oracle(tree))
+
+
+def _spectrum_zeros(tree):
+    return int(np.count_nonzero(adjacency_spectrum(tree).eigenvalues == 0))
+
+
+def test_zero_atom_matches_dense_on_every_history():
+    for n in range(1, 7):
+        for hist in enumerate_histories(n):
+            tree = TreeRecord.from_parents(hist)
+            a = np.zeros((n + 1, n + 1))
+            a[np.arange(1, n + 1), hist] = 1.0
+            assert zero_atom(tree) == _dense_zeros(np.linalg.eigvalsh(a + a.T)), hist
+            assert zero_atom(tree) == _spectrum_zeros(tree), hist
+
+
+def test_zero_atom_matches_dense_oracle(dense_oracle):
+    trees = [*_oracle_trees(), *((name, _from_shape(shape)) for name, shape in SHAPES.items())]
+    for label, tree in trees:
+        assert zero_atom(tree) == _dense_zeros(dense_oracle(tree)) == _spectrum_zeros(tree), label
 
 
 def test_spectrum_zero_atom_and_cap():
     star = TreeRecord.from_parents([0, 0, 0])
-    spec = adjacency_spectrum(star)
-    assert atom_mass_at_zero(spec) == 0.5
+    assert zero_atom(star) == int(np.count_nonzero(adjacency_spectrum(star).eigenvalues == 0)) == 2
     big = TreeRecord.from_parents([0] * 3000)  # a star beyond the size cap
     with pytest.raises(ValueError):
         adjacency_spectrum(big)

@@ -336,6 +336,16 @@ def test_forest_refuses_bad_parents(forest):
 
 
 @pytest.mark.parametrize("seed", [45, 46, 47])
+def test_genealogy_keys_match_its_parent_array(seed):
+    # `fringe` and `extended_fringes` read a genealogy's parent list directly
+    tree = sample_memory_bp(0.0, CounterRng(seed), t_max=6.0)
+    parent = _parent_array(tree)
+    assert fringe(tree) == fringe(parent)
+    for k in (0, 1, 2):
+        assert extended_fringes(tree, k) == extended_fringes(parent, k)
+
+
+@pytest.mark.parametrize("seed", [45, 46, 47])
 def test_genealogy_histogram_matches_per_vertex_fringes(seed):
     tree = sample_memory_bp(0.0, CounterRng(seed), t_max=6.0)
     assert tree.size > 20
