@@ -347,7 +347,7 @@ def _dense_zeros(dense):
     return int(np.count_nonzero(np.abs(dense) <= 1e-8))
 
 
-# the slowest and the largest singular values the cap allows, and blocks far
+# the smallest and the largest singular values the cap allows, and blocks far
 # from square: 2048 vertices on a path, where s_min = 2 sin(pi / 4098), about
 # pi / 2049; a star of 2048 leaves, where s_max^2 = 2048; a hub of 1,000
 # leaves beside a 1,000-edge path; a broom, a 1,000-edge handle with 1,000
