@@ -15,6 +15,7 @@ gives the nonzero eigenvalues and every other eigenvalue is exactly 0.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -180,7 +181,8 @@ def fit_degree_growth(
     be distinct, be at least 1 and span at least 3 decades, and at least one
     seed must run.  Replica r always uses the stream derived from
     (master_seed, r) and results are reduced in replica order, so the outcome
-    is independent of `workers`; at most one worker process runs per seed.
+    is independent of `workers`.  At most one worker process runs per seed,
+    and no more than the CPUs this process may run on.
     """
     cps = sorted(checkpoints)
     if len(cps) < 4:
@@ -198,7 +200,8 @@ def fit_degree_growth(
         raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
     log_n = np.log(cps)
     args = [(delta, vertex, cps, master_seed, r, convention) for r in range(n_seeds)]
-    pool_size = min(workers, n_seeds)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    pool_size = min(workers, n_seeds, cpus)
     if pool_size > 1:
         from concurrent.futures import ProcessPoolExecutor
 

@@ -3,10 +3,12 @@
 Subcommands run the growth / limit / analysis pipelines with deterministic
 seeding.  Each run's files, its ``report.json`` and its ``manifest.json``
 (the flags, timestamp and tool version) are written by ``_finish`` alone.
-All randomized output is a pure function of (flags, seed); ``--workers``
-never changes results because replica streams are indexed and reduced in a
-fixed order.  ``selftest`` runs the checks listed in ``SELFTEST_ROWS``, each
-a function that returns ``(ok, detail)``.
+Each command builds its CSV tables' rows from its results, before
+``_finish`` makes the output directory, and ``serialize.write_table``
+writes them.  All randomized output is a pure function of (flags, seed);
+``--workers`` never changes results because replica streams are indexed
+and reduced in a fixed order.  ``selftest`` runs the checks listed in
+``SELFTEST_ROWS``, each a function that returns ``(ok, detail)``.
 
 Exit codes: 0 success, 1 check failure, 2 usage/validation error,
 3 resource cap exceeded.
@@ -111,8 +113,12 @@ def cmd_grow(args) -> int:
     else:
         files = {"tree.bin": partial(serialize.write_tree_binary, tree)}
     if snaps:
-        files["checkpoints.csv"] = partial(serialize.write_checkpoints_csv, snaps)
-        files["tracked.csv"] = partial(serialize.write_tracked_csv, snaps)
+        files["checkpoints.csv"] = partial(serialize.write_table, header=["n", "degree", "count"], rows=[
+            [snap.n, k, snap.degree_counts[k]] for snap in snaps for k in sorted(snap.degree_counts)
+        ])
+        files["tracked.csv"] = partial(serialize.write_table, header=["n", "vertex", "degree"], rows=[
+            [snap.n, v, snap.tracked_degrees[v]] for snap in snaps for v in sorted(snap.tracked_degrees)
+        ])
     return _finish(args, files=files)
 
 
@@ -140,7 +146,9 @@ def cmd_limit_pmf(args) -> int:
         "target": target,
         "tolerance": tolerance,
         "pass": abs(estimate - target) <= tolerance,
-    }, {"pmf.csv": partial(serialize.write_pmf_csv, pmf)})
+    }, {"pmf.csv": partial(serialize.write_table, header=["k", "probability", "stderr"], rows=[
+        [k, repr(pmf.p[k]), repr(pmf.stderr.get(k, 0.0))] for k in sorted(pmf.p)
+    ])})
 
 
 def cmd_tail(args) -> int:
@@ -191,6 +199,14 @@ def cmd_growth_fit(args) -> int:
     }, reps=args.seeds)
 
 
+def _histogram_table(hist: treeops.FringeHistogram):
+    """Writer of a fringe histogram's table: each key in order, then (other) if any fringe fell there."""
+    rows = [[key, count, repr(count / hist.total)] for key, count in sorted(hist.counts.items())]
+    if hist.other:
+        rows.append([treeops.OTHER_KEY, hist.other, repr(hist.other / hist.total)])
+    return partial(serialize.write_table, header=["key", "count", "frequency"], rows=rows)
+
+
 def cmd_fringe_compare(args) -> int:
     tree, _ = _grow(args)
     empirical = treeops.empirical_fringe_distribution(tree, truncation=args.max_size)
@@ -225,8 +241,8 @@ def cmd_fringe_compare(args) -> int:
         "tolerance": args.tolerance,
         "pass": tv <= args.tolerance,
     }, {
-        "fringe_empirical.csv": partial(serialize.write_histogram_csv, empirical),
-        "fringe_bp.csv": partial(serialize.write_histogram_csv, simulated),
+        "fringe_empirical.csv": _histogram_table(empirical),
+        "fringe_bp.csv": _histogram_table(simulated),
     })
 
 
@@ -249,7 +265,9 @@ def cmd_spectrum(args) -> int:
         "target": 0.0,
         "tolerance": args.tolerance,
         "pass": abs(trace) <= args.tolerance and sumsq_err <= args.tolerance,
-    }, {"spectrum.csv": partial(serialize.write_spectrum_csv, eig)})
+    }, {"spectrum.csv": partial(serialize.write_table, header=["eigenvalue"], rows=[
+        [repr(v)] for v in eig.tolist()
+    ])})
 
 
 def cmd_localcheck(args) -> int:

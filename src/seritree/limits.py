@@ -38,7 +38,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .growth import total_weight_closed
+from .growth import CONVENTIONS, _delta_part, total_weight_closed
 from .rng import CounterRng
 
 NODE_CAP = 10_000_000
@@ -487,11 +487,7 @@ def _neighborhood_weight(tree: MarkedTree, v: int, u: int, delta: float, convent
         tc = tree.times[c]
         if tc <= u:
             w += u + 1 - tc
-    if convention == "exact":
-        w += delta * (u + 1 - born)
-    else:
-        w += delta * (u - born)
-    return w
+    return w + _delta_part(delta, born, u, convention)
 
 
 def marked_neighborhood_log_prob(
@@ -507,6 +503,8 @@ def marked_neighborhood_log_prob(
     Cost O(n * |V(tree)|).
     """
     _check_delta(delta)
+    if convention not in CONVENTIONS:
+        raise ValueError(f"convention must be one of {CONVENTIONS}, got {convention!r}")
     if tree.times is None:
         raise ValueError("discrete times required")
     if tree.times[-1] > n:

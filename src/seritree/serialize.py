@@ -1,4 +1,4 @@
-"""File formats: trees, pmfs, histograms, spectra.
+"""File formats: the two tree formats and the CSV table.
 
 Trees ship in two interchangeable formats:
 
@@ -7,8 +7,11 @@ Trees ship in two interchangeable formats:
   zero bytes), a little-endian uint64 vertex count n, then n little-endian
   uint64 parents for vertices 1..n.
 
-The CLI writes each run's ``report.json`` and ``manifest.json`` itself, in
-``cli._finish``.
+Every other table the CLI writes (degree pmf, fringe histograms, spectrum,
+checkpoint and tracked degrees) goes through ``write_table``, from rows the
+CLI builds out of its results, so this module needs nothing of the package
+but ``growth``.  The CLI writes each run's ``report.json`` and
+``manifest.json`` itself, in ``cli._finish``.
 """
 
 from __future__ import annotations
@@ -17,13 +20,11 @@ import csv
 import os
 import struct
 from pathlib import Path
-from typing import Sequence, Union
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
 from .growth import TreeRecord, first_bad_parent
-from .limits import DegreePMF
-from .treeops import OTHER_KEY, FringeHistogram
 
 TREE_MAGIC = b"SERI-TREE\x00"
 TREE_BINARY_VERSION = 1
@@ -144,46 +145,9 @@ def read_tree_binary(path: Union[str, Path]) -> TreeRecord:
     return TreeRecord(parent)
 
 
-def write_pmf_csv(pmf: DegreePMF, path: Union[str, Path]) -> None:
+def write_table(path: Union[str, Path], header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write a CSV table: the header, then the rows, each line ending in \\r\\n."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["k", "probability", "stderr"])
-        for k in sorted(pmf.p):
-            writer.writerow([k, repr(pmf.p[k]), repr(pmf.stderr.get(k, 0.0))])
-
-
-def write_histogram_csv(hist: FringeHistogram, path: Union[str, Path]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["key", "count", "frequency"])
-        for key in sorted(hist.counts):
-            writer.writerow([key, hist.counts[key], repr(hist.counts[key] / hist.total)])
-        if hist.other:
-            writer.writerow([OTHER_KEY, hist.other, repr(hist.other / hist.total)])
-
-
-def write_spectrum_csv(eigenvalues: Sequence[float], path: Union[str, Path]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["eigenvalue"])
-        for v in eigenvalues:
-            writer.writerow([repr(float(v))])
-
-
-def write_checkpoints_csv(snapshots, path: Union[str, Path]) -> None:
-    """One row per (checkpoint, degree) count, plus tracked-vertex degrees."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "degree", "count"])
-        for snap in snapshots:
-            for k in sorted(snap.degree_counts):
-                writer.writerow([snap.n, k, snap.degree_counts[k]])
-
-
-def write_tracked_csv(snapshots, path: Union[str, Path]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "vertex", "degree"])
-        for snap in snapshots:
-            for v in sorted(snap.tracked_degrees):
-                writer.writerow([snap.n, v, snap.tracked_degrees[v]])
+        writer.writerow(header)
+        writer.writerows(rows)

@@ -1,5 +1,6 @@
 import concurrent.futures
 import math
+import os
 from dataclasses import astuple
 from decimal import Decimal, localcontext
 
@@ -166,7 +167,9 @@ def test_fit_degree_growth_workers_match_serial():
     assert serial.per_seed_slopes == parallel.per_seed_slopes
 
 
-def test_fit_degree_growth_pool_has_at_most_one_worker_per_seed(monkeypatch):
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Pool sizes asked for, on a machine of 8 usable CPUs, by pools that start no process."""
     sizes = []
 
     class InProcessPool:
@@ -185,12 +188,28 @@ def test_fit_degree_growth_pool_has_at_most_one_worker_per_seed(monkeypatch):
             return map(fn, *iterables)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
-    kwargs = dict(delta=0.0, vertex=1, checkpoints=[20, 200, 2000, 20000], master_seed=3)
-    serial = fit_degree_growth(**kwargs, n_seeds=2, workers=1)
-    assert fit_degree_growth(**kwargs, n_seeds=2, workers=6).per_seed_slopes == serial.per_seed_slopes
-    fit_degree_growth(**kwargs, n_seeds=1, workers=6)
-    fit_degree_growth(**kwargs, n_seeds=3, workers=2)
-    assert sizes == [2, 2]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    return sizes
+
+
+_GROWTH_KWARGS = dict(delta=0.0, vertex=1, checkpoints=[20, 200, 2000, 20000], master_seed=3)
+
+
+def test_fit_degree_growth_pool_has_at_most_one_worker_per_seed(pool_sizes):
+    serial = fit_degree_growth(**_GROWTH_KWARGS, n_seeds=2, workers=1)
+    assert fit_degree_growth(**_GROWTH_KWARGS, n_seeds=2, workers=6).per_seed_slopes == serial.per_seed_slopes
+    fit_degree_growth(**_GROWTH_KWARGS, n_seeds=1, workers=6)
+    fit_degree_growth(**_GROWTH_KWARGS, n_seeds=3, workers=2)
+    assert pool_sizes == [2, 2]
+
+
+def test_fit_degree_growth_pool_has_at_most_one_worker_per_cpu(pool_sizes, monkeypatch):
+    # `growth --seeds 64 --workers 64` used to start 64 workers whatever the machine
+    serial = fit_degree_growth(**_GROWTH_KWARGS, n_seeds=12, workers=1)
+    assert fit_degree_growth(**_GROWTH_KWARGS, n_seeds=12, workers=64).per_seed_slopes == serial.per_seed_slopes
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert fit_degree_growth(**_GROWTH_KWARGS, n_seeds=12, workers=64).per_seed_slopes == serial.per_seed_slopes
+    assert pool_sizes == [8]
 
 
 # --- distribution comparison ----------------------------------------------------------

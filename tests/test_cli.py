@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -60,15 +61,51 @@ def test_limit_pmf_report(tmp_path):
     assert (out / "manifest.json").exists()
 
 
-def test_spectrum_report(tmp_path):
+# sha256 of each table a run writes; the bytes hold for any CPU, as no
+# table here comes from LAPACK
+TABLE_DIGESTS = [
+    (["grow", "--delta", "0", "--seed", "1", "--n", "3000", "--checkpoints", "10,100,1000"], {
+        "checkpoints.csv": "5efbf3a7e946482a5dcdae1b68a40c932caa05533ed2d228af6a4e621075aecc",
+        "tracked.csv": "52ddcaabf36855c2841b215d989d062f78b93387472a80a15bce9f91917a2023",
+    }),
+    (["limit-pmf", "--delta", "0", "--seed", "1", "--reps", "3000"], {
+        "pmf.csv": "4d6c047421691885fb811e894da579c832305bcb6962c69d2b94dce2516201c0",
+    }),
+    # both histograms hold an (other) row at these flags
+    (["fringe-compare", "--delta", "0", "--seed", "3", "--n", "20000", "--reps", "20000"], {
+        "fringe_empirical.csv": "5d80622c08d82dce37ab64fdc1debff28ede6b7ecd22d66712072f2325a0eff8",
+        "fringe_bp.csv": "db1c630b0b748ea8e34028fa30624888a34e8c8707be833411933b8b44ec6d61",
+    }),
+]
+
+
+@pytest.mark.parametrize("argv,digests", TABLE_DIGESTS, ids=[argv[0] for argv, _ in TABLE_DIGESTS])
+def test_table_bytes_are_pinned(tmp_path, argv, digests):
+    assert run_cli(argv + ["--out", str(tmp_path)]) == 0
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in digests}
+    assert got == digests
+
+
+def test_spectrum_report(tmp_path, monkeypatch):
+    # LAPACK's last bits vary by CPU, so the table is checked against the
+    # eigenvalues the run computed, not against pinned bytes
+    returned = []
+    real = seritree.analysis.adjacency_spectrum
+
+    def recorded(tree):
+        returned.append(real(tree).eigenvalues)
+        return seritree.analysis.SpectrumResult(eigenvalues=returned[-1])
+
+    monkeypatch.setattr(seritree.analysis, "adjacency_spectrum", recorded)
     out = tmp_path / "spec"
     code = run_cli(["spectrum", "--n", "512", "--delta", "0", "--seed", "1",
                     "--out", str(out)])
     assert code == 0
-    lines = (out / "spectrum.csv").read_text().splitlines()
-    assert len(lines) == 1 + 513
-    total = sum(float(x) for x in lines[1:])
-    assert abs(total) <= 1e-6
+    header, *rows, end = (out / "spectrum.csv").read_bytes().decode().split("\r\n")
+    assert (header, end) == ("eigenvalue", "")
+    assert len(rows) == 513
+    assert [float(x) for x in rows] == returned[0].tolist()
+    assert abs(sum(map(float, rows))) <= 1e-6
     report = json.loads((out / "report.json").read_text())
     assert report["pass"] is True
     assert report["stderr"] is None

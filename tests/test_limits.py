@@ -512,6 +512,14 @@ def test_log_prob_zero_probability_event():
     assert marked_neighborhood_log_prob(2, t_root1, -0.5, "exact") == -math.inf
 
 
+@pytest.mark.parametrize("n", [5, 9])
+def test_log_prob_refuses_an_unknown_convention(n):
+    # at n = 5 no factor reads the convention: this used to return 0.0
+    tree = MarkedTree(parents=(None,), times=(5,))
+    with pytest.raises(ValueError, match=r"convention must be one of \('exact', 'paper_total'\), got 'bogus'"):
+        marked_neighborhood_log_prob(n, tree, 0.5, "bogus")
+
+
 def _brute_force_neighborhood_prob(n, tree, delta, convention):
     """Sum exact history probabilities over histories realizing the event."""
     times = tree.times

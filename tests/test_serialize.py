@@ -7,18 +7,14 @@ import pytest
 import seritree
 from seritree.cli import main
 from seritree.growth import _CHECK_BLOCK, GrowthParams, TreeRecord, grow
-from seritree.limits import DegreePMF
 from seritree.serialize import (
     _CSV_CHUNK,
     read_tree_binary,
     read_tree_csv,
-    write_histogram_csv,
-    write_pmf_csv,
-    write_spectrum_csv,
+    write_table,
     write_tree_binary,
     write_tree_csv,
 )
-from seritree.treeops import FringeHistogram
 
 
 @pytest.fixture
@@ -181,22 +177,7 @@ def test_manifest_roundtrip(tmp_path):
     assert datetime.datetime.fromisoformat(timestamp).tzinfo is not None
 
 
-def test_pmf_and_histogram_csv(tmp_path):
-    pmf = DegreePMF(p={1: 0.75, 2: 0.25}, stderr={1: 0.1, 2: 0.1})
-    write_pmf_csv(pmf, tmp_path / "pmf.csv")
-    lines = (tmp_path / "pmf.csv").read_text().splitlines()
-    assert lines[0] == "k,probability,stderr"
-    assert len(lines) == 3
-
-    hist = FringeHistogram(counts={"()": 3, "(())": 1}, other=2, total=6, truncation=2)
-    write_histogram_csv(hist, tmp_path / "hist.csv")
-    lines = (tmp_path / "hist.csv").read_text().splitlines()
-    assert lines[0] == "key,count,frequency"
-    assert any(line.startswith("(other)") for line in lines)
-
-
-def test_spectrum_csv(tmp_path):
-    write_spectrum_csv(np.array([-1.0, 0.0, 1.0]), tmp_path / "spec.csv")
-    lines = (tmp_path / "spec.csv").read_text().splitlines()
-    assert lines[0] == "eigenvalue"
-    assert len(lines) == 4
+def test_write_table(tmp_path):
+    # csv quoting: a field holding a comma is quoted, the others are not
+    write_table(tmp_path / "t.csv", ["key", "count", "frequency"], [["()", 3, "0.75"], ["(),()", 1, "0.25"]])
+    assert (tmp_path / "t.csv").read_bytes() == b'key,count,frequency\r\n(),3,0.75\r\n"(),()",1,0.25\r\n'
