@@ -1,8 +1,7 @@
 """Statistical post-processing: tails, growth fits, distances, spectra.
 
-Everything here consumes immutable simulation output (grown trees, degree
-samples, fringe histograms) and produces plain fit/report objects, so the
-functions parallelize trivially at the replica level.
+Everything here consumes immutable simulation output (grown trees, their
+degree ccdfs, fringe histograms) and produces plain fit/report objects.
 
 The spectrum rests on one combinatorial fact: the rank of a forest's
 adjacency matrix is twice its matching number, which one greedy walk over
@@ -15,9 +14,8 @@ gives the nonzero eigenvalues and every other eigenvalue is exactly 0.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -28,28 +26,17 @@ from .treeops import OTHER_KEY, FringeHistogram, _classes
 SPECTRUM_SIZE_CAP = 2048
 
 
-def tail_ccdf(source: Union[Sequence[int], np.ndarray, TreeRecord]) -> tuple[np.ndarray, np.ndarray]:
-    """Degree tail P(deg >= k) for k = 1..max, nonincreasing with P(>=1) = 1.
+def tail_ccdf(tree: TreeRecord) -> tuple[np.ndarray, np.ndarray]:
+    """Degree tail P(deg >= k) of a tree for k = 1..max, nonincreasing with P(>=1) = 1.
 
     Returns two arrays: the degrees k = 1..max (int64) and P(deg >= k)
-    (float64).  The degrees of a tree or of a one-dimensional sample of
-    whole numbers >= 1 are counted with exact integer arithmetic, so P(>=1)
-    is exactly 1.
+    (float64).  The degrees are counted with exact integer arithmetic, so
+    P(>=1) is exactly 1.  A tree of one vertex has no tail and raises
+    ValueError.
     """
-    if isinstance(source, TreeRecord):
-        degrees = source.degree
-    else:
-        degrees = np.asarray(source)
-        if degrees.ndim != 1:
-            raise ValueError(f"a degree sample must be one-dimensional, got shape {degrees.shape}")
-        if degrees.dtype.kind == "f" and np.isfinite(degrees).all() and (degrees == np.trunc(degrees)).all():
-            degrees = degrees.astype(np.int64)
-        if degrees.size and degrees.dtype.kind not in "iu":
-            raise ValueError("degrees must be whole numbers")
-    if degrees.size == 0:
-        raise ValueError("empty degree sample")
-    if degrees.min() < 1:
-        raise ValueError("degrees must be >= 1")
+    if tree.n < 1:
+        raise ValueError("a tree of one vertex has no degree tail")
+    degrees = tree.degree
     counts = count_values(degrees)
     total = degrees.size
     # vertices of degree >= k, for k = 1..max
@@ -156,14 +143,6 @@ class GrowthFit:
     per_seed_slopes: list[float]
 
 
-def _track_one_seed(delta, vertex, cps, master_seed, replica, convention):
-    """Degrees of `vertex` at the checkpoints for one replica stream."""
-    params = GrowthParams(delta=delta, n_final=cps[-1], seed=master_seed, convention=convention)
-    rng = CounterRng(master_seed).spawn(replica)
-    _, snaps = grow(params, checkpoints=cps, rng=rng, track_vertices=(vertex,))
-    return [s.tracked_degrees[vertex] for s in snaps]
-
-
 def fit_degree_growth(
     delta: float,
     vertex: int,
@@ -171,7 +150,6 @@ def fit_degree_growth(
     n_seeds: int,
     master_seed: int = 0,
     convention: str = "exact",
-    workers: int = 1,
 ) -> GrowthFit:
     """Estimate the degree-growth exponent of a fixed vertex.
 
@@ -180,9 +158,8 @@ def fit_degree_growth(
     is averaged and its spread reported.  Checkpoints must number at least 4,
     be distinct, be at least 1 and span at least 3 decades, and at least one
     seed must run.  Replica r always uses the stream derived from
-    (master_seed, r) and results are reduced in replica order, so the outcome
-    is independent of `workers`.  At most one worker process runs per seed,
-    and no more than the CPUs this process may run on.
+    (master_seed, r), and the replicas run one after another in this
+    process and are reduced in replica order.
     """
     cps = sorted(checkpoints)
     if len(cps) < 4:
@@ -198,21 +175,13 @@ def fit_degree_growth(
         raise ValueError(f"vertex {vertex} not yet born at the first checkpoint")
     if n_seeds < 1:
         raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
+    params = GrowthParams(delta=delta, n_final=cps[-1], seed=master_seed, convention=convention)
     log_n = np.log(cps)
-    args = [(delta, vertex, cps, master_seed, r, convention) for r in range(n_seeds)]
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    pool_size = min(workers, n_seeds, cpus)
-    if pool_size > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=pool_size) as pool:
-            tracked = list(pool.map(_track_one_seed, *zip(*args)))
-    else:
-        tracked = [_track_one_seed(*a) for a in args]
     slopes = []
     mean_deg = np.zeros(len(cps))
-    for degs_list in tracked:
-        degs = np.array(degs_list, dtype=float)
+    for r in range(n_seeds):
+        _, snaps = grow(params, checkpoints=cps, rng=CounterRng(master_seed).spawn(r), track_vertices=(vertex,))
+        degs = np.array([s.tracked_degrees[vertex] for s in snaps], dtype=float)
         if np.any(np.diff(degs) < 0):
             raise AssertionError("tracked degrees must be nondecreasing")
         slopes.append(float(np.polyfit(log_n, np.log(degs), 1)[0]))

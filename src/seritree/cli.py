@@ -5,10 +5,11 @@ seeding.  Each run's files, its ``report.json`` and its ``manifest.json``
 (the flags, timestamp and tool version) are written by ``_finish`` alone.
 Each command builds its CSV tables' rows from its results, before
 ``_finish`` makes the output directory, and ``serialize.write_table``
-writes them.  All randomized output is a pure function of (flags, seed);
-``--workers`` never changes results because replica streams are indexed
-and reduced in a fixed order.  ``selftest`` runs the checks listed in
-``SELFTEST_ROWS``, each a function that returns ``(ok, detail)``.
+writes them.  All randomized output is a pure function of (flags, seed):
+``growth`` runs its replica seeds one after another in this process, each
+on the stream indexed by its replica number, and reduces them in that
+order.  ``selftest`` runs the checks listed in ``SELFTEST_ROWS``, each a
+function that returns ``(ok, detail)``.
 
 Exit codes: 0 success, 1 check failure, 2 usage/validation error,
 3 resource cap exceeded.
@@ -53,7 +54,12 @@ def _validate(args) -> None:
         raise CliError(f"--delta must be finite and > -1, got {args.delta}")
     if not 0 <= args.seed < 1 << 64:
         raise CliError("--seed must fit in 64 unsigned bits")
-    for flag, low in (("n", 1), ("reps", 1), ("seeds", 1), ("max_size", 1), ("vertex", 0), ("workers", 1)):
+    if hasattr(args, "convention"):  # limit-pmf's limit law takes no convention
+        try:
+            growth._check_convention(args.delta, _convention(args))
+        except ValueError as exc:
+            raise CliError(str(exc)) from exc
+    for flag, low in (("n", 1), ("reps", 1), ("seeds", 1), ("max_size", 1), ("vertex", 0)):
         if getattr(args, flag, low) < low:
             raise CliError(f"--{flag.replace('_', '-')} must be >= {low}, got {getattr(args, flag)}")
     tolerance = getattr(args, "tolerance", None)
@@ -61,8 +67,8 @@ def _validate(args) -> None:
         raise CliError(f"--tolerance must be >= 0, got {tolerance}")
 
 
-def _convention(args) -> str:
-    return args.convention.replace("-", "_")
+def _convention(args) -> Optional[str]:
+    return args.convention.replace("-", "_") if hasattr(args, "convention") else None
 
 
 def _grow(args, checkpoints=()) -> tuple[growth.TreeRecord, list]:
@@ -182,7 +188,7 @@ def cmd_growth_fit(args) -> int:
     try:
         fit = analysis.fit_degree_growth(
             args.delta, args.vertex, checkpoints, args.seeds,
-            master_seed=args.seed, convention=_convention(args), workers=args.workers,
+            master_seed=args.seed, convention=_convention(args),
         )
     except ValueError as exc:
         raise CliError(str(exc)) from exc
@@ -208,20 +214,21 @@ def _histogram_table(hist: treeops.FringeHistogram):
 
 
 def cmd_fringe_compare(args) -> int:
+    if args.max_size >= limits.NODE_CAP:
+        raise CliError(
+            f"--max-size {args.max_size} reaches the node cap {limits.NODE_CAP}", code=EXIT_RESOURCE_CAP
+        )
     tree, _ = _grow(args)
     empirical = treeops.empirical_fringe_distribution(tree, truncation=args.max_size)
     rng = CounterRng(args.seed).spawn(1)
-    # a genealogy only grows, so one past max_size nodes is (other) already;
-    # a cap above NODE_CAP still stops at NODE_CAP and exits 3
+    # a genealogy only grows, so one past max_size nodes is (other) already
     cap = args.max_size + 1
     counts: dict[str, int] = {}
     other = 0
     for _ in range(args.reps):
         try:
-            bp = limits.sample_memory_bp(args.delta, rng, exp1=True, max_nodes=min(cap, limits.NODE_CAP))
+            bp = limits.sample_memory_bp(args.delta, rng, exp1=True, max_nodes=cap)
         except limits.NodeCapExceeded:
-            if cap > limits.NODE_CAP:
-                raise
             bp = None
         if bp is None or bp.size == cap:
             other += 1
@@ -415,10 +422,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"seritree {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, reps_default=None, needs_n=False):
+    def add_common(p, reps_default=None, needs_n=False, convention=True):
         p.add_argument("--delta", type=float, required=True, help="affine offset, > -1 (no default)")
         p.add_argument("--seed", type=int, required=True, help="64-bit master seed")
-        p.add_argument("--convention", choices=["exact", "paper-total"], default="exact")
+        if convention:
+            p.add_argument("--convention", choices=["exact", "paper-total"], default="exact")
         p.add_argument("--out", default=".", help="output directory")
         if needs_n:
             p.add_argument("--n", type=int, required=True, help="number of growth steps")
@@ -432,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_grow)
 
     p = sub.add_parser("limit-pmf", help="Monte Carlo limiting degree pmf")
-    add_common(p, reps_default=100000)
+    add_common(p, reps_default=100000, convention=False)
     p.add_argument("--tolerance", type=float, default=None,
                    help="pass band around the quadrature target (default 3 sigma)")
     p.set_defaults(func=cmd_limit_pmf)
@@ -448,7 +456,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", type=int, default=20, help="number of replica seeds")
     p.add_argument("--checkpoints", default="", help="comma-separated checkpoint times")
     p.add_argument("--tolerance", type=float, default=0.05)
-    p.add_argument("--workers", type=int, default=1, help="worker processes, at most one per seed")
     p.set_defaults(func=cmd_growth_fit)
 
     p = sub.add_parser("fringe-compare", help="empirical fringes vs branching-process law")

@@ -45,6 +45,17 @@ _UNIT = 1.1102230246251565e-16  # 2**-53, as in CounterRng.random
 CONVENTIONS = ("exact", "paper_total")
 
 
+def _check_convention(delta, convention: str) -> None:
+    """Refuse an unknown convention, and ``exact`` below delta = -1/2."""
+    if convention not in CONVENTIONS:
+        raise ValueError(f"convention must be one of {CONVENTIONS}, got {convention!r}")
+    # under the literal weights v0 starts at theta(v0,1) = 1 + 2*delta and
+    # all increments are >= 1 + delta, so delta >= -1/2 keeps every weight
+    # nonnegative; paper_total is positive for all delta > -1
+    if convention == "exact" and delta < -0.5:
+        raise ValueError("exact convention requires delta >= -1/2 (v0 weight would go negative)")
+
+
 @dataclass(frozen=True)
 class GrowthParams:
     """Validated parameters of a growth run."""
@@ -59,13 +70,7 @@ class GrowthParams:
             raise ValueError(f"delta must be > -1, got {self.delta}")
         if self.n_final < 1:
             raise ValueError(f"n_final must be >= 1, got {self.n_final}")
-        if self.convention not in CONVENTIONS:
-            raise ValueError(f"convention must be one of {CONVENTIONS}")
-        # under the literal weights v0 starts at theta(v0,1) = 1 + 2*delta and
-        # all increments are >= 1 + delta, so delta >= -1/2 keeps every weight
-        # nonnegative; paper_total is positive for all delta > -1
-        if self.convention == "exact" and self.delta < -0.5:
-            raise ValueError("exact convention requires delta >= -1/2 (v0 weight would go negative)")
+        _check_convention(self.delta, self.convention)
         if not 0 <= int(self.seed) <= (1 << 64) - 1:
             raise ValueError("seed must fit in 64 unsigned bits")
         if not isfinite(self.delta):

@@ -38,7 +38,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .growth import CONVENTIONS, _delta_part, total_weight_closed
+from .growth import _check_convention, _delta_part, total_weight_closed
 from .rng import CounterRng
 
 NODE_CAP = 10_000_000
@@ -171,7 +171,6 @@ class BranchingTree:
 
     parents: list[Optional[int]]
     birth_times: list[float]
-    horizon: float
 
     @property
     def size(self) -> int:
@@ -211,7 +210,7 @@ def _genealogy(
                 raise NodeCapExceeded(f"branching realization exceeded {max_nodes} nodes")
             parents.append(i)
             births.append(t)
-    return BranchingTree(parents=parents, birth_times=births, horizon=t_max)
+    return BranchingTree(parents=parents, birth_times=births)
 
 
 def sample_edge_bp(
@@ -500,11 +499,11 @@ def marked_neighborhood_log_prob(
     time n.  The first factor group covers the listed edges
     (W_parent / total weight at the step), the second the excluded
     attachments (1 - sum of neighborhood weights / total weight).
-    Cost O(n * |V(tree)|).
+    Cost O(n * |V(tree)|).  An unknown convention, or ``exact`` below
+    delta = -1/2, raises ValueError, as in `GrowthParams`.
     """
     _check_delta(delta)
-    if convention not in CONVENTIONS:
-        raise ValueError(f"convention must be one of {CONVENTIONS}, got {convention!r}")
+    _check_convention(delta, convention)
     if tree.times is None:
         raise ValueError("discrete times required")
     if tree.times[-1] > n:

@@ -26,7 +26,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy import stats
@@ -222,9 +222,9 @@ def mc_zeta_hat_reference(delta: float, reps: int, rng: CounterRng) -> np.ndarra
     return np.bincount(rep_idx, weights=t, minlength=reps)
 
 
-def tail_ccdf_reference(source: Union[Sequence[int], TreeRecord]) -> list[tuple[int, float]]:
+def tail_ccdf_reference(tree: TreeRecord) -> list[tuple[int, float]]:
     """`tail_ccdf` as a list of (k, P(deg >= k)) tuples, one per degree."""
-    degrees = np.asarray(source.degree if isinstance(source, TreeRecord) else source, dtype=np.int64)
+    degrees = np.asarray(tree.degree, dtype=np.int64)
     if degrees.size == 0:
         raise ValueError("empty degree sample")
     if degrees.min() < 1:

@@ -1,6 +1,4 @@
-import concurrent.futures
 import math
-import os
 from dataclasses import astuple
 from decimal import Decimal, localcontext
 
@@ -34,26 +32,8 @@ def test_tail_ccdf_monotone_and_starts_at_one():
     assert (k[0], p[0]) == (1, 1.0)
     values = p.tolist()
     assert all(a >= b for a, b in zip(values, values[1:]))
-
-
-def test_tail_ccdf_rejects_bad_input():
-    with pytest.raises(ValueError):
-        tail_ccdf([])
-    with pytest.raises(ValueError):
-        tail_ccdf([0, 1, 2])
-
-
-def test_tail_ccdf_refuses_fractional_degrees():
-    # a cast to int64 would count [1, 2, 3]
-    with pytest.raises(ValueError, match="whole numbers"):
-        tail_ccdf([1.5, 2.7, 3])
-    k, p = tail_ccdf(np.array([1.0, 2.0, 2.0, 3.0]))  # whole floats are degrees
-    assert k.tolist() == [1, 2, 3] and p.tolist() == [1.0, 0.75, 0.25]
-
-
-def test_tail_ccdf_refuses_a_2d_sample():
-    with pytest.raises(ValueError, match="one-dimensional"):
-        tail_ccdf([[1, 2], [3, 4]])
+    with pytest.raises(ValueError, match="one vertex"):
+        tail_ccdf(TreeRecord(np.array([-1])))
 
 
 def test_tail_ccdf_matches_the_list_reference():
@@ -158,58 +138,6 @@ def test_fit_degree_growth_small():
     assert 0.3 < fit.slope < 0.9
     degrees = [d for _, d in fit.checkpoints]
     assert all(a <= b for a, b in zip(degrees, degrees[1:]))
-
-
-def test_fit_degree_growth_workers_match_serial():
-    kwargs = dict(delta=0.0, vertex=1, checkpoints=[20, 200, 2000, 20000], n_seeds=4, master_seed=3)
-    serial = fit_degree_growth(**kwargs, workers=1)
-    parallel = fit_degree_growth(**kwargs, workers=2)
-    assert serial.per_seed_slopes == parallel.per_seed_slopes
-
-
-@pytest.fixture
-def pool_sizes(monkeypatch):
-    """Pool sizes asked for, on a machine of 8 usable CPUs, by pools that start no process."""
-    sizes = []
-
-    class InProcessPool:
-        """Records the pool size and maps in this process, starting none."""
-
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
-    return sizes
-
-
-_GROWTH_KWARGS = dict(delta=0.0, vertex=1, checkpoints=[20, 200, 2000, 20000], master_seed=3)
-
-
-def test_fit_degree_growth_pool_has_at_most_one_worker_per_seed(pool_sizes):
-    serial = fit_degree_growth(**_GROWTH_KWARGS, n_seeds=2, workers=1)
-    assert fit_degree_growth(**_GROWTH_KWARGS, n_seeds=2, workers=6).per_seed_slopes == serial.per_seed_slopes
-    fit_degree_growth(**_GROWTH_KWARGS, n_seeds=1, workers=6)
-    fit_degree_growth(**_GROWTH_KWARGS, n_seeds=3, workers=2)
-    assert pool_sizes == [2, 2]
-
-
-def test_fit_degree_growth_pool_has_at_most_one_worker_per_cpu(pool_sizes, monkeypatch):
-    # `growth --seeds 64 --workers 64` used to start 64 workers whatever the machine
-    serial = fit_degree_growth(**_GROWTH_KWARGS, n_seeds=12, workers=1)
-    assert fit_degree_growth(**_GROWTH_KWARGS, n_seeds=12, workers=64).per_seed_slopes == serial.per_seed_slopes
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    assert fit_degree_growth(**_GROWTH_KWARGS, n_seeds=12, workers=64).per_seed_slopes == serial.per_seed_slopes
-    assert pool_sizes == [8]
 
 
 # --- distribution comparison ----------------------------------------------------------

@@ -150,6 +150,9 @@ def test_growth_command(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["pass"] is True
     assert len(report["per_seed_slopes"]) == 3
+    # mean tracked degrees, which use no LAPACK and so hold on any CPU
+    assert report["checkpoints"] == [[20, 9.0], [200, 36.33333333333333], [2000, 154.33333333333331],
+                                     [20000, 645.3333333333333]]
 
 
 def test_fringe_compare_small(tmp_path):
@@ -267,13 +270,14 @@ INVALID_INPUTS = [
     (["fringe-compare", "--delta", "0", "--seed", "1", "--n", "100", "--reps", "0"], 2),
     (["tail", "--delta", "0", "--seed", "1", "--n", "20"], 2),
     (["localcheck", "--delta", "0", "--seed", "1", "--n", "0"], 2),
-    (["growth", "--delta", "0", "--seed", "1", "--n", "20000", "--seeds", "2", "--workers", "0"], 2),
+    # a silent pass on a model whose v0 weight goes negative: the default
+    # exact convention needs delta >= -1/2
+    (["localcheck", "--delta", "-0.75", "--seed", "1"], 2),
     (["spectrum", "--delta", "0", "--seed", "1", "--n", "3000"], 3),
     # the last step's token bound 2n(n+1) reaches 2^64
     (["grow", "--delta", "0", "--seed", "1", "--n", "3037000501"], 2),
     # these slipped through: a wrong exit code, a silent pass, a traceback or no error
     (["growth", "--delta", "0", "--seed", "1", "--n", "20000", "--vertex", "-1"], 2),
-    (["growth", "--delta", "0", "--seed", "1", "--n", "20000", "--workers", "-4"], 2),
     (["growth", "--delta", "0", "--seed", "1", "--n", "500"], 2),  # default checkpoint n // 1000 = 0
     (["fringe-compare", "--delta", "0", "--seed", "1", "--n", "100", "--max-size", "-5"], 2),
     (["tail", "--delta", "0", "--seed", "1", "--n", "100000", "--tolerance", "nan"], 2),

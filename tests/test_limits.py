@@ -369,7 +369,7 @@ def _heap_memory_bp(delta, rng, t_max):
         arrival_ages.append([])
         schedule_next(i)
         schedule_next(len(parents) - 1)
-    return BranchingTree(parents=parents, birth_times=births, horizon=t_max)
+    return BranchingTree(parents=parents, birth_times=births)
 
 
 def test_memory_bp_genealogy_matches_heap_engine():
@@ -510,6 +510,15 @@ def test_log_prob_zero_probability_event():
     # attaches to vertex 1 with probability one and exclusion is impossible
     t_root1 = MarkedTree(parents=(None,), times=(1,))
     assert marked_neighborhood_log_prob(2, t_root1, -0.5, "exact") == -math.inf
+
+
+def test_log_prob_refuses_exact_below_minus_half():
+    # this used to return a log probability on a model whose v0 weight goes
+    # negative; GrowthParams already refused it
+    tree = MarkedTree(parents=(None, 0), times=(3, 7))
+    with pytest.raises(ValueError, match=r"exact convention requires delta >= -1/2"):
+        marked_neighborhood_log_prob(10, tree, -0.75, "exact")
+    assert marked_neighborhood_log_prob(10, tree, -0.75, "paper_total") < 0.0
 
 
 @pytest.mark.parametrize("n", [5, 9])
