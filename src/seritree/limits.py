@@ -11,10 +11,13 @@ converges to locally:
   plus one in distribution (`sample_edge_bp`);
 * the memory branching process, whose individuals each reproduce like the
   offspring point process (`sample_memory_bp`);
-* both branching processes run through one genealogy loop that visits the
-  individuals breadth first (`_genealogy`), with no priority queue;
+* both branching processes visit their individuals in index order, which
+  is breadth first, with no priority queue;
 * every one of these rates is bounded by a constant, so each process is
-  drawn by thinning (Lewis & Shedler 1979), with no root-finding;
+  drawn by thinning (Lewis & Shedler 1979), with no root-finding; the
+  thinning loops read their words straight from the `CounterRng` buffer
+  (`CounterRng._words`), so a proposal costs no Python call but `math.log`
+  and `math.exp`;
 * closed-form growth/tail exponents and the drift-matrix spectrum
   (`exponents`);
 * discounted offspring integrals and their cumulants (`zeta_hat_cumulant`,
@@ -34,7 +37,7 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -109,8 +112,13 @@ def rate_nonroot(age: float, delta: float) -> float:
     return (1.0 - math.exp(-age)) / (1.0 + 0.5 * delta)
 
 
-def _arrivals(delta: float, rng: CounterRng, t_max: float, birth: float = 0.0) -> Iterator[float]:
-    """Arrival times, birth + age, of one individual's offspring up to t_max.
+def _arrivals(
+    delta: float, rng: CounterRng, t_max: float, birth: float, times: list[float], max_nodes: float
+) -> int:
+    """Append one individual's offspring arrival times, birth + age, up to t_max to `times`.
+
+    Returns how many it appended.  An arrival that finds `max_nodes` entries
+    in `times` raises `NodeCapExceeded`, after the words of its proposal.
 
     Thinning (Lewis & Shedler 1979): the k-th arrival is proposed against the
     constant bound (k+delta)/(1+delta/2), which its hazard approaches but
@@ -124,37 +132,43 @@ def _arrivals(delta: float, rng: CounterRng, t_max: float, birth: float = 0.0) -
     b = 1/(1+delta/2).  That is a(1 - e^-(s+x)) + b(k - e^-x E) with
     E = sum_j e^-(s - sigma_j), and an arrival at x sets E to E e^-x + 1,
     so each proposal costs O(1).  `tests/oracles.py` keeps the O(k) sum.
+
+    A proposal reads its gap and its uniform from `rng`'s buffer as
+    `rng.exponential(bound)` and `rng.random()` would: the same words, the
+    same floats.  `tests/oracles.py` keeps the generator that made those
+    two calls.
     """
     a = (1.0 + delta) / (1.0 + 0.5 * delta)
     b = 1.0 / (1.0 + 0.5 * delta)
+    log, exp = math.log, math.exp
+    buf, j, end = rng._words(rng._idx)
     k, s, e = 0, 0.0, 0.0
     while True:
         bound = (k + 1 + delta) * b
         x = 0.0
         while True:
-            x += rng.exponential(bound)
+            if j == end:
+                buf, j, end = rng._words(j)
+            x += -log(1.0 - (buf[j] >> 11) * 2**-53) / bound
+            j += 1
             t = birth + s + x
             if t > t_max:
-                return  # proposals only increase; nothing left before the horizon
-            decay = math.exp(-x)
-            if rng.random() * bound <= a * (1.0 - math.exp(-(x + s))) + b * (k - decay * e):
+                rng._idx = j
+                return k  # proposals only increase; nothing left before the horizon
+            decay = exp(-x)
+            if j == end:
+                buf, j, end = rng._words(j)
+            u = (buf[j] >> 11) * 2**-53
+            j += 1
+            if u * bound <= a * (1.0 - exp(-(x + s))) + b * (k - decay * e):
                 break
+        if len(times) >= max_nodes:
+            rng._idx = j
+            raise NodeCapExceeded(f"branching realization exceeded {max_nodes} nodes")
         k += 1
         s += x
         e = e * decay + 1.0
-        yield t
-
-
-def _exp1_horizon(rng: CounterRng, t_max: Optional[float], exp1: bool) -> Optional[float]:
-    """`t_max`, or with ``exp1=True`` an exponential(1) horizon drawn from `rng`.
-
-    ``exp1=True`` together with a `t_max` is refused before a word is drawn.
-    """
-    if not exp1:
-        return t_max
-    if t_max is not None:
-        raise ValueError("exp1=True draws the horizon; pass t_max or exp1, not both")
-    return rng.exponential()
+        times.append(t)
 
 
 # ---------------------------------------------------------------------------
@@ -185,32 +199,21 @@ class BranchingTree:
                 raise AssertionError("children must come after, and be born after, their parents")
 
 
-def _genealogy(
-    rng: CounterRng, t_max: Optional[float], exp1: bool, max_nodes: int,
-    offspring: Callable[[int, float, float], Iterable[float]],
-) -> BranchingTree:
-    """The genealogy up to a horizon of individuals that reproduce independently.
+def _check_stop_rule(t_max: Optional[float], exp1: bool, max_nodes: int) -> None:
+    """Refuse a genealogy's stop rule or node cap before a word is drawn.
 
-    `offspring(i, birth, t_max)` yields the birth times of individual i's
-    children up to t_max.  The genealogy at a horizon does not depend on the
-    order in which births are simulated, so the individuals are visited in
-    index order, which is breadth first, and each one's children are appended
-    as they come.  Raises `NodeCapExceeded` rather than silently truncating.
+    The stop rule is a finite `t_max` >= 0, or ``exp1=True`` alone, which
+    draws an exponential(1) horizon; the cap is at least one node.
     """
-    t_max = _exp1_horizon(rng, t_max, exp1)
-    if t_max is None:
+    if max_nodes < 1:
+        raise ValueError(f"max_nodes must be >= 1, got {max_nodes}")
+    if exp1:
+        if t_max is not None:
+            raise ValueError("exp1=True draws the horizon; pass t_max or exp1, not both")
+    elif t_max is None:
         raise ValueError("need a stop rule: t_max or exp1")
-    if not 0.0 <= t_max < math.inf:
+    elif not 0.0 <= t_max < math.inf:
         raise ValueError("t_max must be finite and >= 0")
-    parents: list[Optional[int]] = [None]
-    births = [0.0]
-    for i, birth in enumerate(births):  # reaches the children appended below too
-        for t in offspring(i, birth, t_max):
-            if len(parents) >= max_nodes:
-                raise NodeCapExceeded(f"branching realization exceeded {max_nodes} nodes")
-            parents.append(i)
-            births.append(t)
-    return BranchingTree(parents=parents, birth_times=births)
 
 
 def sample_edge_bp(
@@ -226,24 +229,47 @@ def sample_edge_bp(
     Each individual's children are drawn by thinning: proposals come at the
     rate bound c (c_root for the root), and one at age a is kept with
     probability 1 - e^-a, which makes the children a Poisson process of rate
-    c(1 - e^-a).  The individuals run through `_genealogy`.
+    c(1 - e^-a).  The genealogy at a horizon does not depend on the order in
+    which births are simulated, so the individuals are visited in index
+    order, which is breadth first, and each one's children are appended as
+    they come.  A proposal reads its gap and its uniform from `rng`'s buffer
+    as `rng.exponential(c)` and `rng.random()` would.  Raises
+    `NodeCapExceeded` rather than silently truncating.
     """
     _check_delta(delta)
+    _check_stop_rule(t_max, exp1, max_nodes)
     c_root = (1.0 + delta) / (1.0 + 0.5 * delta)
     c_other = 1.0 / (1.0 + 0.5 * delta)
-
-    def children(i: int, birth: float, horizon: float) -> Iterator[float]:
+    log, exp = math.log, math.exp
+    buf, j, end = rng._words(rng._idx)
+    if exp1:  # the horizon, as rng.exponential() draws it
+        t_max = -log(1.0 - (buf[j] >> 11) * 2**-53)
+        j += 1
+    parents: list[Optional[int]] = [None]
+    births = [0.0]
+    for i, birth in enumerate(births):  # reaches the children appended below too
         c = c_root if i == 0 else c_other
         age = 0.0
         while True:
-            age += rng.exponential(c)
+            if j == end:
+                buf, j, end = rng._words(j)
+            age += -log(1.0 - (buf[j] >> 11) * 2**-53) / c
+            j += 1
             t = birth + age
-            if t > horizon:
-                return  # proposals only increase; nothing left before the horizon
-            if rng.random() < 1.0 - math.exp(-age):
-                yield t
-
-    return _genealogy(rng, t_max, exp1, max_nodes, children)
+            if t > t_max:
+                break  # proposals only increase; nothing left before the horizon
+            if j == end:
+                buf, j, end = rng._words(j)
+            u = (buf[j] >> 11) * 2**-53
+            j += 1
+            if u < 1.0 - exp(-age):
+                if len(parents) >= max_nodes:
+                    rng._idx = j
+                    raise NodeCapExceeded(f"branching realization exceeded {max_nodes} nodes")
+                parents.append(i)
+                births.append(t)
+    rng._idx = j
+    return BranchingTree(parents=parents, birth_times=births)
 
 
 def sample_memory_bp(
@@ -258,15 +284,21 @@ def sample_memory_bp(
 
     Every individual carries its own copy of the limit offspring point
     process: the hazard of its k-th child depends on the ages at which its
-    previous children arrived.  Its children come from `_arrivals`, and the
-    individuals run through `_genealogy`.  This is the process whose
-    genealogy, stopped at an independent exp(1) time, gives the limiting
-    fringe law.
+    previous children arrived.  The individuals are visited in index order,
+    as in `sample_edge_bp`, and `_arrivals` appends each one's children.
+    This is the process whose genealogy, stopped at an independent exp(1)
+    time, gives the limiting fringe law.  Raises `NodeCapExceeded` rather
+    than silently truncating.
     """
     _check_delta(delta)
-    return _genealogy(
-        rng, t_max, exp1, max_nodes, lambda i, birth, horizon: _arrivals(delta, rng, horizon, birth)
-    )
+    _check_stop_rule(t_max, exp1, max_nodes)
+    if exp1:
+        t_max = rng.exponential()
+    parents: list[Optional[int]] = [None]
+    births = [0.0]
+    for i, birth in enumerate(births):  # reaches the children appended below too
+        parents += [i] * _arrivals(delta, rng, t_max, birth, births, max_nodes)
+    return BranchingTree(parents=parents, birth_times=births)
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +410,7 @@ def limit_degree_pmf(delta: float, reps: int, rng: CounterRng) -> DegreePMF:
         raise ValueError("reps must be >= 1")
     counts: dict[int, int] = {}
     for _ in range(reps):
-        k = 1 + sum(1 for _ in _arrivals(delta, rng, rng.exponential()))
+        k = 1 + _arrivals(delta, rng, rng.exponential(), 0.0, [], math.inf)
         counts[k] = counts.get(k, 0) + 1
     p = {k: c / reps for k, c in sorted(counts.items())}
     stderr = {k: math.sqrt(v * (1.0 - v) / reps) for k, v in p.items()}

@@ -124,6 +124,19 @@ class CounterRng:
         self._idx = 0
         self._counter += size
 
+    def _words(self, idx: int) -> tuple[list[int], int, int]:
+        """Store the read position `idx`; return the buffer, the position and the buffer's end.
+
+        The buffer is refilled when the position is at its end.  A loop that
+        reads the words itself keeps the position in a local, passes it here
+        for more words, and stores it in `_idx` before it returns or raises,
+        so its words, values and `counter` are those of `u64` calls.
+        """
+        self._idx = idx
+        if idx >= len(self._buf):
+            self._refill()
+        return self._buf, self._idx, len(self._buf)
+
     def skip(self, count: int) -> None:
         """Consume `count` words unread."""
         if count <= len(self._buf) - self._idx:
@@ -146,7 +159,9 @@ class CounterRng:
         return (self.u64() >> 11) * 1.1102230246251565e-16  # 2**-53
 
     def exponential(self, rate: float = 1.0) -> float:
-        """Exponential variate with the given rate (mean 1/rate)."""
+        """Exponential variate with the given rate (mean 1/rate), which must be finite and > 0."""
+        if not 0.0 < rate < math.inf:
+            raise ValueError(f"rate must be finite and > 0, got {rate}")
         return -math.log(1.0 - self.random()) / rate
 
     def randbelow(self, n: int) -> int:

@@ -5,7 +5,10 @@ way: the replayed weight sum behind `growth._thetas`, the O(n) sampler
 behind the token sampler, history probabilities by repeated
 `attach_probabilities`, the tree invariants, the drift matrix whose
 spectrum `exponents` gives in closed form, the O(k) hazard sum behind the
-O(1) recurrence in `limits._arrivals`, the arrival lists (with their
+O(1) recurrence in `limits._arrivals`, the thinning generators and the
+callback genealogy loop that drew each proposal through `rng.exponential`
+and `rng.random` behind the buffer-reading loops of `limits._arrivals`,
+`sample_edge_bp` and `sample_memory_bp`, the arrival lists (with their
 `max_arrivals` stop) whose counts `limit_degree_pmf` takes, the per-path
 marked Yule chain behind `yule_marked_ensemble`, every thinning point of
 `mc_zeta_hat` drawn at once behind its blocks of replicas, the list-based
@@ -26,14 +29,22 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 from scipy import stats
 
 from seritree.analysis import TAIL_MIN_POINTS, TAIL_QUANTILE, TailFit
 from seritree.growth import TreeRecord, _edge_time_sums, attach_probabilities
-from seritree.limits import ExponentPack, _arrivals, _check_delta, _exp1_horizon, _mark_probability, exponents
+from seritree.limits import (
+    NODE_CAP,
+    BranchingTree,
+    ExponentPack,
+    NodeCapExceeded,
+    _check_delta,
+    _mark_probability,
+    exponents,
+)
 from seritree.rng import CounterRng
 from seritree.treeops import FringeHistogram, Tree, _parent_array
 
@@ -121,7 +132,7 @@ def hazard(sigmas: Sequence[float], x: float, delta: float) -> float:
     which is (1+delta)/(1+delta/2) * (1-e^-x) for the first arrival, and each
     previous arrival a (1 - e^-(sigma_{k-1} - sigma_j + x))/(1+delta/2) term.
     The value always lies in [0, (k+delta)/(1+delta/2)).  This is the
-    definition; `_arrivals` evaluates the same sum in O(1) by a recurrence.
+    definition; `limits._arrivals` evaluates the same sum in O(1) by a recurrence.
     """
     if x < 0:
         raise ValueError("x must be >= 0")
@@ -134,6 +145,18 @@ def hazard(sigmas: Sequence[float], x: float, delta: float) -> float:
     return h
 
 
+def _exp1_horizon(rng: CounterRng, t_max: Optional[float], exp1: bool) -> Optional[float]:
+    """`t_max`, or with ``exp1=True`` an exponential(1) horizon drawn from `rng`.
+
+    ``exp1=True`` together with a `t_max` is refused before a word is drawn.
+    """
+    if not exp1:
+        return t_max
+    if t_max is not None:
+        raise ValueError("exp1=True draws the horizon; pass t_max or exp1, not both")
+    return rng.exponential()
+
+
 def sample_arrivals(
     delta: float,
     rng: CounterRng,
@@ -144,7 +167,7 @@ def sample_arrivals(
 ) -> list[float]:
     """The increasing arrival times of the limit point process, as a list.
 
-    The times come from `limits._arrivals`.  Stop at `t_max`, after
+    The times come from `arrivals`.  Stop at `t_max`, after
     `max_arrivals` (by `itertools.islice`, which asks for no arrival past
     the last one, so no word past it is drawn), or (with ``exp1=True``) at
     an exponential(1) horizon drawn from `rng` first, in place of `t_max`.
@@ -157,7 +180,103 @@ def sample_arrivals(
         t_max = math.inf
     elif not t_max >= 0 or (t_max == math.inf and max_arrivals is None):  # NaN fails too
         raise ValueError("t_max must be >= 0, and finite without max_arrivals")
-    return list(itertools.islice(_arrivals(delta, rng, t_max), max_arrivals))
+    return list(itertools.islice(arrivals(delta, rng, t_max), max_arrivals))
+
+
+def arrivals(delta: float, rng: CounterRng, t_max: float, birth: float = 0.0) -> Iterator[float]:
+    """Arrival times, birth + age, of one individual's offspring up to t_max.
+
+    The thinning of `limits._arrivals` as a generator that draws each
+    proposal through `rng.exponential(bound)` and `rng.random()`.
+    """
+    a = (1.0 + delta) / (1.0 + 0.5 * delta)
+    b = 1.0 / (1.0 + 0.5 * delta)
+    k, s, e = 0, 0.0, 0.0
+    while True:
+        bound = (k + 1 + delta) * b
+        x = 0.0
+        while True:
+            x += rng.exponential(bound)
+            t = birth + s + x
+            if t > t_max:
+                return  # proposals only increase; nothing left before the horizon
+            decay = math.exp(-x)
+            if rng.random() * bound <= a * (1.0 - math.exp(-(x + s))) + b * (k - decay * e):
+                break
+        k += 1
+        s += x
+        e = e * decay + 1.0
+        yield t
+
+
+def genealogy(
+    rng: CounterRng, t_max: Optional[float], exp1: bool, max_nodes: int,
+    offspring: Callable[[int, float, float], Iterable[float]],
+) -> BranchingTree:
+    """The genealogy up to a horizon of individuals that reproduce independently.
+
+    `offspring(i, birth, t_max)` yields the birth times of individual i's
+    children up to t_max.  The genealogy at a horizon does not depend on the
+    order in which births are simulated, so the individuals are visited in
+    index order, which is breadth first, and each one's children are appended
+    as they come.  Raises `NodeCapExceeded` rather than silently truncating.
+    """
+    t_max = _exp1_horizon(rng, t_max, exp1)
+    if t_max is None:
+        raise ValueError("need a stop rule: t_max or exp1")
+    if not 0.0 <= t_max < math.inf:
+        raise ValueError("t_max must be finite and >= 0")
+    parents: list[Optional[int]] = [None]
+    births = [0.0]
+    for i, birth in enumerate(births):  # reaches the children appended below too
+        for t in offspring(i, birth, t_max):
+            if len(parents) >= max_nodes:
+                raise NodeCapExceeded(f"branching realization exceeded {max_nodes} nodes")
+            parents.append(i)
+            births.append(t)
+    return BranchingTree(parents=parents, birth_times=births)
+
+
+def sample_edge_bp_reference(
+    delta: float,
+    rng: CounterRng,
+    *,
+    t_max: Optional[float] = None,
+    exp1: bool = False,
+    max_nodes: int = NODE_CAP,
+) -> BranchingTree:
+    """`limits.sample_edge_bp` as a thinning generator per individual, run through `genealogy`."""
+    _check_delta(delta)
+    c_root = (1.0 + delta) / (1.0 + 0.5 * delta)
+    c_other = 1.0 / (1.0 + 0.5 * delta)
+
+    def children(i: int, birth: float, horizon: float) -> Iterator[float]:
+        c = c_root if i == 0 else c_other
+        age = 0.0
+        while True:
+            age += rng.exponential(c)
+            t = birth + age
+            if t > horizon:
+                return  # proposals only increase; nothing left before the horizon
+            if rng.random() < 1.0 - math.exp(-age):
+                yield t
+
+    return genealogy(rng, t_max, exp1, max_nodes, children)
+
+
+def sample_memory_bp_reference(
+    delta: float,
+    rng: CounterRng,
+    *,
+    t_max: Optional[float] = None,
+    exp1: bool = False,
+    max_nodes: int = NODE_CAP,
+) -> BranchingTree:
+    """`limits.sample_memory_bp` with each individual's children from `arrivals`, run through `genealogy`."""
+    _check_delta(delta)
+    return genealogy(
+        rng, t_max, exp1, max_nodes, lambda i, birth, horizon: arrivals(delta, rng, horizon, birth)
+    )
 
 
 @dataclass

@@ -41,6 +41,8 @@ from oracles import (
     mc_zeta_hat_reference,
     same_law_p,
     sample_arrivals,
+    sample_edge_bp_reference,
+    sample_memory_bp_reference,
     yule_marked_simulate,
 )
 
@@ -213,6 +215,58 @@ def test_branching_samplers_refuse_endless_horizons(sampler, t_max):
     with pytest.raises(ValueError):
         sampler(0.0, rng, t_max=t_max)
     assert rng.counter == 0
+
+
+@pytest.mark.parametrize("sampler", [sample_edge_bp, sample_memory_bp])
+@pytest.mark.parametrize("max_nodes", [0, -5])
+@pytest.mark.parametrize("rule", [{"t_max": 1.0}, {"exp1": True}])
+def test_branching_samplers_refuse_an_empty_cap(sampler, max_nodes, rule):
+    # a cap below one node used to return the root alone, already over the cap
+    rng = CounterRng(1)
+    with pytest.raises(ValueError, match="max_nodes"):
+        sampler(0.0, rng, max_nodes=max_nodes, **rule)
+    assert rng.counter == 0
+
+
+_REFERENCES = [(sample_edge_bp, sample_edge_bp_reference), (sample_memory_bp, sample_memory_bp_reference)]
+
+
+def _draw(sampler, delta, rng, **kwargs):
+    """One genealogy as (parents, birth times), or "capped", with the stream position after it."""
+    try:
+        bp = sampler(delta, rng, **kwargs)
+    except NodeCapExceeded:
+        return "capped", rng.counter
+    return (bp.parents, bp.birth_times), rng.counter
+
+
+@pytest.mark.parametrize("sampler, reference", _REFERENCES)
+@pytest.mark.parametrize("delta", [-0.5, 0.0, 2.0])
+@pytest.mark.parametrize("rule", [{"t_max": 3.0}, {"exp1": True}])
+def test_branching_samplers_match_the_reference(sampler, reference, delta, rule):
+    # the buffer-reading loops give the genealogies, birth times and stream
+    # positions of the thinning generators, genealogy after genealogy and
+    # across buffer refills
+    for seed in range(20):
+        rng, ref = CounterRng(seed), CounterRng(seed)
+        for _ in range(30):
+            assert _draw(sampler, delta, rng, **rule) == _draw(reference, delta, ref, **rule), seed
+
+
+@pytest.mark.parametrize("sampler, reference", _REFERENCES)
+@pytest.mark.parametrize("delta", [-0.5, 0.0, 2.0])
+def test_capped_genealogy_leaves_the_reference_stream_position(sampler, reference, delta):
+    # fringe-compare keeps drawing from a stream after a capped genealogy, so
+    # the words read before the raise, and the next genealogy, must be the
+    # reference's
+    capped = 0
+    for seed in range(300):
+        rng, ref = CounterRng(seed), CounterRng(seed)
+        got = _draw(sampler, delta, rng, exp1=True, max_nodes=3)
+        assert got == _draw(reference, delta, ref, exp1=True, max_nodes=3), seed
+        assert _draw(sampler, delta, rng, exp1=True) == _draw(reference, delta, ref, exp1=True), seed
+        capped += got[0] == "capped"
+    assert capped >= 10
 
 
 _TWO = MarkedTree(parents=(None, 0), marks=(0.3, 0.6))

@@ -93,6 +93,34 @@ def test_randbelow_in_range(bound, seed):
     assert 0 <= rng.randbelow(bound) < bound
 
 
+@pytest.mark.parametrize("rate", [0.0, -1.0, -math.inf, math.inf, math.nan])
+def test_exponential_refuses_rates_outside_the_positive_reals(rate):
+    # -1 gave a negative time, inf gave 0.0, nan gave nan and 0 raised
+    # ZeroDivisionError; each is now refused before a word is drawn
+    rng = CounterRng(1)
+    with pytest.raises(ValueError, match="rate"):
+        rng.exponential(rate)
+    assert rng.counter == 0
+
+
+@pytest.mark.parametrize("before", [0, 1, 63, 64, 65])
+def test_words_hand_out_the_stream(before):
+    # a loop that reads the buffer itself sees the words u64 would, across
+    # refills, and leaves the stream where u64 calls would
+    rng, ref = _consume(CounterRng(5), before), _consume(CounterRng(5), before)
+    buf, j, end = rng._words(rng._idx)
+    words = []
+    for _ in range(5000):
+        if j == end:
+            buf, j, end = rng._words(j)
+        words.append(buf[j])
+        j += 1
+    rng._idx = j
+    assert words == [ref.u64() for _ in range(5000)]
+    assert rng.counter == ref.counter == before + 5000
+    assert rng.u64() == ref.u64()
+
+
 def test_randbelow_uniformity():
     rng = CounterRng(8)
     n = 60000
