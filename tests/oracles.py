@@ -19,23 +19,26 @@ key built string by string behind the integer classes of
 `treeops._classes`, the fringe decomposition and the fringe histogram that
 cut parsed keys, behind `extended_fringes` and the leaf-deflated
 `empirical_fringe_distribution` (the histogram reference also labels every
-vertex, leaves included);
+vertex, leaves included); the `np.loadtxt` tree CSV reader behind the
+chunked byte kernel of `serialize.read_tree_csv`;
 beside them, the two-sample chi-square that compares samplers in law.
 Test files import them with ``from oracles import ...``.
 """
 
 import itertools
 import math
+import os
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from pathlib import Path
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 from scipy import stats
 
 from seritree.analysis import TAIL_MIN_POINTS, TAIL_QUANTILE, TailFit
-from seritree.growth import TreeRecord, _edge_time_sums, attach_probabilities
+from seritree.growth import TreeRecord, _edge_time_sums, attach_probabilities, first_bad_parent
 from seritree.limits import (
     NODE_CAP,
     BranchingTree,
@@ -46,6 +49,7 @@ from seritree.limits import (
     exponents,
 )
 from seritree.rng import CounterRng
+from seritree.serialize import _CSV_CHUNK
 from seritree.treeops import FringeHistogram, Tree, _parent_array
 
 LEAF_KEY = "()"
@@ -606,6 +610,43 @@ def empirical_fringe_reference(tree: Tree, k: int = 0, truncation: int = 12) -> 
         k=k,
         excluded_shallow=len(parent) - len(scanned),
     )
+
+
+def read_tree_csv_reference(path: Union[str, Path]) -> TreeRecord:
+    """Read a tree CSV into its parent array; refuses a malformed file with ValueError.
+
+    The rows are parsed as int32 when the file is under 8 GiB: every row
+    takes at least 4 bytes, so a file that size holds fewer than 2**31 rows,
+    and a larger number in it cannot be a valid vertex or parent (numpy's
+    reader refuses it).  Vertex order is checked block by block as the
+    parents fill the final int64 array.
+    """
+    with open(path, newline="") as fh:
+        header = fh.readline().rstrip("\r\n").split(",")
+        if header != ["vertex", "parent"]:
+            raise ValueError(f"unexpected tree CSV header {header}")
+        if not fh.readline().strip():
+            raise ValueError("tree CSV holds no vertices")
+        size = os.fstat(fh.fileno()).st_size
+    # numpy's reader parses the file itself, far faster than from a line iterator
+    dtype = np.int32 if size < 8 << 30 else np.int64
+    rows = np.loadtxt(path, delimiter=",", dtype=dtype, ndmin=2, comments=None, skiprows=1)
+    if rows.shape[1] != 2:
+        raise ValueError(f"tree CSV rows must hold exactly two fields; saw {rows.shape[1]}")
+    parent = np.empty(len(rows) + 1, dtype=np.int64)
+    parent[0] = -1
+    for a in range(0, len(rows), _CSV_CHUNK):
+        block = rows[a : a + _CSV_CHUNK]
+        out_of_order = np.flatnonzero(block[:, 0] != np.arange(a + 1, a + 1 + len(block)))
+        if out_of_order.size:
+            row = block[out_of_order[0]].tolist()
+            raise ValueError(f"tree CSV rows must be ordered by vertex; saw {row}")
+        parent[a + 1 : a + 1 + len(block)] = block[:, 1]
+    del rows
+    m = first_bad_parent(parent)
+    if m:
+        raise ValueError(f"parent of vertex {m} must be < {m}")
+    return TreeRecord(parent)
 
 
 def same_law_p(a: Counter, b: Counter) -> float:

@@ -3,8 +3,10 @@ import json
 
 import numpy as np
 import pytest
+from oracles import read_tree_csv_reference
 
 import seritree
+from seritree import serialize
 from seritree.cli import main
 from seritree.growth import _CHECK_BLOCK, GrowthParams, TreeRecord, grow
 from seritree.serialize import (
@@ -163,6 +165,111 @@ def test_tree_csv_rejects_out_of_range_numbers(tmp_path, row):
     path.write_text(f"vertex,parent\n1,0\n{row}\n")
     with pytest.raises(ValueError):
         read_tree_csv(path)
+
+
+def _reframed(tree, path, newline, final):
+    """Write `tree` as the writer does, then with `newline` line ends, the last one kept if `final`."""
+    write_tree_csv(tree, path)
+    lines = path.read_bytes().split(b"\r\n")[:-1]
+    path.write_bytes(newline.join(lines) + (newline if final else b""))
+
+
+@pytest.mark.parametrize("final", [True, False], ids=["final", "no-final"])
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n"], ids=["LF", "CRLF"])
+@pytest.mark.parametrize("n", [1, 9, 10, 99, 100, 9999, 10000])
+def test_tree_csv_reads_across_small_chunks(tmp_path, monkeypatch, n, newline, final):
+    # chunks of 16-64 bytes end at every offset of a row, its line end included,
+    # and the vertex widths change at 9/10, 99/100 and 9999/10000
+    tree, _ = grow(GrowthParams(delta=0.0, n_final=n, seed=n))
+    path = tmp_path / "tree.csv"
+    _reframed(tree, path, newline, final)
+    reference = read_tree_csv_reference(path)
+    for chunk in range(16, 65) if n <= 100 else (64,):
+        monkeypatch.setattr(serialize, "_READ_CHUNK", chunk)
+        assert np.array_equal(read_tree_csv(path).parent, reference.parent)
+    assert np.array_equal(reference.parent, tree.parent)
+
+
+def test_tree_csv_reads_a_large_tree_across_small_chunks(tmp_path, monkeypatch):
+    # the writer's own file, with vertex widths changing at 99999/100000
+    tree, _ = grow(GrowthParams(delta=0.0, n_final=10**5, seed=5))
+    write_tree_csv(tree, tmp_path / "tree.csv")
+    monkeypatch.setattr(serialize, "_READ_CHUNK", 64)
+    assert np.array_equal(read_tree_csv(tmp_path / "tree.csv").parent, read_tree_csv_reference(tmp_path / "tree.csv").parent)
+
+
+def test_tree_csv_chunk_ends_between_cr_and_lf(tmp_path, monkeypatch):
+    # the reader fills each chunk from the body (the bytes after the header);
+    # with 17-byte chunks this 51-byte body splits the CRLF of vertex 7 and
+    # ends exactly at the end of the third chunk
+    body = b"".join(b"%d,%d\r\n" % (v, v - 1) for v in range(1, 11))
+    chunk = 17
+    assert len(body) == 3 * chunk and body[2 * chunk - 1 : 2 * chunk + 1] == b"\r\n"
+    path = tmp_path / "tree.csv"
+    path.write_bytes(b"vertex,parent\r\n" + body)
+    monkeypatch.setattr(serialize, "_READ_CHUNK", chunk)
+    assert read_tree_csv(path).parent.tolist() == [-1] + list(range(10))
+
+
+@pytest.mark.parametrize("text, line", [
+    (b"vertex,parent\n", None),  # no vertices
+    (b"vertex,parent\r1,0\r2,1\r", 1),  # CR-only line ends
+    (b"vertex,parent\n1,0\r2,1\r", 2),
+    (b"vertex,parent\n1,0\r", 2),
+    (b"vertex,parent\n 1,0\n", 2),  # spaces and tabs around a field
+    (b"vertex,parent\n1, 0\n", 2),
+    (b"vertex,parent\n1,0\n2 ,1\n", 3),
+    (b"vertex,parent\n1,0\t\n", 2),
+    (b"vertex,parent\n+1,0\n", 2),  # signs
+    (b"vertex,parent\n1,0\n2,+1\n", 3),
+    (b"vertex,parent\n01,0\n", 2),  # leading zeros
+    (b"vertex,parent\n1,00\n", 2),
+    (b"vertex,parent\n1,0\n2,0\n3,0\n4,0\n5,0\n6,0\n7,0\n8,0\n9,0\n10,01\n", 11),
+    (b"vertex,parent\n1,0\n\n2,1\n", 3),  # blank lines
+    (b"vertex,parent\r\n1,0\r\n\r\n", 3),
+    (b"vertex,parent\n1,0\n\n", 3),
+])
+def test_tree_csv_refuses_what_the_writer_never_writes(tmp_path, text, line):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(text)
+    with pytest.raises(ValueError, match="no vertices" if line is None else f"line {line} "):
+        read_tree_csv(path)
+
+
+def _fold_fields(texts):
+    """`serialize._fold` over `texts` laid out after the buffer's pad bytes, one comma apart."""
+    buf = bytearray(serialize._PAD) + b",".join(texts) + bytearray(8)
+    widths = np.array([len(t) for t in texts])
+    ends = serialize._PAD + np.cumsum(widths + 1) - 1
+    words = np.ndarray(len(buf) - 7, dtype="<u8", buffer=buf, strides=(1,))
+    return serialize._fold(words, ends, widths)
+
+
+def test_fold_reads_fields_of_up_to_19_digits():
+    # fields wider than 8 digits are folded one 8-digit limb at a time
+    rng = np.random.default_rng(7)
+    values = [10 ** (w - 1) for w in range(9, 20)] + [10**w - 1 for w in range(9, 19)]
+    values += [int(rng.integers(10 ** (w - 1), 10**w)) for w in range(9, 19) for _ in range(20)]
+    values += [2**63 - 1, 12345678, 9, 0]
+    texts = [str(v).encode() for v in values]
+    value, ok = _fold_fields(texts)
+    assert ok.all()
+    assert value.tolist() == values
+
+
+@pytest.mark.parametrize("text", [
+    b"10000000000000000000",  # 20 digits
+    b"9223372036854775808",  # 2**63
+    b"9999999999999999999",
+    b"12345678x1234",  # a non-digit in the second limb
+    b":23456789012345678",  # ... and in the third
+    b"1234/678",
+    b"",
+])
+def test_fold_refuses_wide_or_non_digit_fields(text):
+    value, ok = _fold_fields([b"7", text, b"123456789"])
+    assert ok.tolist() == [True, False, True]
+    assert value[[0, 2]].tolist() == [7, 123456789]
 
 
 def test_manifest_roundtrip(tmp_path):
