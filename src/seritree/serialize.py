@@ -186,7 +186,6 @@ def _parse_rows(fh, buf: bytearray, parent: np.ndarray) -> None:
             ok &= value == np.arange(vertex, vertex + rows, dtype=np.uint64)
             del value
             ok &= data[comma] == 44
-            ok &= parent_width <= vertex_width
             ok &= (parent_width == 1) | (data[comma + 1] != 48)  # no leading zero
             value, parsed = _fold(words, stops, parent_width)
             ok &= parsed
@@ -213,7 +212,9 @@ def read_tree_csv(path: Union[str, Path]) -> TreeRecord:
     one optionally in none.  v and p are decimal numbers without signs,
     spaces or leading zeros (a lone 0 is one), and p < v.  One pass counts
     the rows, so the parent array is allocated once; a second parses them
-    chunk by chunk with `_fold`.  An error names the first bad line.
+    chunk by chunk with `_fold`.  The first row that breaks the grammar is
+    refused with its line; a parent not below its vertex, after the parse,
+    with its vertex (`first_bad_parent`).
     """
     with open(path, "rb") as fh:
         header = fh.readline(len(b"vertex,parent\r\n"))

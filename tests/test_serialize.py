@@ -178,8 +178,9 @@ def _reframed(tree, path, newline, final):
 @pytest.mark.parametrize("newline", [b"\n", b"\r\n"], ids=["LF", "CRLF"])
 @pytest.mark.parametrize("n", [1, 9, 10, 99, 100, 9999, 10000])
 def test_tree_csv_reads_across_small_chunks(tmp_path, monkeypatch, n, newline, final):
-    # chunks of 16-64 bytes end at every offset of a row, its line end included,
-    # and the vertex widths change at 9/10, 99/100 and 9999/10000
+    # up to n = 100 every chunk size of 16-64 bytes, so chunks end at every
+    # offset of a row, its line end included; above, 64-byte chunks; the
+    # vertex widths change at 9/10, 99/100 and 9999/10000
     tree, _ = grow(GrowthParams(delta=0.0, n_final=n, seed=n))
     path = tmp_path / "tree.csv"
     _reframed(tree, path, newline, final)
@@ -220,6 +221,8 @@ def test_tree_csv_chunk_ends_between_cr_and_lf(tmp_path, monkeypatch):
     (b"vertex,parent\n1, 0\n", 2),
     (b"vertex,parent\n1,0\n2 ,1\n", 3),
     (b"vertex,parent\n1,0\t\n", 2),
+    (b"vertex,parent\n1;0\n", 2),  # no comma
+    (b"vertex,parent\n1,0\n2 1\n", 3),
     (b"vertex,parent\n+1,0\n", 2),  # signs
     (b"vertex,parent\n1,0\n2,+1\n", 3),
     (b"vertex,parent\n01,0\n", 2),  # leading zeros
