@@ -490,9 +490,6 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except limits.NodeCapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE_CAP
     return code
 
 

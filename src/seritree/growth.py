@@ -30,6 +30,7 @@ delta; this is intended for oracle tests at small n, not production runs.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -215,9 +216,9 @@ def _edge_time_sums(tree: TreeRecord) -> list[int]:
 def total_weight_closed(n: int, delta, convention: str = "exact"):
     """Closed form of the total weight at time n under either convention."""
     if convention == "exact":
-        return n * (n + 1) + delta * (n + 1) * (n + 2) / (Fraction(2) if isinstance(delta, Fraction) else 2)
+        return n * (n + 1) + delta * (n + 1) * (n + 2) / 2
     if convention == "paper_total":
-        return n * (n + 1) + delta * n * (n + 1) / (Fraction(2) if isinstance(delta, Fraction) else 2)
+        return n * (n + 1) + delta * n * (n + 1) / 2
     raise ValueError(f"unknown convention {convention!r}")
 
 
@@ -567,16 +568,10 @@ def grow(
 
 
 def enumerate_histories(n: int) -> Iterator[tuple[int, ...]]:
-    """All attachment histories (parent tuples for vertices 1..n)."""
+    """All attachment histories (parent tuples for vertices 1..n), in lexicographic order.
+
+    Vertex m picks any of the vertices 0..m-1 present before it.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
-
-    def rec(prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        if len(prefix) == n:
-            yield prefix
-            return
-        # vertices 0..len(prefix) are present; the next one picks any of them
-        for p in range(len(prefix) + 1):
-            yield from rec(prefix + (p,))
-
-    yield from rec((0,))
+    return itertools.product(*(range(m) for m in range(1, n + 1)))

@@ -3,28 +3,32 @@
 This module simulates and evaluates the continuum limits that the grown tree
 converges to locally:
 
-* the memory-driven offspring point process, specified through hazard rates
-  for its inter-arrival times and drawn by `_arrivals`;
+* the offspring point process with memory: its hazard after arrivals at
+  ages sigma_j is a(1-e^-t) + sum_j b(1-e^-(t-sigma_j)), with
+  a = (1+delta)/(1+delta/2) and b = 1/(1+delta/2), a linear Hawkes process;
 * the edge branching process, in which the root reproduces at rate
-  (1+delta)/(1+delta/2) * (1-e^-t) and every other individual at rate
-  (1-e^-age)/(1+delta/2); its population size matches the offspring count
-  plus one in distribution (`sample_edge_bp`);
+  a(1-e^-t) and every other individual at rate b(1-e^-age): the Hawkes
+  process's cluster form (Hawkes & Oakes 1974), so its population size is
+  the offspring count plus one (`sample_edge_bp`);
 * the memory branching process, whose individuals each reproduce like the
-  offspring point process (`sample_memory_bp`);
-* both branching processes visit their individuals in index order, which
-  is breadth first, with no priority queue;
-* every one of these rates is bounded by a constant, so each process is
-  drawn by thinning (Lewis & Shedler 1979), with no root-finding; the
-  thinning loops read their words straight from the `CounterRng` buffer
-  (`CounterRng._words`), so a proposal costs no Python call but `math.log`
-  and `math.exp`;
+  offspring point process (`sample_memory_bp`).  In cluster form each
+  individual spawns with no memory: children of its own at rate
+  a(1-e^-age) and, unless it is the root, more children of its parent at
+  rate b(1-e^-age);
+* both branching processes visit their individuals in index order, with no
+  priority queue;
+* every one of these rates is c(1-e^-age) for a constant c, so each process
+  is drawn by the same thinning (Lewis & Shedler 1979): proposals at rate
+  c, one at age s kept with probability 1-e^-s; the thinning loops read
+  their words straight from the `CounterRng` buffer (`CounterRng._words`),
+  so a proposal costs no Python call but `math.log` and `math.exp`;
 * closed-form growth/tail exponents and the drift-matrix spectrum
   (`exponents`);
 * discounted offspring integrals and their cumulants (`zeta_hat_cumulant`,
   `mc_zeta_hat`);
-* the limiting degree distribution (`limit_degree_pmf`), which counts the
-  offspring process's arrivals before an exp(1) time, and its p(1) as a
-  fast-converging series (`p1_quadrature`);
+* the limiting degree distribution (`limit_degree_pmf`), the edge
+  process's size at an exp(1) time, and its p(1) as a fast-converging
+  series (`p1_quadrature`);
 * exact discrete and limiting densities of marked neighborhoods
   (`marked_neighborhood_log_prob`, `limit_neighborhood_density`, which
   checks its two closed forms against each other);
@@ -105,82 +109,20 @@ def exponents(delta: float) -> ExponentPack:
 
 
 # ---------------------------------------------------------------------------
-# the offspring point process with memory
+# branching processes
 
 def rate_nonroot(age: float, delta: float) -> float:
     """Reproduction rate of a non-root edge-process individual at given age."""
     return (1.0 - math.exp(-age)) / (1.0 + 0.5 * delta)
 
 
-def _arrivals(
-    delta: float, rng: CounterRng, t_max: float, birth: float, times: list[float], max_nodes: float
-) -> int:
-    """Append one individual's offspring arrival times, birth + age, up to t_max to `times`.
-
-    Returns how many it appended.  An arrival that finds `max_nodes` entries
-    in `times` raises `NodeCapExceeded`, after the words of its proposal.
-
-    Thinning (Lewis & Shedler 1979): the k-th arrival is proposed against the
-    constant bound (k+delta)/(1+delta/2), which its hazard approaches but
-    never attains, so acceptance probabilities stay in [0, 1) and the sampled
-    survival function is exp(-integral of the hazard) with no discretization
-    error.
-
-    The hazard at elapsed time x after k arrivals, the last at age s, is
-    the root's a(1 - e^-(s+x)) plus one b(1 - e^-(s - sigma_j + x)) per
-    earlier arrival sigma_j, with a = (1+delta)/(1+delta/2) and
-    b = 1/(1+delta/2).  That is a(1 - e^-(s+x)) + b(k - e^-x E) with
-    E = sum_j e^-(s - sigma_j), and an arrival at x sets E to E e^-x + 1,
-    so each proposal costs O(1).  `tests/oracles.py` keeps the O(k) sum.
-
-    A proposal reads its gap and its uniform from `rng`'s buffer as
-    `rng.exponential(bound)` and `rng.random()` would: the same words, the
-    same floats.  `tests/oracles.py` keeps the generator that made those
-    two calls.
-    """
-    a = (1.0 + delta) / (1.0 + 0.5 * delta)
-    b = 1.0 / (1.0 + 0.5 * delta)
-    log, exp = math.log, math.exp
-    buf, j, end = rng._words(rng._idx)
-    k, s, e = 0, 0.0, 0.0
-    while True:
-        bound = (k + 1 + delta) * b
-        x = 0.0
-        while True:
-            if j == end:
-                buf, j, end = rng._words(j)
-            x += -log(1.0 - (buf[j] >> 11) * 2**-53) / bound
-            j += 1
-            t = birth + s + x
-            if t > t_max:
-                rng._idx = j
-                return k  # proposals only increase; nothing left before the horizon
-            decay = exp(-x)
-            if j == end:
-                buf, j, end = rng._words(j)
-            u = (buf[j] >> 11) * 2**-53
-            j += 1
-            if u * bound <= a * (1.0 - exp(-(x + s))) + b * (k - decay * e):
-                break
-        if len(times) >= max_nodes:
-            rng._idx = j
-            raise NodeCapExceeded(f"branching realization exceeded {max_nodes} nodes")
-        k += 1
-        s += x
-        e = e * decay + 1.0
-        times.append(t)
-
-
-# ---------------------------------------------------------------------------
-# branching processes
-
 @dataclass
 class BranchingTree:
     """A continuous-time branching realization (genealogy plus birth times).
 
-    Individuals are numbered breadth first, so every child has a larger
-    index than its parent; birth times increase along each line of descent
-    but are not sorted across the tree.
+    Every child has a larger index than its parent and is born after it.
+    Birth times are not sorted across the tree, and one parent's children
+    need not have consecutive indices.
     """
 
     parents: list[Optional[int]]
@@ -216,15 +158,10 @@ def _check_stop_rule(t_max: Optional[float], exp1: bool, max_nodes: int) -> None
         raise ValueError("t_max must be finite and >= 0")
 
 
-def sample_edge_bp(
-    delta: float,
-    rng: CounterRng,
-    *,
-    t_max: Optional[float] = None,
-    exp1: bool = False,
-    max_nodes: int = NODE_CAP,
-) -> BranchingTree:
-    """Simulate the edge branching process up to a time horizon.
+def _edge_genealogy(
+    delta: float, rng: CounterRng, t_max: Optional[float], max_nodes: float
+) -> tuple[list[Optional[int]], list[float]]:
+    """Parents and birth times of the edge process up to `t_max`, or to an exp(1) horizon for None.
 
     Each individual's children are drawn by thinning: proposals come at the
     rate bound c (c_root for the root), and one at age a is kept with
@@ -232,17 +169,16 @@ def sample_edge_bp(
     c(1 - e^-a).  The genealogy at a horizon does not depend on the order in
     which births are simulated, so the individuals are visited in index
     order, which is breadth first, and each one's children are appended as
-    they come.  A proposal reads its gap and its uniform from `rng`'s buffer
-    as `rng.exponential(c)` and `rng.random()` would.  Raises
-    `NodeCapExceeded` rather than silently truncating.
+    they come.  The horizon and each proposal's gap and uniform are read
+    from `rng`'s buffer as `rng.exponential()`, `rng.exponential(c)` and
+    `rng.random()` would.  A birth that finds `max_nodes` entries raises
+    `NodeCapExceeded`, after the words of its proposal.
     """
-    _check_delta(delta)
-    _check_stop_rule(t_max, exp1, max_nodes)
     c_root = (1.0 + delta) / (1.0 + 0.5 * delta)
     c_other = 1.0 / (1.0 + 0.5 * delta)
     log, exp = math.log, math.exp
     buf, j, end = rng._words(rng._idx)
-    if exp1:  # the horizon, as rng.exponential() draws it
+    if t_max is None:
         t_max = -log(1.0 - (buf[j] >> 11) * 2**-53)
         j += 1
     parents: list[Optional[int]] = [None]
@@ -269,6 +205,26 @@ def sample_edge_bp(
                 parents.append(i)
                 births.append(t)
     rng._idx = j
+    return parents, births
+
+
+def sample_edge_bp(
+    delta: float,
+    rng: CounterRng,
+    *,
+    t_max: Optional[float] = None,
+    exp1: bool = False,
+    max_nodes: int = NODE_CAP,
+) -> BranchingTree:
+    """Simulate the edge branching process up to a time horizon.
+
+    The root reproduces at rate c_root(1 - e^-t) and every other individual
+    at rate c(1 - e^-age), each by the thinning of `_edge_genealogy`.
+    Raises `NodeCapExceeded` rather than silently truncating.
+    """
+    _check_delta(delta)
+    _check_stop_rule(t_max, exp1, max_nodes)
+    parents, births = _edge_genealogy(delta, rng, None if exp1 else t_max, max_nodes)
     return BranchingTree(parents=parents, birth_times=births)
 
 
@@ -283,21 +239,51 @@ def sample_memory_bp(
     """Simulate the branching process whose individuals reproduce with memory.
 
     Every individual carries its own copy of the limit offspring point
-    process: the hazard of its k-th child depends on the ages at which its
-    previous children arrived.  The individuals are visited in index order,
-    as in `sample_edge_bp`, and `_arrivals` appends each one's children.
-    This is the process whose genealogy, stopped at an independent exp(1)
-    time, gives the limiting fringe law.  Raises `NodeCapExceeded` rather
-    than silently truncating.
+    process, a linear Hawkes process.  It is drawn in cluster form, where
+    nothing has memory: individual i spawns children of its own at rate
+    a(1 - e^-age) and, for i > 0, more children of its parent at rate
+    b(1 - e^-age), with a = (1+delta)/(1+delta/2) and b = 1/(1+delta/2).
+    The individuals are visited in index order, as in `sample_edge_bp`.
+    Each runs its own stream, then its sibling stream, thinned as there,
+    and appends the children as they come: every child comes after its
+    parent and is born after it.  This is the process whose genealogy,
+    stopped at an independent exp(1) time, gives the limiting fringe law.
+    Raises `NodeCapExceeded` rather than silently truncating, after the
+    words of the birth that finds `max_nodes` entries.
     """
     _check_delta(delta)
     _check_stop_rule(t_max, exp1, max_nodes)
     if exp1:
         t_max = rng.exponential()
+    a = (1.0 + delta) / (1.0 + 0.5 * delta)
+    b = 1.0 / (1.0 + 0.5 * delta)
+    log, exp = math.log, math.exp
+    buf, j, end = rng._words(rng._idx)
     parents: list[Optional[int]] = [None]
     births = [0.0]
     for i, birth in enumerate(births):  # reaches the children appended below too
-        parents += [i] * _arrivals(delta, rng, t_max, birth, births, max_nodes)
+        # children of its own, then (past the root) more children of its parent
+        for c, p in ((a, i), (b, parents[i])) if i else ((a, i),):
+            age = 0.0
+            while True:
+                if j == end:
+                    buf, j, end = rng._words(j)
+                age += -log(1.0 - (buf[j] >> 11) * 2**-53) / c
+                j += 1
+                t = birth + age
+                if t > t_max:
+                    break  # proposals only increase; nothing left before the horizon
+                if j == end:
+                    buf, j, end = rng._words(j)
+                u = (buf[j] >> 11) * 2**-53
+                j += 1
+                if u < 1.0 - exp(-age):
+                    if len(parents) >= max_nodes:
+                        rng._idx = j
+                        raise NodeCapExceeded(f"branching realization exceeded {max_nodes} nodes")
+                    parents.append(p)
+                    births.append(t)
+    rng._idx = j
     return BranchingTree(parents=parents, birth_times=births)
 
 
@@ -402,15 +388,18 @@ def limit_degree_pmf(delta: float, reps: int, rng: CounterRng) -> DegreePMF:
     """Monte Carlo estimate of the limiting degree pmf.
 
     p(k) is the fraction of replicas in which the offspring process produced
-    exactly k-1 arrivals before an independent exp(1) time.  Each replica
-    draws its horizon, then its arrivals up to it.
+    exactly k-1 arrivals before an independent exp(1) time.  In cluster form
+    those arrivals are the edge process's non-root individuals, so a
+    replica's degree is the size of the edge process at its own exp(1)
+    horizon, drawn with no node cap from the words `sample_edge_bp(delta,
+    rng, exp1=True)` reads.
     """
     _check_delta(delta)
     if reps < 1:
         raise ValueError("reps must be >= 1")
     counts: dict[int, int] = {}
     for _ in range(reps):
-        k = 1 + _arrivals(delta, rng, rng.exponential(), 0.0, [], math.inf)
+        k = len(_edge_genealogy(delta, rng, None, math.inf)[0])
         counts[k] = counts.get(k, 0) + 1
     p = {k: c / reps for k, c in sorted(counts.items())}
     stderr = {k: math.sqrt(v * (1.0 - v) / reps) for k, v in p.items()}

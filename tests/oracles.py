@@ -4,15 +4,16 @@ Each is the literal, slow form of something the package computes another
 way: the replayed weight sum behind `growth._thetas`, the O(n) sampler
 behind the token sampler, history probabilities by repeated
 `attach_probabilities`, the tree invariants, the drift matrix whose
-spectrum `exponents` gives in closed form, the O(k) hazard sum behind the
-O(1) recurrence in `limits._arrivals`, the thinning generators and the
-callback genealogy loop that drew each proposal through `rng.exponential`
-and `rng.random` behind the buffer-reading loops of `limits._arrivals`,
-`sample_edge_bp` and `sample_memory_bp`, the arrival lists (with their
-`max_arrivals` stop) whose counts `limit_degree_pmf` takes, the per-path
-marked Yule chain behind `yule_marked_ensemble`, every thinning point of
-`mc_zeta_hat` drawn at once behind its blocks of replicas, the list-based
-degree ccdf and tail fits behind the array-native `tail_ccdf`,
+spectrum `exponents` gives in closed form, the offspring point process
+drawn with its memory (the O(k) hazard sum and its O(1) recurrence, and
+the arrival lists, with their `max_arrivals` stop) whose cluster form the
+package draws, the memory branching process drawn from those arrivals,
+the thinning generators and the callback genealogy loop that draw each
+proposal through `rng.exponential` and `rng.random` behind the
+buffer-reading loops of `sample_edge_bp` and `sample_memory_bp`, the
+per-path marked Yule chain behind `yule_marked_ensemble`, every thinning
+point of `mc_zeta_hat` drawn at once behind its blocks of replicas, the
+list-based degree ccdf and tail fits behind the array-native `tail_ccdf`,
 `fit_power_tail` and `tail_window_sensitivity`, the key parser
 `decode_key` and the canonical key rebuilt from its parts, every vertex's
 key built string by string behind the integer classes of
@@ -136,7 +137,7 @@ def hazard(sigmas: Sequence[float], x: float, delta: float) -> float:
     which is (1+delta)/(1+delta/2) * (1-e^-x) for the first arrival, and each
     previous arrival a (1 - e^-(sigma_{k-1} - sigma_j + x))/(1+delta/2) term.
     The value always lies in [0, (k+delta)/(1+delta/2)).  This is the
-    definition; `limits._arrivals` evaluates the same sum in O(1) by a recurrence.
+    definition; `arrivals` evaluates the same sum in O(1) by a recurrence.
     """
     if x < 0:
         raise ValueError("x must be >= 0")
@@ -188,10 +189,18 @@ def sample_arrivals(
 
 
 def arrivals(delta: float, rng: CounterRng, t_max: float, birth: float = 0.0) -> Iterator[float]:
-    """Arrival times, birth + age, of one individual's offspring up to t_max.
+    """Arrival times, birth + age, of one individual's offspring up to t_max, drawn with memory.
 
-    The thinning of `limits._arrivals` as a generator that draws each
-    proposal through `rng.exponential(bound)` and `rng.random()`.
+    Thinning (Lewis & Shedler 1979): the k-th arrival is proposed against the
+    constant bound (k+delta)/(1+delta/2), which its hazard approaches but
+    never attains, through `rng.exponential(bound)` and `rng.random()`.
+
+    The hazard at elapsed time x after k arrivals, the last at age s, is
+    the root's a(1 - e^-(s+x)) plus one b(1 - e^-(s - sigma_j + x)) per
+    earlier arrival sigma_j, with a = (1+delta)/(1+delta/2) and
+    b = 1/(1+delta/2).  That is a(1 - e^-(s+x)) + b(k - e^-x E) with
+    E = sum_j e^-(s - sigma_j), and an arrival at x sets E to E e^-x + 1,
+    so each proposal costs O(1); `hazard` is the O(k) sum.
     """
     a = (1.0 + delta) / (1.0 + 0.5 * delta)
     b = 1.0 / (1.0 + 0.5 * delta)
@@ -213,17 +222,34 @@ def arrivals(delta: float, rng: CounterRng, t_max: float, birth: float = 0.0) ->
         yield t
 
 
+def thinned(rng: CounterRng, c: float, birth: float, t_max: float) -> Iterator[float]:
+    """Birth times, birth + age, of a Poisson process of rate c(1 - e^-age) up to t_max.
+
+    Proposals come through `rng.exponential(c)`, and one at age s is kept
+    when `rng.random()` falls below 1 - e^-s.
+    """
+    age = 0.0
+    while True:
+        age += rng.exponential(c)
+        t = birth + age
+        if t > t_max:
+            return  # proposals only increase; nothing left before the horizon
+        if rng.random() < 1.0 - math.exp(-age):
+            yield t
+
+
 def genealogy(
     rng: CounterRng, t_max: Optional[float], exp1: bool, max_nodes: int,
-    offspring: Callable[[int, float, float], Iterable[float]],
+    offspring: Callable[[int, Optional[int], float, float], Iterable[tuple[int, float]]],
 ) -> BranchingTree:
     """The genealogy up to a horizon of individuals that reproduce independently.
 
-    `offspring(i, birth, t_max)` yields the birth times of individual i's
-    children up to t_max.  The genealogy at a horizon does not depend on the
-    order in which births are simulated, so the individuals are visited in
-    index order, which is breadth first, and each one's children are appended
-    as they come.  Raises `NodeCapExceeded` rather than silently truncating.
+    `offspring(i, parent, birth, t_max)` yields the (parent, birth time) of
+    each individual that individual i, whose own parent is `parent`, spawns
+    up to t_max.  The genealogy at a horizon does not depend on the order in
+    which births are simulated, so the individuals are visited in index
+    order and each one's spawn is appended as it comes.  Raises
+    `NodeCapExceeded` rather than silently truncating.
     """
     t_max = _exp1_horizon(rng, t_max, exp1)
     if t_max is None:
@@ -232,11 +258,11 @@ def genealogy(
         raise ValueError("t_max must be finite and >= 0")
     parents: list[Optional[int]] = [None]
     births = [0.0]
-    for i, birth in enumerate(births):  # reaches the children appended below too
-        for t in offspring(i, birth, t_max):
+    for i, birth in enumerate(births):  # reaches the individuals appended below too
+        for parent, t in offspring(i, parents[i], birth, t_max):
             if len(parents) >= max_nodes:
                 raise NodeCapExceeded(f"branching realization exceeded {max_nodes} nodes")
-            parents.append(i)
+            parents.append(parent)
             births.append(t)
     return BranchingTree(parents=parents, birth_times=births)
 
@@ -254,16 +280,9 @@ def sample_edge_bp_reference(
     c_root = (1.0 + delta) / (1.0 + 0.5 * delta)
     c_other = 1.0 / (1.0 + 0.5 * delta)
 
-    def children(i: int, birth: float, horizon: float) -> Iterator[float]:
-        c = c_root if i == 0 else c_other
-        age = 0.0
-        while True:
-            age += rng.exponential(c)
-            t = birth + age
-            if t > horizon:
-                return  # proposals only increase; nothing left before the horizon
-            if rng.random() < 1.0 - math.exp(-age):
-                yield t
+    def children(i: int, parent: Optional[int], birth: float, horizon: float) -> Iterator[tuple[int, float]]:
+        for t in thinned(rng, c_root if i == 0 else c_other, birth, horizon):
+            yield i, t
 
     return genealogy(rng, t_max, exp1, max_nodes, children)
 
@@ -276,11 +295,45 @@ def sample_memory_bp_reference(
     exp1: bool = False,
     max_nodes: int = NODE_CAP,
 ) -> BranchingTree:
-    """`limits.sample_memory_bp` with each individual's children from `arrivals`, run through `genealogy`."""
+    """`limits.sample_memory_bp` in cluster form, two thinning generators per individual, run through `genealogy`.
+
+    Individual i spawns children of its own at rate a(1 - e^-age) and then,
+    unless it is the root, children of its parent at rate b(1 - e^-age).
+    """
     _check_delta(delta)
-    return genealogy(
-        rng, t_max, exp1, max_nodes, lambda i, birth, horizon: arrivals(delta, rng, horizon, birth)
-    )
+    a = (1.0 + delta) / (1.0 + 0.5 * delta)
+    b = 1.0 / (1.0 + 0.5 * delta)
+
+    def spawn(i: int, parent: Optional[int], birth: float, horizon: float) -> Iterator[tuple[int, float]]:
+        for t in thinned(rng, a, birth, horizon):
+            yield i, t
+        if parent is not None:
+            for t in thinned(rng, b, birth, horizon):
+                yield parent, t
+
+    return genealogy(rng, t_max, exp1, max_nodes, spawn)
+
+
+def memory_bp_by_hazard(
+    delta: float,
+    rng: CounterRng,
+    *,
+    t_max: Optional[float] = None,
+    exp1: bool = False,
+    max_nodes: int = NODE_CAP,
+) -> BranchingTree:
+    """The memory branching process with each individual's children from `arrivals`, its hazard with memory.
+
+    The form `limits.sample_memory_bp` drew before its cluster form, and its
+    reference in law.
+    """
+    _check_delta(delta)
+
+    def children(i: int, parent: Optional[int], birth: float, horizon: float) -> Iterator[tuple[int, float]]:
+        for t in arrivals(delta, rng, horizon, birth):
+            yield i, t
+
+    return genealogy(rng, t_max, exp1, max_nodes, children)
 
 
 @dataclass

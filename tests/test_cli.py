@@ -69,12 +69,12 @@ TABLE_DIGESTS = [
         "tracked.csv": "52ddcaabf36855c2841b215d989d062f78b93387472a80a15bce9f91917a2023",
     }),
     (["limit-pmf", "--delta", "0", "--seed", "1", "--reps", "3000"], {
-        "pmf.csv": "4d6c047421691885fb811e894da579c832305bcb6962c69d2b94dce2516201c0",
+        "pmf.csv": "a73e6995a795e5a42dd610c15c33282e721ff75b909540df391f378c08b4b711",
     }),
     # both histograms hold an (other) row at these flags
     (["fringe-compare", "--delta", "0", "--seed", "3", "--n", "20000", "--reps", "20000"], {
         "fringe_empirical.csv": "5d80622c08d82dce37ab64fdc1debff28ede6b7ecd22d66712072f2325a0eff8",
-        "fringe_bp.csv": "db1c630b0b748ea8e34028fa30624888a34e8c8707be833411933b8b44ec6d61",
+        "fringe_bp.csv": "e4161d202a51d82035ce28420ac71d03fc34371f3788b4202823a8b144367d72",
     }),
 ]
 

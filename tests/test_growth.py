@@ -421,3 +421,32 @@ def test_shape_distribution_chi_square_n5():
     exp = np.array([exact_by_shape[k] * reps for k in keys])
     stat, p_value = stats.chisquare(obs, exp * obs.sum() / exp.sum())
     assert p_value > 0.01, f"shape chi-square p={p_value}"
+
+
+def _histories_recursively(n):
+    """The recursive generator `enumerate_histories` replaced, as its reference."""
+
+    def rec(prefix):
+        if len(prefix) == n:
+            yield prefix
+            return
+        # vertices 0..len(prefix) are present; the next one picks any of them
+        for p in range(len(prefix) + 1):
+            yield from rec(prefix + (p,))
+
+    yield from rec((0,))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_enumerate_histories_counts_and_orders(n):
+    # n! histories, in the recursive form's order, each starting with vertex 1's parent 0
+    hists = list(enumerate_histories(n))
+    assert len(hists) == math.factorial(n)
+    assert hists == list(_histories_recursively(n))
+    assert all(len(h) == n and h[0] == 0 for h in hists)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_enumerate_histories_refuses_no_vertex(n):
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        enumerate_histories(n)

@@ -39,6 +39,7 @@ from oracles import (
     hazard,
     history_probability,
     mc_zeta_hat_reference,
+    memory_bp_by_hazard,
     same_law_p,
     sample_arrivals,
     sample_edge_bp_reference,
@@ -124,8 +125,8 @@ def test_hazard_within_stated_bound():
 
 
 def _arrivals_by_hazard(delta, rng, t_max):
-    """The arrival loop that evaluated `hazard` in O(k) at every proposal,
-    the reference for the O(1) recurrence in `limits._arrivals`."""
+    """The arrival loop that evaluates `hazard` in O(k) at every proposal,
+    the reference for the O(1) recurrence in `oracles.arrivals`."""
     ages = []
     prev = 0.0
     while True:
@@ -396,6 +397,24 @@ def test_memory_bp_root_offspring_matches_arrival_law():
     assert same_law_p(Counter(kids), Counter(direct)) > 0.01
 
 
+def _fringe_up_to_5(bp):
+    """The genealogy's fringe key, or (other) above 5 vertices."""
+    return fringe(bp) if bp.size <= 5 else OTHER_KEY
+
+
+@pytest.mark.parametrize("delta", [-0.5, 0.0, 2.0])
+@pytest.mark.parametrize("rule", [{"t_max": 3.0}, {"exp1": True}])
+def test_memory_bp_matches_the_hazard_form_in_law(delta, rule):
+    # the cluster form and the form whose individuals draw their children
+    # with memory, which sample_memory_bp drew before, give one law of the
+    # genealogy
+    n = 10000
+    rng = CounterRng(29)
+    a = Counter(_fringe_up_to_5(sample_memory_bp(delta, rng, **rule)) for _ in range(n))
+    b = Counter(_fringe_up_to_5(memory_bp_by_hazard(delta, rng, **rule)) for _ in range(n))
+    assert same_law_p(a, b) > 0.01
+
+
 def _heap_memory_bp(delta, rng, t_max):
     """The memory branching process as a priority-queue event loop over all
     individuals, the engine `sample_memory_bp` replaced; a reference in law."""
@@ -514,16 +533,32 @@ def test_p1_series_matches_incomplete_gamma_form(delta):
 
 
 @pytest.mark.parametrize("delta", [-0.5, 0.0, 0.3, 2.0])
-def test_limit_pmf_counts_the_arrival_lists(delta):
-    # the same pmf, errors and words as counting a list of arrivals per replica
+def test_limit_pmf_counts_the_edge_process_sizes(delta):
+    # the same pmf, errors and words as counting one edge process per replica
     for seed in range(5):
         rng, ref = CounterRng(seed), CounterRng(seed)
         pmf = limit_degree_pmf(delta, 500, rng)
-        counts = Counter(len(sample_arrivals(delta, ref, exp1=True)) + 1 for _ in range(500))
+        counts = Counter(sample_edge_bp(delta, ref, exp1=True).size for _ in range(500))
         p = {k: c / 500 for k, c in sorted(counts.items())}
         assert (pmf.p, pmf.stderr) == (p, {k: math.sqrt(v * (1.0 - v) / 500) for k, v in p.items()})
         assert list(pmf.p) == list(p)
         assert rng.counter == ref.counter
+
+
+@pytest.mark.parametrize("delta", [-0.5, 0.0, 0.3, 2.0])
+def test_limit_pmf_counts_the_arrival_lists(delta):
+    # in law: one plus the arrivals before an exp(1) time of the offspring
+    # process drawn with its memory, as the pmf counted before; degrees
+    # from 8 on share one bin
+    reps = 20000
+    rng = CounterRng(31)
+    pmf = limit_degree_pmf(delta, reps, rng)
+    a = Counter()
+    for k, v in pmf.p.items():
+        a[min(k, 8)] += round(v * reps)
+    b = Counter(min(len(sample_arrivals(delta, rng, exp1=True)) + 1, 8) for _ in range(reps))
+    assert sum(a.values()) == reps
+    assert same_law_p(a, b) > 0.01
 
 
 def test_limit_pmf_consistency():
