@@ -116,7 +116,7 @@ def rate_nonroot(age: float, delta: float) -> float:
     return (1.0 - math.exp(-age)) / (1.0 + 0.5 * delta)
 
 
-@dataclass
+@dataclass(slots=True)
 class BranchingTree:
     """A continuous-time branching realization (genealogy plus birth times).
 
@@ -225,7 +225,7 @@ def sample_edge_bp(
     _check_delta(delta)
     _check_stop_rule(t_max, exp1, max_nodes)
     parents, births = _edge_genealogy(delta, rng, None if exp1 else t_max, max_nodes)
-    return BranchingTree(parents=parents, birth_times=births)
+    return BranchingTree(parents, births)
 
 
 def sample_memory_bp(
@@ -284,7 +284,7 @@ def sample_memory_bp(
                     parents.append(p)
                     births.append(t)
     rng._idx = j
-    return BranchingTree(parents=parents, birth_times=births)
+    return BranchingTree(parents, births)
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +304,7 @@ def zeta_hat_cumulant(delta: float, order: int) -> float:
     return c / (ll * (ll + 1.0))
 
 
-_ZETA_CHUNK = 4096  # replicas per block of mc_zeta_hat's thinning draws
+_ZETA_CHUNK = 1024  # replicas per block of mc_zeta_hat's thinning draws
 
 
 def _skip_words(gen: np.random.Generator, words: int) -> None:
@@ -341,7 +341,9 @@ def mc_zeta_hat(delta: float, reps: int, rng: CounterRng) -> np.ndarray:
     exponentials.  The words, the arithmetic and the order in which each
     replica's points are summed are those of drawing all points at once, so
     the output is the same bit for bit, while the working memory stays that
-    of one block.
+    of one block.  A block is not compacted: a dropped point's weight is
+    set to +0.0 and summed with the rest, which leaves each replica's sum
+    exactly what the kept points alone give.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
@@ -359,9 +361,9 @@ def mc_zeta_hat(delta: float, reps: int, rng: CounterRng) -> np.ndarray:
         t = gen.random(total)
         t *= horizon
         keep = ahead.standard_exponential(total) < t
-        t = t[keep]
         np.exp(np.multiply(t, -lam, out=t), out=t)  # e^(-lam t), in place
-        rep_idx = np.repeat(np.arange(len(block)), block)[keep]
+        t *= keep  # a dropped point weighs +0.0, which leaves every sum as it was
+        rep_idx = np.repeat(np.arange(len(block)), block)
         out[a : a + len(block)] = np.bincount(rep_idx, weights=t, minlength=len(block))
     return out
 
@@ -634,6 +636,17 @@ def _mark_probability(
     return gamma * ((d + delta) / (y + 1.0) - w / (y * (y + 1.0)))
 
 
+def _check_yule_delta(delta: float) -> None:
+    """Refuse a delta outside the marked Yule process: it must be finite and >= 0.
+
+    The first birth (y = 2, D = 1, W = 2) is marked with probability
+    2 delta / (3 (2 + delta)), which is negative for every delta < 0.
+    """
+    _check_delta(delta)
+    if delta < 0:
+        raise ValueError(f"the marked Yule process needs delta >= 0, got delta={delta}")
+
+
 def _check_mark_probability(p: np.ndarray, q: np.ndarray) -> None:
     """Refuse a mark probability outside [0, q], q <= 1 being its bound."""
     if ((p < -1e-12) | (p > q + 1e-12)).any():
@@ -660,9 +673,10 @@ def yule_marked_ensemble(delta: float, t_grid: Sequence[float], reps: int, rng: 
     the first candidate past its last grid time.  p must lie in [0, 1] at
     every birth taken: it is checked against [0, q] at each candidate and at
     the first birth after each mark, which suffices because (D+delta)y - W
-    increases in y.  Returns an array of shape (len(t_grid), reps).
+    increases in y.  A delta below 0 is refused before any draw.  Returns
+    an array of shape (len(t_grid), reps).
     """
-    _check_delta(delta)
+    _check_yule_delta(delta)
     grid = np.asarray(t_grid, dtype=float)
     n_grid = len(grid)
     if grid.ndim != 1 or n_grid == 0 or np.any(np.diff(grid) <= 0):

@@ -46,6 +46,7 @@ from seritree.limits import (
     ExponentPack,
     NodeCapExceeded,
     _check_delta,
+    _check_yule_delta,
     _mark_probability,
     exponents,
 )
@@ -355,7 +356,7 @@ def yule_marked_simulate(delta: float, t_max: float, rng: CounterRng) -> YulePat
     post-birth population.  The jump chain is exact in distribution
     (exponential holding times with mean 1/Y).
     """
-    _check_delta(delta)
+    _check_yule_delta(delta)
     if not 0.0 < t_max < math.inf:
         raise ValueError("t_max must be positive and finite")
     t, y, d, w = 0.0, 2, 1, 2.0

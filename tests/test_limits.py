@@ -328,6 +328,14 @@ def test_edge_bp_starts_with_one():
     assert sum(1 for b in bp2.birth_times if b <= 0.0) == 1
 
 
+def test_genealogies_carry_no_dict():
+    # a workload holds tens of thousands of genealogies; slots keep each to
+    # its two list references
+    for sample in (sample_edge_bp, sample_memory_bp):
+        bp = sample(0.0, CounterRng(4), exp1=True)
+        assert not hasattr(bp, "__dict__"), sample.__name__
+
+
 def test_edge_bp_mean_size_at_exp1():
     rng = CounterRng(5)
     sizes = [sample_edge_bp(1.0, rng, exp1=True).size for _ in range(20000)]
@@ -479,11 +487,14 @@ def test_mc_zeta_hat_mean():
     assert abs(z.mean() - 1.0) <= 3 * se
 
 
+@pytest.mark.parametrize("chunk", [_ZETA_CHUNK, 1, 7])
 @pytest.mark.parametrize("delta", [-0.5, 0.0, 2.0])
 @pytest.mark.parametrize("seed", [1, 17])
-def test_mc_zeta_hat_blocks_match_all_at_once(delta, seed):
-    # block edges: one replica, one short of a block, one block, one past it, several
-    for reps in (1, _ZETA_CHUNK - 1, _ZETA_CHUNK, _ZETA_CHUNK + 1, 3 * _ZETA_CHUNK + 5):
+def test_mc_zeta_hat_blocks_match_all_at_once(delta, seed, chunk, monkeypatch):
+    # the samples do not depend on the block size; block edges: one replica,
+    # one short of a block, one block, one past it, several
+    monkeypatch.setattr(limits, "_ZETA_CHUNK", chunk)
+    for reps in sorted({1, max(chunk - 1, 1), chunk, chunk + 1, 3 * chunk + 5}):
         got = mc_zeta_hat(delta, reps, CounterRng(seed))
         assert np.array_equal(got, mc_zeta_hat_reference(delta, reps, CounterRng(seed))), reps
 
@@ -750,6 +761,16 @@ def test_yule_refuses_endless_or_empty_runs():
     for t_max in (math.nan, math.inf, -1.0):
         with pytest.raises(ValueError):
             yule_marked_simulate(0.0, t_max, CounterRng(1))
+    # below delta = 0 the first birth's mark probability 2delta/(3(2+delta)) is
+    # negative: such runs raised AssertionError, and a grid with no birth gave D = 1
+    for delta in (-0.25, -0.01):
+        for grid in [(1.0,), (0.001,)]:
+            with pytest.raises(ValueError, match="delta"):
+                yule_marked_ensemble(delta, grid, 1, CounterRng(1))
+        rng = CounterRng(1)
+        with pytest.raises(ValueError, match="delta"):
+            yule_marked_simulate(delta, 1.0, rng)
+        assert rng.counter == 0
 
 
 def test_yule_ensemble_checks_p_on_exactly_the_births_taken(monkeypatch):
