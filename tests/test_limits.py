@@ -487,16 +487,16 @@ def test_mc_zeta_hat_mean():
     assert abs(z.mean() - 1.0) <= 3 * se
 
 
-@pytest.mark.parametrize("chunk", [_ZETA_CHUNK, 1, 7])
 @pytest.mark.parametrize("delta", [-0.5, 0.0, 2.0])
 @pytest.mark.parametrize("seed", [1, 17])
-def test_mc_zeta_hat_blocks_match_all_at_once(delta, seed, chunk, monkeypatch):
+def test_mc_zeta_hat_blocks_match_all_at_once(delta, seed, monkeypatch):
     # the samples do not depend on the block size; block edges: one replica,
     # one short of a block, one block, one past it, several
-    monkeypatch.setattr(limits, "_ZETA_CHUNK", chunk)
-    for reps in sorted({1, max(chunk - 1, 1), chunk, chunk + 1, 3 * chunk + 5}):
-        got = mc_zeta_hat(delta, reps, CounterRng(seed))
-        assert np.array_equal(got, mc_zeta_hat_reference(delta, reps, CounterRng(seed))), reps
+    for chunk in (_ZETA_CHUNK, 1, 7):
+        monkeypatch.setattr(limits, "_ZETA_CHUNK", chunk)
+        for reps in sorted({1, max(chunk - 1, 1), chunk, chunk + 1, 3 * chunk + 5}):
+            got = mc_zeta_hat(delta, reps, CounterRng(seed))
+            assert np.array_equal(got, mc_zeta_hat_reference(delta, reps, CounterRng(seed))), (chunk, reps)
 
 
 @pytest.mark.parametrize("used", range(9))
